@@ -56,10 +56,11 @@ use geonet::{CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter};
 use geonet_geo::{GeoReference, Heading, Position};
 use geonet_radio::{Medium, NodeId};
 use geonet_scenarios::config::Scale;
+use geonet_scenarios::report::paper_bins;
 use geonet_scenarios::{interarea, parallel, ScenarioConfig, World};
 use geonet_sim::{
     shared, shared_registry, shared_topo, NullSink, SimDuration, SimTime, StateHasher, Telemetry,
-    TimeBins, Tracer,
+    Tracer,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -306,7 +307,7 @@ fn main() -> std::process::ExitCode {
     eprintln!("# timing world step with the topology observer detached vs attached...");
     // The topology observer hooks the traffic step exactly like the
     // auditor; its detached state is the world default, so both sides of
-    // the pair run it — the measured divergence is the `due()` branch
+    // the pair run it — the measured divergence is the `Option` check
     // plus noise, and must stay under the same 2% bar.
     let warm = SimTime::from_secs(5);
     let mut w_base = World::new(cfg, None, 42);
@@ -444,9 +445,8 @@ fn main() -> std::process::ExitCode {
     let campaign_cfg = ScenarioConfig::paper_dsrc_default().with_duration(scale.duration());
     let campaign_seed = 42u64;
     let raw_loop = || {
-        let bins = usize::try_from(scale.duration_s.div_ceil(5)).expect("bin count fits");
-        let mut baseline = TimeBins::new(SimDuration::from_secs(5), bins);
-        let mut attacked = TimeBins::new(SimDuration::from_secs(5), bins);
+        let mut baseline = paper_bins(scale.duration());
+        let mut attacked = paper_bins(scale.duration());
         for i in 0..scale.runs {
             let seed = campaign_seed.wrapping_add(u64::from(i) * 0x9E37);
             baseline.merge(&interarea::run_one(&campaign_cfg, false, seed));

@@ -124,6 +124,43 @@ impl RouterStats {
             _ => {}
         }
     }
+
+    /// Adds another router's counters into these, field by field — the
+    /// run-level aggregate over a fleet.
+    pub fn merge(&mut self, other: &RouterStats) {
+        // Exhaustive destructure: a new counter fails to compile here
+        // until it is summed too.
+        let RouterStats {
+            beacons_accepted,
+            auth_failures,
+            freshness_failures,
+            delivered,
+            gf_unicast,
+            gf_fallback,
+            cbf_rebroadcast,
+            cbf_discards,
+            cbf_mitigation_rejects,
+            rhl_exhausted,
+            gf_buffered,
+            gf_dropped,
+            gf_ack_retries,
+            gf_ack_exhausted,
+        } = *other;
+        self.beacons_accepted += beacons_accepted;
+        self.auth_failures += auth_failures;
+        self.freshness_failures += freshness_failures;
+        self.delivered += delivered;
+        self.gf_unicast += gf_unicast;
+        self.gf_fallback += gf_fallback;
+        self.cbf_rebroadcast += cbf_rebroadcast;
+        self.cbf_discards += cbf_discards;
+        self.cbf_mitigation_rejects += cbf_mitigation_rejects;
+        self.rhl_exhausted += rhl_exhausted;
+        self.gf_buffered += gf_buffered;
+        self.gf_dropped += gf_dropped;
+        self.gf_ack_retries += gf_ack_retries;
+        self.gf_ack_exhausted += gf_ack_exhausted;
+    }
 }
 
 /// The [`PacketRef`] identifying `key` in trace events.

@@ -71,17 +71,78 @@ use geonet_scenarios::{
 };
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, shared_registry, trace_window, AuditArtifact,
-    EventCounters, InvariantChecker, InvariantParams, JsonlSink, SharedSink, SimDuration,
-    TopoArtifact, TraceRecord, TraceSink, VecSink,
+    EventCounters, InvariantChecker, InvariantParams, SharedSink, SimDuration, TopoArtifact,
+    TraceRecord, VecSink,
 };
 use geonet_traffic::IdmParams;
 use std::process::ExitCode;
 
-/// Which scenario the `--topology` pass instruments.
+/// The paper's two attack families, as the single-run passes
+/// (`--trace`, `--check-invariants`, `--topology`) exercise them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TopologyScenario {
+enum Family {
+    /// Inter-area interception of greedy-forwarded packets.
     Interception,
+    /// Intra-area blockage of CBF floods.
     Blockage,
+}
+
+impl Family {
+    const BOTH: [Family; 2] = [Family::Interception, Family::Blockage];
+
+    /// The workload's name in file names and report lines.
+    fn name(self) -> &'static str {
+        match self {
+            Family::Interception => "interarea",
+            Family::Blockage => "intraarea",
+        }
+    }
+
+    /// The single-run scenario: the median-NLoS attacker (486 m) for
+    /// interception, the paper's most effective 500 m attacker for
+    /// blockage.
+    fn config(self, duration_s: u64) -> ScenarioConfig {
+        let range = match self {
+            Family::Interception => 486.0,
+            Family::Blockage => 500.0,
+        };
+        ScenarioConfig::paper_dsrc_default()
+            .with_attack_range(range)
+            .with_duration(SimDuration::from_secs(duration_s))
+    }
+
+    /// One run of the family's workload with every trace event routed
+    /// to `sink`.
+    fn run_traced(self, cfg: &ScenarioConfig, attacked: bool, seed: u64, sink: SharedSink) {
+        match self {
+            Family::Interception => {
+                let mut w = interarea::world(cfg, attacked, seed);
+                w.set_trace_sink(sink);
+                let _ = interarea::drive(cfg, &mut w, |_, _| {});
+            }
+            Family::Blockage => {
+                let mut w = intraarea::world(cfg, attacked, seed);
+                w.set_trace_sink(sink);
+                let _ = intraarea::drive(cfg, &mut w, |_, _| {});
+            }
+        }
+    }
+}
+
+/// Writes `records` to `path`, one JSON object per line.
+fn write_trace_jsonl(path: &str, records: &[TraceRecord]) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    write_jsonl(std::io::BufWriter::new(file), records).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Writes the JSONL lines, propagating every write error and the final
+/// flush's — a full disk must fail the run, not leave a truncated trace
+/// for `--audit-diff` to read.
+fn write_jsonl(mut out: impl std::io::Write, records: &[TraceRecord]) -> std::io::Result<()> {
+    for r in records {
+        writeln!(out, "{}", r.to_json())?;
+    }
+    out.flush()
 }
 
 #[derive(Debug)]
@@ -98,7 +159,7 @@ struct Options {
     audit_diff: Option<(String, String)>,
     check_invariants: bool,
     topology: Option<String>,
-    topology_scenario: TopologyScenario,
+    topology_scenario: Family,
     topology_diff: Option<(String, String)>,
     experiments: Vec<String>,
 }
@@ -280,7 +341,7 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
     let mut audit_diff = None;
     let mut check_invariants = false;
     let mut topology = None;
-    let mut topology_scenario = TopologyScenario::Interception;
+    let mut topology_scenario = Family::Interception;
     let mut topology_diff = None;
     let mut experiments = Vec::new();
     let mut seen: Vec<String> = Vec::new();
@@ -350,8 +411,8 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
             "--topology-scenario" => {
                 let name = args.next().ok_or("--topology-scenario needs a name")?;
                 topology_scenario = match name.as_str() {
-                    "interception" => TopologyScenario::Interception,
-                    "blockage" => TopologyScenario::Blockage,
+                    "interception" => Family::Interception,
+                    "blockage" => Family::Blockage,
                     other => {
                         return Err(format!(
                             "--topology-scenario: unknown scenario {other} \
@@ -419,43 +480,20 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
 /// `--trace`, attribution tables and busiest-node counters for
 /// `--forensics`.
 fn forensic_pass(opts: &Options) -> Result<(), String> {
-    let cfg = ScenarioConfig::paper_dsrc_default()
-        .with_duration(geonet_sim::SimDuration::from_secs(opts.scale.duration_s));
-    for family in ["interarea", "intraarea"] {
+    for family in Family::BOTH {
         let sink = shared(VecSink::new());
+        family.run_traced(&family.config(opts.scale.duration_s), true, opts.seed, sink.clone());
         // The attacker's link-layer address, where one shows up in the
         // evidence: the blockage attacker replays under its pseudonym;
         // the interception attacker replays beacons verbatim and never
         // transmits under a name of its own.
-        let attacker = match family {
-            "interarea" => {
-                let _ = interarea::run_one_traced(
-                    &cfg.with_attack_range(486.0),
-                    true,
-                    opts.seed,
-                    sink.clone(),
-                );
-                None
-            }
-            _ => {
-                let _ = intraarea::run_one_traced(
-                    &cfg.with_attack_range(500.0),
-                    true,
-                    opts.seed,
-                    sink.clone(),
-                );
-                Some(IntraAreaAttacker::DEFAULT_PSEUDONYM.to_u64())
-            }
-        };
+        let attacker =
+            (family == Family::Blockage).then(|| IntraAreaAttacker::DEFAULT_PSEUDONYM.to_u64());
         let records = sink.borrow().records().to_vec();
+        let family = family.name();
         if let Some(prefix) = &opts.trace {
             let path = format!("{prefix}.{family}.jsonl");
-            let file = std::fs::File::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
-            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-            for r in &records {
-                jsonl.record(r.at, r.node, &r.event);
-            }
-            jsonl.into_inner().map_err(|e| format!("--trace {path}: {e}"))?;
+            write_trace_jsonl(&path, &records).map_err(|e| format!("--trace {e}"))?;
             eprintln!("# trace: {} events -> {path}", records.len());
         }
         if opts.forensics {
@@ -486,12 +524,14 @@ fn forensic_pass(opts: &Options) -> Result<(), String> {
 /// attached, feeding `--metrics` exporters and the `--profile` table.
 fn telemetry_pass(opts: &Options) -> Result<(), String> {
     let registry = shared_registry();
-    let cfg = ScenarioConfig::paper_dsrc_default()
-        .with_attack_range(486.0)
-        .with_duration(SimDuration::from_secs(opts.scale.duration_s));
+    let cfg = Family::Interception.config(opts.scale.duration_s);
     progress::begin_setting("telemetry", 1);
     let t0 = std::time::Instant::now();
-    let (bins, events) = interarea::run_one_metered(&cfg, true, opts.seed, registry.clone());
+    let mut w = interarea::world(&cfg, true, opts.seed);
+    w.set_telemetry(registry.clone());
+    let sent = interarea::drive(&cfg, &mut w, |_, _| {});
+    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
+    let events = w.events_processed();
     let wall = t0.elapsed().as_secs_f64();
     {
         let mut reg = registry.borrow_mut();
@@ -565,33 +605,22 @@ fn telemetry_pass(opts: &Options) -> Result<(), String> {
 /// `PREFIX.<variant>.audit.json`, matching event traces to
 /// `PREFIX.<variant>.trace.jsonl` (what `--audit-diff` joins against).
 fn audit_pass(opts: &Options, prefix: &str) -> Result<(), String> {
-    let cfg = ScenarioConfig::paper_dsrc_default()
-        .with_attack_range(486.0)
-        .with_duration(SimDuration::from_secs(opts.scale.duration_s));
+    let cfg = Family::Interception.config(opts.scale.duration_s);
     for (variant, attacked) in [("baseline", false), ("attacked", true)] {
         let sink = shared(VecSink::new());
         let auditor = shared_auditor(SimDuration::from_secs(1));
-        let trace_sink: SharedSink = sink.clone();
-        let _ = interarea::run_one_audited(
-            &cfg,
-            attacked,
-            opts.seed,
-            Some(trace_sink),
-            auditor.clone(),
-        );
+        interarea::stamp_audit_meta(&auditor, &cfg, attacked, opts.seed);
+        let mut w = interarea::world(&cfg, attacked, opts.seed);
+        w.set_trace_sink(sink.clone());
+        w.set_auditor(auditor.clone());
+        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
         let artifact = auditor.borrow().to_artifact();
         let audit_path = format!("{prefix}.{variant}.audit.json");
         std::fs::write(&audit_path, artifact.to_json())
             .map_err(|e| format!("--audit {audit_path}: {e}"))?;
         let records = sink.borrow().records().to_vec();
         let trace_path = format!("{prefix}.{variant}.trace.jsonl");
-        let file =
-            std::fs::File::create(&trace_path).map_err(|e| format!("--audit {trace_path}: {e}"))?;
-        let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-        for r in &records {
-            jsonl.record(r.at, r.node, &r.event);
-        }
-        jsonl.into_inner().map_err(|e| format!("--audit {trace_path}: {e}"))?;
+        write_trace_jsonl(&trace_path, &records).map_err(|e| format!("--audit {e}"))?;
         eprintln!(
             "# audit: {} checkpoints -> {audit_path}, {} events -> {trace_path}",
             artifact.checkpoints.len(),
@@ -663,24 +692,15 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
     let write = |path: String, text: &str| {
         std::fs::write(&path, text).map_err(|e| format!("--topology {path}: {e}"))
     };
-    let duration = SimDuration::from_secs(opts.scale.duration_s);
     let interval = topology::DEFAULT_SNAPSHOT_INTERVAL;
-    let cfg = match opts.topology_scenario {
-        TopologyScenario::Interception => {
-            ScenarioConfig::paper_dsrc_default().with_attack_range(486.0)
-        }
-        TopologyScenario::Blockage => ScenarioConfig::paper_dsrc_default().with_attack_range(500.0),
-    }
-    .with_duration(duration);
+    let cfg = opts.topology_scenario.config(opts.scale.duration_s);
     let run = |attacked| match opts.topology_scenario {
-        TopologyScenario::Interception => {
-            topology::run_interarea(&cfg, attacked, opts.seed, interval)
-        }
-        TopologyScenario::Blockage => topology::run_blockage(&cfg, attacked, opts.seed, interval),
+        Family::Interception => topology::run_interarea(&cfg, attacked, opts.seed, interval),
+        Family::Blockage => topology::run_blockage(&cfg, attacked, opts.seed, interval),
     };
     let af = run(false);
     let mut atk = run(true);
-    if opts.topology_scenario == TopologyScenario::Interception {
+    if opts.topology_scenario == Family::Interception {
         let (intercepted, in_cov) = topology::correlate_interception(&af, &mut atk);
         eprintln!(
             "# topology: {intercepted} intercepted packets, \
@@ -751,36 +771,21 @@ fn topology_diff_pass(af_prefix: &str, atk_prefix: &str) -> Result<(), String> {
 /// baseline and attacked) with an online invariant checker attached;
 /// fails the invocation citing the first offending event.
 fn check_invariants_pass(opts: &Options) -> Result<(), String> {
-    let cfg = ScenarioConfig::paper_dsrc_default()
-        .with_duration(SimDuration::from_secs(opts.scale.duration_s));
-    let params =
-        InvariantParams { to_min: cfg.gn.to_min, to_max: cfg.gn.to_max, loct_ttl: cfg.gn.loct_ttl };
     println!("Invariant check — seed {}, {} s sim", opts.seed, opts.scale.duration_s);
     let mut failed = false;
-    for family in ["interarea", "intraarea"] {
+    for family in Family::BOTH {
+        let cfg = family.config(opts.scale.duration_s);
+        let params = InvariantParams {
+            to_min: cfg.gn.to_min,
+            to_max: cfg.gn.to_max,
+            loct_ttl: cfg.gn.loct_ttl,
+        };
         for attacked in [false, true] {
             let checker = shared(InvariantChecker::new(params));
-            match family {
-                "interarea" => {
-                    let _ = interarea::run_one_traced(
-                        &cfg.with_attack_range(486.0),
-                        attacked,
-                        opts.seed,
-                        checker.clone(),
-                    );
-                }
-                _ => {
-                    let _ = intraarea::run_one_traced(
-                        &cfg.with_attack_range(500.0),
-                        attacked,
-                        opts.seed,
-                        checker.clone(),
-                    );
-                }
-            }
+            family.run_traced(&cfg, attacked, opts.seed, checker.clone());
             let c = checker.borrow();
             let variant = if attacked { "attacked" } else { "baseline" };
-            println!("  {family:<9} {variant:<8} {}", c.summary());
+            println!("  {:<9} {variant:<8} {}", family.name(), c.summary());
             failed |= !c.ok();
         }
     }
@@ -1214,11 +1219,60 @@ mod tests {
         assert_eq!(sibling_trace("/tmp/other.json"), None);
     }
 
+    /// Accepts `budget` bytes, then fails every write; `fail_flush`
+    /// also fails the flush.
+    struct FailingWriter {
+        budget: usize,
+        fail_flush: bool,
+    }
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.fail_flush {
+                Err(std::io::Error::other("flush failed"))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    #[test]
+    fn trace_writes_report_every_failure() {
+        let records: Vec<TraceRecord> = (0..3)
+            .map(|i| TraceRecord {
+                at: geonet_sim::SimTime::from_secs(i),
+                node: 7,
+                event: geonet_sim::TraceEvent::BeaconAccepted { from: i },
+            })
+            .collect();
+        let full: usize = records.iter().map(|r| r.to_json().len() + 1).sum();
+        let ok = FailingWriter { budget: full, fail_flush: false };
+        assert!(write_jsonl(ok, &records).is_ok());
+        let truncated = FailingWriter { budget: full - 1, fail_flush: false };
+        let err = write_jsonl(truncated, &records).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        let unflushed = FailingWriter { budget: full, fail_flush: true };
+        let err = write_jsonl(unflushed, &records).unwrap_err();
+        assert_eq!(err.to_string(), "flush failed");
+        // The path wrapper names the file it could not write.
+        let err = write_trace_jsonl("/nonexistent-dir/t.jsonl", &records).unwrap_err();
+        assert!(err.starts_with("/nonexistent-dir/t.jsonl: "), "got: {err}");
+    }
+
     #[test]
     fn topology_flags_allow_empty_experiments() {
         let o = parse(&["--topology", "/tmp/topo"]).expect("topology alone is valid");
         assert_eq!(o.topology.as_deref(), Some("/tmp/topo"));
-        assert_eq!(o.topology_scenario, TopologyScenario::Interception);
+        assert_eq!(o.topology_scenario, Family::Interception);
         assert!(o.experiments.is_empty());
         let o = parse(&["--topology-diff", "run.af", "run.atk"]).expect("valid");
         assert_eq!(o.topology_diff, Some(("run.af".to_string(), "run.atk".to_string())));
@@ -1228,7 +1282,7 @@ mod tests {
     fn topology_scenario_selects_blockage() {
         let o =
             parse(&["--topology-scenario", "blockage", "--topology", "/tmp/topo"]).expect("valid");
-        assert_eq!(o.topology_scenario, TopologyScenario::Blockage);
+        assert_eq!(o.topology_scenario, Family::Blockage);
         let err = parse(&["--topology-scenario", "teleport", "--topology", "/tmp/t"]).unwrap_err();
         assert!(err.contains("unknown scenario teleport"), "got: {err}");
     }

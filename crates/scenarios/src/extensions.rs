@@ -22,21 +22,6 @@ use crate::mitigation::MitigationResult;
 use crate::parallel;
 use crate::report::AbResult;
 use geonet::config::LinkAckConfig;
-use geonet_sim::{SimDuration, TimeBins};
-
-fn merged_interarea(cfg: &ScenarioConfig, attacked: bool, scale: Scale, seed: u64) -> TimeBins {
-    let cfg = cfg.with_duration(scale.duration());
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut bins = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let runs = parallel::run_indexed(scale.runs, |i| {
-        let s = seed.wrapping_add(u64::from(i) * 0x9E37);
-        interarea::run_one(&cfg, attacked, s)
-    });
-    for r in &runs {
-        bins.merge(r);
-    }
-    bins
-}
 
 /// The rejected mitigation: link-layer acknowledgements with retry.
 ///
@@ -51,8 +36,8 @@ pub fn ack_defense(scale: Scale, seed: u64) -> Vec<MitigationResult> {
         .into_iter()
         .map(|loss| MitigationResult {
             label: format!("loss={:.0}%", loss * 100.0),
-            unmitigated: merged_interarea(&base.with_frame_loss(loss), true, scale, seed),
-            mitigated: merged_interarea(&acked.with_frame_loss(loss), true, scale, seed),
+            unmitigated: interarea::merged_runs(&base.with_frame_loss(loss), true, scale, seed),
+            mitigated: interarea::merged_runs(&acked.with_frame_loss(loss), true, scale, seed),
         })
         .collect()
 }
@@ -108,10 +93,12 @@ pub fn ack_overhead(scale: Scale, seed: u64) -> Vec<(String, u64, u64)> {
         .map(|loss| {
             let loads = parallel::run_indexed(scale.runs, |i| {
                 let s = seed.wrapping_add(u64::from(i) * 0x9E37);
-                (
-                    interarea::run_one_with_load(&base.with_frame_loss(loss), true, s).1,
-                    interarea::run_one_with_load(&acked.with_frame_loss(loss), true, s).1,
-                )
+                let frames = |cfg: &ScenarioConfig| {
+                    let mut w = interarea::world(cfg, true, s);
+                    let _ = interarea::drive(cfg, &mut w, |_, _| {});
+                    w.frames_on_air()
+                };
+                (frames(&base.with_frame_loss(loss)), frames(&acked.with_frame_loss(loss)))
             });
             let mut plain = 0;
             let mut with_ack = 0;

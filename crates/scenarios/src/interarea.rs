@@ -11,115 +11,44 @@
 use crate::config::{AttackerSetup, Scale, ScenarioConfig};
 use crate::parallel;
 use crate::progress;
-use crate::report::AbResult;
+use crate::report::{paper_bins, AbResult};
 use crate::world::World;
+use geonet::PacketKey;
 use geonet_geo::{Area, Position};
 use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SharedAuditor, SharedRegistry, SharedSink, SimDuration, SimTime, TimeBins};
+use geonet_sim::{SharedAuditor, SimDuration, SimTime, TimeBins};
 
-/// Runs one seeded simulation and returns the per-bin reception counts of
-/// vulnerable packets at the destinations.
+/// One vulnerable packet the workload generated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sent {
+    /// The packet.
+    pub key: PacketKey,
+    /// Generation time.
+    pub at: SimTime,
+    /// The source's position at generation time.
+    pub origin: Position,
+    /// The static destination node it was sent towards.
+    pub dest: NodeId,
+}
+
+/// Builds the world for one run: the inter-area attacker mounted when
+/// `attacked`, absent otherwise.
 #[must_use]
-pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> TimeBins {
-    run_one_inner(cfg, attacked, seed, None, None).0
+pub fn world(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> World {
+    World::new(*cfg, attacked.then_some(AttackerSetup::InterArea), seed)
 }
 
-/// Like [`run_one`], with every node's [`geonet_sim::TraceEvent`]s routed
-/// to `sink` — the input of the [`crate::forensics`] reconstruction.
-#[must_use]
-pub fn run_one_traced(
+/// Drives the workload on `w`, with whatever instruments the caller
+/// attached: adds the static destinations, then once per simulated
+/// second calls `each_second` with the packets sent so far and sends one
+/// vulnerable packet, and finally runs to the horizon. Returns every
+/// packet sent, in generation order.
+pub fn drive(
     cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: SharedSink,
-) -> TimeBins {
-    run_one_inner(cfg, attacked, seed, Some(sink), None).0
-}
-
-/// Like [`run_one`], with a telemetry registry attached to the world: the
-/// hot-path histograms and state-depth gauges of
-/// [`geonet_sim::telemetry`] fill up during the run, and the run's kernel
-/// event count is returned alongside the bins for throughput accounting.
-#[must_use]
-pub fn run_one_metered(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    registry: SharedRegistry,
-) -> (TimeBins, u64) {
-    let (bins, _, _, events) = run_one_full(cfg, attacked, seed, None, Some(registry), None);
-    (bins, events)
-}
-
-/// Like [`run_one`], additionally returning the channel load of the run:
-/// `(bins, frames on air, bytes on air)`. Used by the ACK-overhead
-/// extension analysis.
-#[must_use]
-pub fn run_one_with_load(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> (TimeBins, u64, u64) {
-    run_one_inner(cfg, attacked, seed, None, None)
-}
-
-/// Like [`run_one`], with an audit recorder attached: the world samples a
-/// state-digest checkpoint at the recorder's interval, and the recorder's
-/// run metadata is stamped with the scenario parameters so a serialized
-/// artifact is self-describing. An optional trace sink may be attached
-/// too, so a divergence window reported by
-/// [`geonet_sim::diff_artifacts`] can be joined against the same run's
-/// trace.
-#[must_use]
-pub fn run_one_audited(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-    auditor: SharedAuditor,
-) -> TimeBins {
-    {
-        let mut rec = auditor.borrow_mut();
-        rec.set_meta("scenario", "interarea");
-        rec.set_meta("seed", seed.to_string());
-        rec.set_meta("attacked", attacked.to_string());
-        rec.set_meta("duration_s", cfg.duration.as_secs().to_string());
-        rec.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
-    }
-    run_one_full(cfg, attacked, seed, sink, None, Some(auditor)).0
-}
-
-fn run_one_inner(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-    registry: Option<SharedRegistry>,
-) -> (TimeBins, u64, u64) {
-    let (bins, frames, bytes, _) = run_one_full(cfg, attacked, seed, sink, registry, None);
-    (bins, frames, bytes)
-}
-
-fn run_one_full(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-    registry: Option<SharedRegistry>,
-    auditor: Option<SharedAuditor>,
-) -> (TimeBins, u64, u64, u64) {
+    w: &mut World,
+    mut each_second: impl FnMut(&World, &[Sent]),
+) -> Vec<Sent> {
     let started = progress::run_started();
-    let duration_s = cfg.duration.as_secs();
-    let mut bins = TimeBins::new(
-        SimDuration::from_secs(5),
-        usize::try_from(duration_s.div_ceil(5)).expect("bin count fits"),
-    );
-    let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::InterArea), seed);
-    if let Some(sink) = sink {
-        w.set_trace_sink(sink);
-    }
-    if let Some(registry) = registry {
-        w.set_telemetry(registry);
-    }
-    if let Some(auditor) = auditor {
-        w.set_auditor(auditor);
-    }
     let length = cfg.road.length;
     // Static destinations 20 m beyond each end (paper §IV-A), with small
     // circular destination areas around them.
@@ -128,9 +57,10 @@ fn run_one_full(
     let east_area = Area::circle(Position::new(length + 20.0, 0.0), 40.0);
     let west_area = Area::circle(Position::new(-20.0, 0.0), 40.0);
 
-    let mut generated: Vec<(geonet::PacketKey, SimTime, NodeId)> = Vec::new();
-    for t in 1..duration_s {
+    let mut sent = Vec::new();
+    for t in 1..cfg.duration.as_secs() {
         w.run_until(SimTime::from_secs(t));
+        each_second(w, &sent);
         // Sample vehicles until one can emit a *vulnerable* packet (the
         // paper generates one vulnerable packet per second); in rare
         // configurations a sampled vehicle sits where neither direction
@@ -153,15 +83,60 @@ fn run_one_full(
         let Some((node, eastbound)) = chosen else { continue };
         let (area, dest) =
             if eastbound { (&east_area, east_node) } else { (&west_area, west_node) };
+        let origin = w.node_position(node);
         let key = w.originate_from(node, area, vec![0x5A]);
-        generated.push((key, w.now(), dest));
+        sent.push(Sent { key, at: w.now(), origin, dest });
     }
     w.run_to_end();
-    for (key, gen_time, dest) in generated {
-        bins.record(gen_time, w.was_received(key, dest));
-    }
     progress::run_completed(started, w.events_processed(), cfg.duration);
-    (bins, w.frames_on_air(), w.bytes_on_air(), w.events_processed())
+    sent
+}
+
+/// Folds a driven run into per-bin reception counts of the vulnerable
+/// packets at their destinations.
+#[must_use]
+pub fn reception_bins(w: &World, sent: &[Sent], duration: SimDuration) -> TimeBins {
+    let mut bins = paper_bins(duration);
+    for s in sent {
+        bins.record(s.at, w.was_received(s.key, s.dest));
+    }
+    bins
+}
+
+/// Runs one seeded simulation and returns the per-bin reception counts of
+/// vulnerable packets at the destinations.
+#[must_use]
+pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> TimeBins {
+    let mut w = world(cfg, attacked, seed);
+    let sent = drive(cfg, &mut w, |_, _| {});
+    reception_bins(&w, &sent, cfg.duration)
+}
+
+/// The run metadata an audit timeline of this workload is stamped with,
+/// so a serialized artifact is self-describing.
+pub fn stamp_audit_meta(auditor: &SharedAuditor, cfg: &ScenarioConfig, attacked: bool, seed: u64) {
+    let mut rec = auditor.borrow_mut();
+    rec.set_meta("scenario", "interarea");
+    rec.set_meta("seed", seed.to_string());
+    rec.set_meta("attacked", attacked.to_string());
+    rec.set_meta("duration_s", cfg.duration.as_secs().to_string());
+    rec.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
+}
+
+/// Folds seeded runs of one setting into one set of bins — the merged
+/// side of a mitigation or extension comparison.
+#[must_use]
+pub fn merged_runs(cfg: &ScenarioConfig, attacked: bool, scale: Scale, seed: u64) -> TimeBins {
+    let cfg = cfg.with_duration(scale.duration());
+    let mut bins = paper_bins(cfg.duration);
+    let runs = parallel::run_indexed(scale.runs, |i| {
+        let s = seed.wrapping_add(u64::from(i) * 0x9E37);
+        run_one(&cfg, attacked, s)
+    });
+    for r in &runs {
+        bins.merge(r);
+    }
+    bins
 }
 
 /// Runs the A/B pair for one setting at the given scale, merging bins over
@@ -169,10 +144,8 @@ fn run_one_full(
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
     let cfg = cfg.with_duration(scale.duration());
-    let duration_s = cfg.duration.as_secs();
-    let bin_count = usize::try_from(duration_s.div_ceil(5)).expect("bin count fits");
-    let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
+    let mut baseline = paper_bins(cfg.duration);
+    let mut attacked = paper_bins(cfg.duration);
     progress::begin_setting(label, scale.runs * 2);
     // Independent seeded runs fan across the job pool; pairs come back in
     // seed-index order, so the merge below is byte-identical to the

@@ -10,13 +10,13 @@
 use crate::config::{AttackerSetup, Scale, ScenarioConfig};
 use crate::parallel;
 use crate::progress;
-use crate::report::AbResult;
+use crate::report::{paper_bins, AbResult};
 use crate::world::World;
 use geonet::PacketKey;
 use geonet_attack::BlockageMode;
 use geonet_geo::{Area, Position};
 use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SharedSink, SimDuration, SimTime, TimeBins};
+use geonet_sim::{SimDuration, SimTime, TimeBins};
 
 /// The GeoBroadcast destination area covering the whole road segment
 /// (both directions' lanes).
@@ -56,66 +56,84 @@ impl PacketOutcome {
     }
 }
 
+/// One whole-road flood the workload generated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sent {
+    /// The packet.
+    pub key: PacketKey,
+    /// Generation time.
+    pub at: SimTime,
+    /// The source's position at generation time.
+    pub origin: Position,
+    /// The vehicles on the road at generation time — the flood's
+    /// intended audience.
+    pub audience: Vec<NodeId>,
+}
+
+impl Sent {
+    /// How the flood fared in the driven world `w`.
+    #[must_use]
+    pub fn outcome(&self, w: &World) -> PacketOutcome {
+        let received = self.audience.iter().filter(|n| w.was_received(self.key, **n)).count();
+        PacketOutcome {
+            generated_at: self.at,
+            source_x: self.origin.x,
+            candidates: self.audience.len() as u64,
+            received: received as u64,
+        }
+    }
+}
+
+/// Builds the world for one run: the RHL-clamping blockage attacker
+/// mounted when `attacked`, absent otherwise.
+#[must_use]
+pub fn world(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> World {
+    let setup = AttackerSetup::IntraArea(BlockageMode::ClampRhl);
+    World::new(*cfg, attacked.then_some(setup), seed)
+}
+
+/// Drives the workload on `w`, with whatever instruments the caller
+/// attached: once per simulated second calls `each_second` with the
+/// floods sent so far and has a random on-road vehicle GeoBroadcast to
+/// the whole road, then runs to the horizon. Returns every flood sent,
+/// in generation order.
+pub fn drive(
+    cfg: &ScenarioConfig,
+    w: &mut World,
+    mut each_second: impl FnMut(&World, &[Sent]),
+) -> Vec<Sent> {
+    let started = progress::run_started();
+    let area = road_area(cfg);
+    let mut sent = Vec::new();
+    for t in 1..cfg.duration.as_secs() {
+        w.run_until(SimTime::from_secs(t));
+        each_second(w, &sent);
+        let Some(vid) = w.random_on_road_vehicle() else { continue };
+        let node = w.vehicle_node(vid);
+        let audience = w.on_road_nodes();
+        let origin = w.node_position(node);
+        let key = w.originate_from(node, &area, vec![0xCB]);
+        sent.push(Sent { key, at: w.now(), origin, audience });
+    }
+    w.run_to_end();
+    progress::run_completed(started, w.events_processed(), cfg.duration);
+    sent
+}
+
 /// Runs one seeded simulation, returning the outcome of every generated
 /// packet.
 #[must_use]
 pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> Vec<PacketOutcome> {
-    run_one_inner(cfg, attacked, seed, None)
-}
-
-/// Like [`run_one`], with every node's [`geonet_sim::TraceEvent`]s routed
-/// to `sink` — the input of the [`crate::forensics`] reconstruction.
-#[must_use]
-pub fn run_one_traced(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: SharedSink,
-) -> Vec<PacketOutcome> {
-    run_one_inner(cfg, attacked, seed, Some(sink))
-}
-
-fn run_one_inner(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-) -> Vec<PacketOutcome> {
-    let started = progress::run_started();
-    let mode = BlockageMode::ClampRhl;
-    let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::IntraArea(mode)), seed);
-    if let Some(sink) = sink {
-        w.set_trace_sink(sink);
-    }
-    let area = road_area(cfg);
-    let duration_s = cfg.duration.as_secs();
-    let mut generated: Vec<(PacketKey, SimTime, f64, Vec<NodeId>)> = Vec::new();
-    for t in 1..duration_s {
-        w.run_until(SimTime::from_secs(t));
-        let Some(vid) = w.random_on_road_vehicle() else { continue };
-        let node = w.vehicle_node(vid);
-        let snapshot = w.on_road_nodes();
-        let x = w.node_position(node).x;
-        let key = w.originate_from(node, &area, vec![0xCB]);
-        generated.push((key, w.now(), x, snapshot));
-    }
-    w.run_to_end();
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    generated
-        .into_iter()
-        .map(|(key, generated_at, source_x, snapshot)| {
-            let received = snapshot.iter().filter(|n| w.was_received(key, **n)).count() as u64;
-            PacketOutcome { generated_at, source_x, candidates: snapshot.len() as u64, received }
-        })
-        .collect()
+    let mut w = world(cfg, attacked, seed);
+    let sent = drive(cfg, &mut w, |_, _| {});
+    sent.iter().map(|s| s.outcome(&w)).collect()
 }
 
 /// Folds packet outcomes into 5 s time bins (weighted by the number of
 /// candidate receivers, as the paper's reception rate is per-vehicle).
 #[must_use]
 pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> TimeBins {
-    let bin_count = usize::try_from(duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut bins = TimeBins::new(SimDuration::from_secs(5), bin_count);
+    let mut bins = paper_bins(duration);
     for o in outcomes {
         bins.record_weighted(o.generated_at, o.received, o.candidates);
     }
@@ -126,9 +144,8 @@ pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> Ti
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
     let cfg = cfg.with_duration(scale.duration());
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
+    let mut baseline = paper_bins(cfg.duration);
+    let mut attacked = paper_bins(cfg.duration);
     progress::begin_setting(label, scale.runs * 2);
     // Runs are independent per seed; bins are folded inside each job and
     // merged back in seed-index order — byte-identical to the sequential
@@ -228,7 +245,6 @@ pub fn fig9_source_split(scale: Scale, seed: u64) -> (AbResult, AbResult) {
     let half = cfg.attack_range - cfg.v2v_range; // 14 m ⇒ 28 m zone
     let lo = cfg.attacker_position.x - half;
     let hi = cfg.attacker_position.x + half;
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
     // `run_one` is pure, so each seeded A/B pair is simulated once (the
     // old loop re-ran it per `inside` value) and filtered twice below.
     let runs = parallel::run_indexed(scale.runs, |i| {
@@ -237,8 +253,8 @@ pub fn fig9_source_split(scale: Scale, seed: u64) -> (AbResult, AbResult) {
     });
     let mut result = Vec::new();
     for inside in [true, false] {
-        let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-        let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
+        let mut baseline = paper_bins(cfg.duration);
+        let mut attacked = paper_bins(cfg.duration);
         for (base_outcomes, atk_outcomes) in &runs {
             for (outcomes, bins) in [(base_outcomes, &mut baseline), (atk_outcomes, &mut attacked)]
             {

@@ -15,6 +15,12 @@
 //! | [`extensions`] | beyond the paper: ACK defense, lossy channels, mobile attacker |
 //! | [`analysis`] | closed-form γ/λ predictions from the attack geometry |
 //!
+//! Each workload family has exactly one per-second loop:
+//! [`interarea::drive`] and [`intraarea::drive`] run on a [`World`] the
+//! caller built, with whatever instruments it attached through the
+//! `World::set_*` setters, and return per-packet records that `run_one`,
+//! the [`topology`] runners and the `repro` passes fold as they need.
+//!
 //! Campaign loops fan their independent seeded runs across worker
 //! threads via [`parallel`] (seed-indexed job pool; results merge in
 //! index order so reports stay byte-identical to the sequential path).

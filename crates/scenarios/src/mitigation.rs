@@ -11,10 +11,10 @@
 
 use crate::config::{Scale, ScenarioConfig};
 use crate::parallel;
-use crate::report::AbResult;
+use crate::report::{paper_bins, AbResult};
 use crate::{interarea, intraarea};
 use geonet::MitigationConfig;
-use geonet_sim::{SimDuration, TimeBins};
+use geonet_sim::TimeBins;
 use serde::{Deserialize, Serialize};
 
 /// One Figure 14 comparison: the same setting with the mitigation off and
@@ -62,20 +62,6 @@ impl std::fmt::Display for MitigationResult {
     }
 }
 
-fn merged_interarea(cfg: &ScenarioConfig, attacked: bool, scale: Scale, seed: u64) -> TimeBins {
-    let cfg = cfg.with_duration(scale.duration());
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut bins = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let runs = parallel::run_indexed(scale.runs, |i| {
-        let s = seed.wrapping_add(u64::from(i) * 0x9E37);
-        interarea::run_one(&cfg, attacked, s)
-    });
-    for r in &runs {
-        bins.merge(r);
-    }
-    bins
-}
-
 /// Figure 14a: the plausibility check under wN / mN / mL attackers and
 /// attacker-free, DSRC. The threshold is the vehicles' own range.
 #[must_use]
@@ -89,16 +75,16 @@ pub fn fig14a(scale: Scale, seed: u64) -> Vec<MitigationResult> {
     {
         out.push(MitigationResult {
             label: label.to_string(),
-            unmitigated: merged_interarea(&base.with_attack_range(range), true, scale, seed),
-            mitigated: merged_interarea(&checked.with_attack_range(range), true, scale, seed),
+            unmitigated: interarea::merged_runs(&base.with_attack_range(range), true, scale, seed),
+            mitigated: interarea::merged_runs(&checked.with_attack_range(range), true, scale, seed),
         });
     }
     // Attacker-free with and without the check: the check also cleans up
     // natural staleness losses.
     out.push(MitigationResult {
         label: "af".to_string(),
-        unmitigated: merged_interarea(&base, false, scale, seed),
-        mitigated: merged_interarea(&checked, false, scale, seed),
+        unmitigated: interarea::merged_runs(&base, false, scale, seed),
+        mitigated: interarea::merged_runs(&checked, false, scale, seed),
     });
     out
 }
@@ -113,9 +99,7 @@ pub fn fig14b(scale: Scale, seed: u64) -> Vec<MitigationResult> {
     let checked = base.with_mitigations(MitigationConfig::rhl_check(3));
     let run = |cfg: &ScenarioConfig, attacked: bool| {
         let cfg = cfg.with_duration(scale.duration());
-        let bin_count =
-            usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
-        let mut bins = TimeBins::new(SimDuration::from_secs(5), bin_count);
+        let mut bins = paper_bins(cfg.duration);
         let runs = parallel::run_indexed(scale.runs, |i| {
             let s = seed.wrapping_add(u64::from(i) * 0x517C);
             intraarea::outcomes_to_bins(&intraarea::run_one(&cfg, attacked, s), cfg.duration)
@@ -158,7 +142,7 @@ pub fn as_ab(result: &MitigationResult) -> AbResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geonet_sim::SimTime;
+    use geonet_sim::{SimDuration, SimTime};
 
     #[test]
     fn plausibility_check_recovers_reception() {
@@ -169,8 +153,8 @@ mod tests {
         let checked = base.with_mitigations(MitigationConfig::plausibility(base.v2v_range));
         let r = MitigationResult {
             label: "mN".into(),
-            unmitigated: merged_interarea(&base, true, scale, 31),
-            mitigated: merged_interarea(&checked, true, scale, 31),
+            unmitigated: interarea::merged_runs(&base, true, scale, 31),
+            mitigated: interarea::merged_runs(&checked, true, scale, 31),
         };
         let delta = r.improvement().expect("rates available");
         assert!(delta > 0.2, "plausibility check ineffective: {r}");

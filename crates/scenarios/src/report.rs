@@ -1,8 +1,20 @@
 //! Result types and report formatting for the experiment drivers.
 
-use geonet_sim::{AbComparison, DropReason, EventCounters, TimeBins};
+use geonet_sim::{AbComparison, DropReason, EventCounters, SimDuration, TimeBins};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The paper's reception bins for a run of `duration`: 5 s wide, the last
+/// one covering any remainder.
+///
+/// # Panics
+///
+/// Panics if the bin count overflows `usize`.
+#[must_use]
+pub fn paper_bins(duration: SimDuration) -> TimeBins {
+    let count = usize::try_from(duration.as_secs().div_ceil(5)).expect("bin count fits");
+    TimeBins::new(SimDuration::from_secs(5), count)
+}
 
 /// The A/B outcome of one experiment setting: merged time bins of the
 /// attacker-free (A) runs and the attacked (B) runs.
@@ -197,7 +209,7 @@ pub fn series_to_csv(bin_seconds: u64, series: &[(String, Vec<Option<f64>>)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geonet_sim::{SimDuration, SimTime};
+    use geonet_sim::SimTime;
 
     fn bins(rate_num: u64, rate_den: u64) -> TimeBins {
         let mut b = TimeBins::new(SimDuration::from_secs(5), 4);

@@ -15,18 +15,17 @@
 //! position is at most one second of vehicle movement (≈ 30 m) stale —
 //! well inside the default 100 m bin.
 
-use crate::config::{AttackerSetup, ScenarioConfig};
+use crate::config::ScenarioConfig;
 use crate::heatmap::RoadHeatmap;
-use crate::interarea::vulnerable_directions;
-use crate::intraarea::road_area;
-use crate::progress;
+use crate::intraarea::PacketOutcome;
 use crate::world::World;
+use crate::{interarea, intraarea};
 use geonet::PacketKey;
-use geonet_attack::BlockageMode;
-use geonet_geo::{Area, Position};
+use geonet_geo::Position;
 use geonet_radio::NodeId;
 use geonet_sim::{
-    shared_topo, SharedSink, SimDuration, SimTime, TimeBins, TopoArtifact, TraceEvent, VecSink,
+    shared_topo, SharedSink, SharedTopo, SimDuration, SimTime, TimeBins, TopoArtifact, TraceEvent,
+    VecSink,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,10 +83,12 @@ fn attacker_covers(cfg: &ScenarioConfig, pos: Position, at: SimTime) -> bool {
     (dx * dx + dy * dy).sqrt() <= cfg.attack_range
 }
 
-/// The drain-side of the instrumentation: consumes the trace stream
-/// incrementally, feeding the heatmap and the per-packet fates.
+/// The instrumentation of one run: the trace stream drained
+/// incrementally into the heatmap and the per-packet fates, plus the
+/// connectivity-snapshot timeline.
 struct Instrument {
     sink: Rc<RefCell<VecSink>>,
+    topo: SharedTopo,
     heatmap: RoadHeatmap,
     attacker_addr: Option<u64>,
     attacked: bool,
@@ -96,17 +97,35 @@ struct Instrument {
 }
 
 impl Instrument {
-    fn new(cfg: &ScenarioConfig, w: &mut World, scenario: &str, attacked: bool, seed: u64) -> Self {
+    /// Attaches a trace sink and a snapshot timeline to `w`, both
+    /// stamped with the run's parameters.
+    fn attach(
+        cfg: &ScenarioConfig,
+        w: &mut World,
+        scenario: &str,
+        attacked: bool,
+        seed: u64,
+        interval: SimDuration,
+    ) -> Self {
         let sink = Rc::new(RefCell::new(VecSink::new()));
         w.set_trace_sink(sink.clone() as SharedSink);
+        let topo = shared_topo(interval);
+        w.set_topo_observer(topo.clone());
         let mut heatmap = RoadHeatmap::new(cfg.road.length, cfg.duration);
-        heatmap.set_meta("scenario", scenario);
-        heatmap.set_meta("seed", seed.to_string());
-        heatmap.set_meta("attacked", attacked.to_string());
-        heatmap.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
-        heatmap.set_meta("v2v_range_m", format!("{:.1}", cfg.v2v_range));
+        let meta = [
+            ("scenario", scenario.to_string()),
+            ("seed", seed.to_string()),
+            ("attacked", attacked.to_string()),
+            ("attack_range_m", format!("{:.1}", cfg.attack_range)),
+            ("v2v_range_m", format!("{:.1}", cfg.v2v_range)),
+        ];
+        for (key, value) in meta {
+            topo.borrow_mut().set_meta(key, value.clone());
+            heatmap.set_meta(key, value);
+        }
         Instrument {
             sink,
+            topo,
             heatmap,
             attacker_addr: w.attacker_address(),
             attacked,
@@ -115,20 +134,27 @@ impl Instrument {
         }
     }
 
-    fn track(&mut self, key: PacketKey, at: SimTime, origin_x: f64, covered: bool) {
-        self.index.insert((key.source.to_u64(), key.sn.0), self.packets.len());
-        self.packets.push(PacketFate {
-            key,
-            generated_at: at,
-            origin_x,
-            delivered: false,
-            last_hop_x: origin_x,
-            last_hop_at: at,
-            last_hop_in_coverage: self.attacked && covered,
-        });
-    }
-
-    fn drain(&mut self, cfg: &ScenarioConfig, w: &World) {
+    /// Starts tracking the packets sent since the last drain, then
+    /// drains the trace stream: forwarding decisions move a packet's
+    /// last hop, drops and CBF cancellations land in the heatmap.
+    fn drain(
+        &mut self,
+        cfg: &ScenarioConfig,
+        w: &World,
+        sent: impl Iterator<Item = (PacketKey, SimTime, Position)>,
+    ) {
+        for (key, at, origin) in sent.skip(self.packets.len()) {
+            self.index.insert((key.source.to_u64(), key.sn.0), self.packets.len());
+            self.packets.push(PacketFate {
+                key,
+                generated_at: at,
+                origin_x: origin.x,
+                delivered: false,
+                last_hop_x: origin.x,
+                last_hop_at: at,
+                last_hop_in_coverage: self.attacked && attacker_covers(cfg, origin, at),
+            });
+        }
         let records = self.sink.borrow_mut().drain();
         for rec in records {
             match &rec.event {
@@ -151,28 +177,24 @@ impl Instrument {
             }
         }
     }
+
+    /// Settles each tracked packet's delivery, in generation order, and
+    /// collects the run's artifacts.
+    fn finish(self, bins: TimeBins, delivered: impl Iterator<Item = bool>) -> TopologyRun {
+        let Instrument { topo, mut heatmap, mut packets, .. } = self;
+        for (p, delivered) in packets.iter_mut().zip(delivered) {
+            p.delivered = delivered;
+            heatmap.record_packet(p.origin_x, p.generated_at, delivered);
+        }
+        let topo = topo.borrow().to_artifact();
+        TopologyRun { bins, topo, heatmap, packets }
+    }
 }
 
-fn stamp_topo(
-    topo: &geonet_sim::SharedTopo,
-    cfg: &ScenarioConfig,
-    scenario: &str,
-    attacked: bool,
-    seed: u64,
-) {
-    let mut rec = topo.borrow_mut();
-    rec.set_meta("scenario", scenario);
-    rec.set_meta("seed", seed.to_string());
-    rec.set_meta("attacked", attacked.to_string());
-    rec.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
-    rec.set_meta("v2v_range_m", format!("{:.1}", cfg.v2v_range));
-}
-
-/// Runs the inter-area interception workload (one vulnerable packet per
-/// second towards the road-end destinations, as in
-/// [`crate::interarea::run_one`]) with full topology instrumentation.
-/// Snapshot gradients are graded toward the east destination — the
-/// direction the paper's Figure 6 analysis follows.
+/// Runs the inter-area interception workload ([`interarea::drive`]) with
+/// full topology instrumentation. Snapshot gradients are graded toward
+/// the east destination — the direction the paper's Figure 6 analysis
+/// follows.
 #[must_use]
 pub fn run_interarea(
     cfg: &ScenarioConfig,
@@ -180,70 +202,21 @@ pub fn run_interarea(
     seed: u64,
     interval: SimDuration,
 ) -> TopologyRun {
-    let started = progress::run_started();
-    let duration_s = cfg.duration.as_secs();
-    let mut bins = TimeBins::new(
-        SimDuration::from_secs(5),
-        usize::try_from(duration_s.div_ceil(5)).expect("bin count fits"),
-    );
-    let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::InterArea), seed);
-    let mut inst = Instrument::new(cfg, &mut w, "interarea", attacked, seed);
-    let topo = shared_topo(interval);
-    stamp_topo(&topo, cfg, "interarea", attacked, seed);
-    w.set_topo_observer(topo.clone());
-    let length = cfg.road.length;
-    let east_node = w.add_static_node(Position::new(length + 20.0, 2.5), cfg.v2v_range);
-    let west_node = w.add_static_node(Position::new(-20.0, 2.5), cfg.v2v_range);
-    let east_area = Area::circle(Position::new(length + 20.0, 0.0), 40.0);
-    let west_area = Area::circle(Position::new(-20.0, 0.0), 40.0);
-    w.set_topo_destination(Position::new(length + 20.0, 0.0));
-
-    let mut dests: Vec<NodeId> = Vec::new();
-    for t in 1..duration_s {
-        w.run_until(SimTime::from_secs(t));
-        inst.drain(cfg, &w);
-        let mut chosen = None;
-        for _ in 0..16 {
-            let Some(vid) = w.random_on_road_vehicle() else { break };
-            let node = w.vehicle_node(vid);
-            let x = w.node_position(node).x;
-            let (east_ok, west_ok) = vulnerable_directions(cfg, x);
-            let eastbound = match (east_ok, west_ok) {
-                (true, true) => w.workload_coin(),
-                (true, false) => true,
-                (false, true) => false,
-                (false, false) => continue,
-            };
-            chosen = Some((node, eastbound));
-            break;
-        }
-        let Some((node, eastbound)) = chosen else { continue };
-        let (area, dest) =
-            if eastbound { (&east_area, east_node) } else { (&west_area, west_node) };
-        let pos = w.node_position(node);
-        let key = w.originate_from(node, area, vec![0x5A]);
-        let covered = attacker_covers(cfg, pos, w.now());
-        inst.track(key, w.now(), pos.x, covered);
-        dests.push(dest);
-    }
-    w.run_to_end();
-    inst.drain(cfg, &w);
-    let Instrument { mut heatmap, mut packets, .. } = inst;
-    for (p, dest) in packets.iter_mut().zip(&dests) {
-        p.delivered = w.was_received(p.key, *dest);
-        bins.record(p.generated_at, p.delivered);
-        heatmap.record_packet(p.origin_x, p.generated_at, p.delivered);
-    }
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    let artifact = topo.borrow().to_artifact();
-    TopologyRun { bins, topo: artifact, heatmap, packets }
+    let mut w = interarea::world(cfg, attacked, seed);
+    let mut inst = Instrument::attach(cfg, &mut w, "interarea", attacked, seed, interval);
+    w.set_topo_destination(Position::new(cfg.road.length + 20.0, 0.0));
+    let sent = interarea::drive(cfg, &mut w, |w, sent| {
+        inst.drain(cfg, w, sent.iter().map(|s| (s.key, s.at, s.origin)));
+    });
+    inst.drain(cfg, &w, sent.iter().map(|s| (s.key, s.at, s.origin)));
+    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
+    inst.finish(bins, sent.iter().map(|s| w.was_received(s.key, s.dest)))
 }
 
-/// Runs the intra-area blockage workload (one whole-road GeoBroadcast
-/// per second, as in [`crate::intraarea::run_one`]) with full topology
-/// instrumentation. A packet counts as *delivered* when its flood
-/// reached at least 95% of the vehicles on the road at generation time;
-/// no gradient destination is set (a flood has none), so snapshots
+/// Runs the intra-area blockage workload ([`intraarea::drive`]) with full
+/// topology instrumentation. A packet counts as *delivered* when its
+/// flood reached at least 95% of the vehicles on the road at generation
+/// time; no gradient destination is set (a flood has none), so snapshots
 /// carry connectivity and coverage analytics only.
 #[must_use]
 pub fn run_blockage(
@@ -252,46 +225,15 @@ pub fn run_blockage(
     seed: u64,
     interval: SimDuration,
 ) -> TopologyRun {
-    let started = progress::run_started();
-    let duration_s = cfg.duration.as_secs();
-    let mut bins = TimeBins::new(
-        SimDuration::from_secs(5),
-        usize::try_from(duration_s.div_ceil(5)).expect("bin count fits"),
-    );
-    let mode = BlockageMode::ClampRhl;
-    let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::IntraArea(mode)), seed);
-    let mut inst = Instrument::new(cfg, &mut w, "intraarea", attacked, seed);
-    let topo = shared_topo(interval);
-    stamp_topo(&topo, cfg, "intraarea", attacked, seed);
-    w.set_topo_observer(topo.clone());
-    let area = road_area(cfg);
-
-    let mut audiences: Vec<Vec<NodeId>> = Vec::new();
-    for t in 1..duration_s {
-        w.run_until(SimTime::from_secs(t));
-        inst.drain(cfg, &w);
-        let Some(vid) = w.random_on_road_vehicle() else { continue };
-        let node = w.vehicle_node(vid);
-        let snapshot = w.on_road_nodes();
-        let pos = w.node_position(node);
-        let key = w.originate_from(node, &area, vec![0xCB]);
-        let covered = attacker_covers(cfg, pos, w.now());
-        inst.track(key, w.now(), pos.x, covered);
-        audiences.push(snapshot);
-    }
-    w.run_to_end();
-    inst.drain(cfg, &w);
-    let Instrument { mut heatmap, mut packets, .. } = inst;
-    for (p, audience) in packets.iter_mut().zip(&audiences) {
-        let received = audience.iter().filter(|n| w.was_received(p.key, **n)).count();
-        let rate = if audience.is_empty() { 0.0 } else { received as f64 / audience.len() as f64 };
-        p.delivered = rate >= FLOOD_DELIVERED_THRESHOLD;
-        bins.record_weighted(p.generated_at, received as u64, audience.len() as u64);
-        heatmap.record_packet(p.origin_x, p.generated_at, p.delivered);
-    }
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    let artifact = topo.borrow().to_artifact();
-    TopologyRun { bins, topo: artifact, heatmap, packets }
+    let mut w = intraarea::world(cfg, attacked, seed);
+    let mut inst = Instrument::attach(cfg, &mut w, "intraarea", attacked, seed, interval);
+    let sent = intraarea::drive(cfg, &mut w, |w, sent| {
+        inst.drain(cfg, w, sent.iter().map(|s| (s.key, s.at, s.origin)));
+    });
+    inst.drain(cfg, &w, sent.iter().map(|s| (s.key, s.at, s.origin)));
+    let outcomes: Vec<PacketOutcome> = sent.iter().map(|s| s.outcome(&w)).collect();
+    let bins = intraarea::outcomes_to_bins(&outcomes, cfg.duration);
+    inst.finish(bins, outcomes.iter().map(|o| o.rate() >= FLOOD_DELIVERED_THRESHOLD))
 }
 
 /// Correlates an attacker-free/attacked pair of same-seed runs into

@@ -8,9 +8,9 @@ use geonet_attack::{InterAreaAttacker, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_radio::{Medium, NodeId};
 use geonet_sim::{
-    Auditor, Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry,
-    SharedSink, SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode,
-    TopoObserver, TopoSnapshot, TraceEvent, Tracer, UnorderedDigest,
+    Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry, SharedSink,
+    SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode, TopoSnapshot,
+    TraceEvent, Tracer, UnorderedDigest,
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,8 +79,8 @@ pub struct World {
     bytes_on_air: u64,
     tracer: Tracer,
     telemetry: Telemetry,
-    auditor: Auditor,
-    topo: TopoObserver,
+    auditor: Option<SharedAuditor>,
+    topo: Option<SharedTopo>,
     /// The destination the topology observer grades gradients against
     /// (the packet sink of the running scenario, when it has one).
     topo_dest: Option<Position>,
@@ -129,8 +129,8 @@ impl World {
             bytes_on_air: 0,
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
-            auditor: Auditor::disabled(),
-            topo: TopoObserver::disabled(),
+            auditor: None,
+            topo: None,
             topo_dest: None,
             telemetry_steps: 0,
             rx_buf: Vec::new(),
@@ -244,12 +244,11 @@ impl World {
 
     /// Attaches an audit recorder; the world samples a state-digest
     /// checkpoint into it whenever one falls due (checked once per
-    /// traffic step against the recorder's sim-time interval). Like
-    /// [`World::set_telemetry`], the default is
-    /// [`Auditor::disabled`], in which case the per-step check is a
-    /// single branch and no state is ever digested.
+    /// traffic step against the recorder's sim-time interval). Detached
+    /// by default — the per-step check is then a single branch and no
+    /// state is ever digested.
     pub fn set_auditor(&mut self, recorder: SharedAuditor) {
-        self.auditor = Auditor::attached(recorder);
+        self.auditor = Some(recorder);
     }
 
     /// Attaches a topology recorder; the world samples a connectivity
@@ -258,7 +257,7 @@ impl World {
     /// default — the per-step check is then a single branch and no graph
     /// is ever built.
     pub fn set_topo_observer(&mut self, recorder: SharedTopo) {
-        self.topo = TopoObserver::attached(recorder);
+        self.topo = Some(recorder);
     }
 
     /// Sets the destination against which snapshot gradients are graded
@@ -311,13 +310,6 @@ impl World {
             nodes.push(tn);
         }
         TopoSnapshot::build(now, self.topo_dest.map(|p| (p.x, p.y)), nodes)
-    }
-
-    /// Records a topology snapshot if one is due (no-op when disabled).
-    fn sample_topo(&mut self) {
-        if self.topo.due(self.kernel.now()) {
-            self.topo.record(self.topo_snapshot());
-        }
     }
 
     /// Digests the world's complete canonical state into one checkpoint:
@@ -387,13 +379,6 @@ impl World {
         b.push("delivery", h.finish());
 
         b.finish()
-    }
-
-    /// Records an audit checkpoint if one is due (no-op when disabled).
-    fn sample_audit(&mut self) {
-        if self.auditor.due(self.kernel.now()) {
-            self.auditor.record(self.audit_checkpoint());
-        }
     }
 
     /// Total events the kernel has dispatched — the numerator of the
@@ -508,19 +493,7 @@ impl World {
     pub fn aggregate_stats(&self) -> geonet::RouterStats {
         let mut agg = geonet::RouterStats::default();
         for r in self.routers.iter().flatten() {
-            let s = r.stats();
-            agg.beacons_accepted += s.beacons_accepted;
-            agg.auth_failures += s.auth_failures;
-            agg.freshness_failures += s.freshness_failures;
-            agg.delivered += s.delivered;
-            agg.gf_unicast += s.gf_unicast;
-            agg.gf_fallback += s.gf_fallback;
-            agg.cbf_rebroadcast += s.cbf_rebroadcast;
-            agg.cbf_discards += s.cbf_discards;
-            agg.cbf_mitigation_rejects += s.cbf_mitigation_rejects;
-            agg.rhl_exhausted += s.rhl_exhausted;
-            agg.gf_ack_retries += s.gf_ack_retries;
-            agg.gf_ack_exhausted += s.gf_ack_exhausted;
+            agg.merge(&r.stats());
         }
         agg
     }
@@ -725,8 +698,16 @@ impl World {
         }
         self.kernel.schedule_in(SimDuration::from_secs_f64(self.cfg.traffic_dt), Ev::TrafficStep);
         self.sample_telemetry();
-        self.sample_audit();
-        self.sample_topo();
+        // Attached timelines sample when due; detached, one branch each.
+        let now = self.kernel.now();
+        if let Some(rec) = self.auditor.as_ref().filter(|r| r.borrow().due(now)) {
+            let checkpoint = self.audit_checkpoint();
+            rec.borrow_mut().record(checkpoint);
+        }
+        if let Some(rec) = self.topo.as_ref().filter(|r| r.borrow().due(now)) {
+            let snapshot = self.topo_snapshot();
+            rec.borrow_mut().record(snapshot);
+        }
     }
 
     /// Samples internal state depths into the attached registry: the
@@ -1134,8 +1115,8 @@ mod tests {
         w.run_until(SimTime::from_secs(9));
         let rec = recorder.borrow();
         // 20 s horizon sampled every 2 s of the first 9: t≈0.1,2,4,6,8.
-        assert!(rec.snapshots().len() >= 4, "only {} snapshots", rec.snapshots().len());
-        let last = rec.snapshots().last().unwrap();
+        assert!(rec.samples().len() >= 4, "only {} snapshots", rec.samples().len());
+        let last = rec.samples().last().unwrap();
         // The attacker is present, flagged and covering vehicles.
         assert_eq!(last.coverage.len(), 1);
         assert!(last.coverage[0].fraction > 0.0, "attacker covers nobody");
@@ -1163,6 +1144,59 @@ mod tests {
             (w.events_processed(), w.frames_on_air(), w.audit_checkpoint().combined)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn audit_checkpoint_detached_world_matches_attached() {
+        // audit_checkpoint is a pure read too: attaching the auditor
+        // samples the timeline without perturbing the history.
+        let run = |attach: bool| {
+            let mut w = World::new(short_cfg(), Some(AttackerSetup::InterArea), 12);
+            let auditor = geonet_sim::shared_auditor(SimDuration::from_secs(1));
+            if attach {
+                w.set_auditor(auditor.clone());
+            }
+            w.run_until(SimTime::from_secs(6));
+            let sampled = auditor.borrow().samples().len();
+            (sampled > 0, (w.events_processed(), w.frames_on_air(), w.audit_checkpoint().combined))
+        };
+        let (detached_sampled, detached) = run(false);
+        let (attached_sampled, attached) = run(true);
+        assert!(!detached_sampled && attached_sampled);
+        assert_eq!(detached, attached);
+    }
+
+    #[test]
+    fn aggregate_stats_sums_every_router_counter() {
+        // Buffer-retry makes greedy forwarding buffer packets it cannot
+        // advance; a destination past the east end of the road
+        // guarantees that at the easternmost forwarder.
+        let mut cfg = short_cfg();
+        cfg.gn = cfg.gn.with_no_progress(geonet::config::NoProgressPolicy::BufferRetry {
+            delay: SimDuration::from_millis(500),
+            max_attempts: 2,
+        });
+        let sink = geonet_sim::shared(geonet_sim::VecSink::new());
+        let mut w = World::new(cfg, Some(AttackerSetup::InterArea), 13);
+        w.set_trace_sink(sink.clone());
+        let far_east = Area::circle(Position::new(6_000.0, 0.0), 40.0);
+        for t in 4..=10 {
+            w.run_until(SimTime::from_secs(t));
+            if let Some(vid) = w.random_on_road_vehicle() {
+                let _ = w.originate_from(w.vehicle_node(vid), &far_east, vec![1]);
+            }
+        }
+        w.run_until(SimTime::from_secs(14));
+        let agg = w.aggregate_stats();
+        assert!(agg.gf_buffered > 0 && agg.gf_dropped > 0, "no buffering exercised: {agg:?}");
+        // Every router's counters are the fold of its own trace events,
+        // so folding the legit nodes' events is the field-wise sum.
+        let legit: BTreeSet<u32> = w.legit_nodes().iter().map(|n| n.0).collect();
+        let mut sum = geonet::RouterStats::default();
+        for r in sink.borrow().records().iter().filter(|r| legit.contains(&r.node)) {
+            sum.record(&r.event);
+        }
+        assert_eq!(agg, sum);
     }
 
     #[test]

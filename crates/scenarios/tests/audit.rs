@@ -20,7 +20,10 @@ fn params(cfg: &ScenarioConfig) -> InvariantParams {
 
 fn audited_artifact(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> AuditArtifact {
     let auditor = shared_auditor(SimDuration::from_secs(1));
-    let _ = interarea::run_one_audited(cfg, attacked, seed, None, auditor.clone());
+    interarea::stamp_audit_meta(&auditor, cfg, attacked, seed);
+    let mut w = interarea::world(cfg, attacked, seed);
+    w.set_auditor(auditor.clone());
+    let _ = interarea::drive(cfg, &mut w, |_, _| {});
     let artifact = auditor.borrow().to_artifact();
     assert!(!artifact.checkpoints.is_empty(), "a 5 s run must produce checkpoints");
     artifact
@@ -86,16 +89,20 @@ fn invariant_checker_passes_on_shipped_scenarios() {
     let cfg = short_cfg();
     for attacked in [false, true] {
         let checker = shared(InvariantChecker::new(params(&cfg)));
-        let _ =
-            interarea::run_one_traced(&cfg.with_attack_range(486.0), attacked, 42, checker.clone());
+        let cfg = cfg.with_attack_range(486.0);
+        let mut w = interarea::world(&cfg, attacked, 42);
+        w.set_trace_sink(checker.clone());
+        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
         let c = checker.borrow();
         assert!(c.ok(), "interarea attacked={attacked}: {}", c.summary());
         assert!(c.events_checked() > 0);
     }
     for attacked in [false, true] {
         let checker = shared(InvariantChecker::new(params(&cfg)));
-        let _ =
-            intraarea::run_one_traced(&cfg.with_attack_range(500.0), attacked, 42, checker.clone());
+        let cfg = cfg.with_attack_range(500.0);
+        let mut w = intraarea::world(&cfg, attacked, 42);
+        w.set_trace_sink(checker.clone());
+        let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
         let c = checker.borrow();
         assert!(c.ok(), "intraarea attacked={attacked}: {}", c.summary());
         assert!(c.events_checked() > 0);
@@ -109,7 +116,9 @@ fn invariant_checker_passes_on_shipped_scenarios() {
 fn injected_duplicate_forward_is_caught() {
     let cfg = short_cfg().with_attack_range(500.0);
     let sink = shared(VecSink::new());
-    let _ = intraarea::run_one_traced(&cfg, true, 42, sink.clone());
+    let mut w = intraarea::world(&cfg, true, 42);
+    w.set_trace_sink(sink.clone());
+    let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
     let records = sink.borrow().records().to_vec();
     let fired = records
         .iter()

@@ -96,7 +96,10 @@ fn interception_world_run_attributes_losses_to_phantom_next_hops() {
         .with_attack_range(486.0)
         .with_duration(SimDuration::from_secs(20));
     let sink = shared(VecSink::new());
-    let bins = interarea::run_one_traced(&cfg, true, 42, sink.clone());
+    let mut w = interarea::world(&cfg, true, 42);
+    w.set_trace_sink(sink.clone());
+    let sent = interarea::drive(&cfg, &mut w, |_, _| {});
+    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
     let records = sink.borrow().records().to_vec();
     assert!(!records.is_empty());
 

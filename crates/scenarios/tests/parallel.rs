@@ -70,14 +70,12 @@ fn campaigns_and_audits_are_byte_identical_across_jobs() {
         with_jobs(jobs, || {
             parallel::run_indexed(3, |i| {
                 let cfg = cfg.with_duration(SimDuration::from_secs(20));
+                let seed = 42 + u64::from(i);
                 let auditor = shared_auditor(SimDuration::from_secs(5));
-                let _ = interarea::run_one_audited(
-                    &cfg,
-                    true,
-                    42 + u64::from(i),
-                    None,
-                    auditor.clone(),
-                );
+                interarea::stamp_audit_meta(&auditor, &cfg, true, seed);
+                let mut w = interarea::world(&cfg, true, seed);
+                w.set_auditor(auditor.clone());
+                let _ = interarea::drive(&cfg, &mut w, |_, _| {});
                 let json = auditor.borrow().to_artifact().to_json();
                 json
             })

@@ -10,11 +10,11 @@
 //!   RNG stream positions, per-node LocT/CBF/duplicate-cache contents,
 //!   vehicle kinematics, radio entries, delivery sets — into one `u64`
 //!   per component. A [`Checkpoint`] collects the per-component hashes
-//!   at one simulation time; an [`AuditRecorder`] accumulates a
-//!   checkpoint timeline at a configurable sim-time interval. Worlds
-//!   hold a cheap [`Auditor`] handle that mirrors
-//!   [`Tracer`](crate::trace::Tracer): disabled by default, a single
-//!   branch per traffic step when detached.
+//!   at one simulation time; a [`SharedAuditor`] (a
+//!   [`Timeline`] of checkpoints)
+//!   accumulates them at a configurable sim-time interval. Worlds hold
+//!   it as an `Option`: absent by default, a single branch per traffic
+//!   step when detached.
 //!
 //! * **Record / diff.** The timeline plus free-form run metadata
 //!   serializes to a `.audit.json` artifact ([`AuditArtifact`], same
@@ -49,16 +49,17 @@
 //! h.write_u64(42);
 //! b.push("rng", h.finish());
 //! auditor.borrow_mut().record(b.finish());
-//! assert_eq!(auditor.borrow().checkpoints().len(), 1);
+//! assert_eq!(auditor.borrow().samples().len(), 1);
 //! ```
 
 use crate::telemetry::json;
 use crate::time::{SimDuration, SimTime};
+use crate::timeline::{
+    read_envelope, shared_timeline, write_envelope, Sample, SharedTimeline, Timeline,
+};
 use crate::trace::{PacketRef, TraceEvent, TraceRecord, TraceSink};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Stable hashing
@@ -241,135 +242,29 @@ impl CheckpointBuilder {
     }
 }
 
-/// Collects a digest timeline at a fixed sim-time interval, plus
-/// free-form run metadata (seed, scenario, attack setup…).
-#[derive(Debug)]
-pub struct AuditRecorder {
-    interval: SimDuration,
-    next_due: SimTime,
-    meta: BTreeMap<String, String>,
-    checkpoints: Vec<Checkpoint>,
-}
-
-impl AuditRecorder {
-    /// Creates a recorder sampling every `interval` of simulation time
-    /// (the first checkpoint is due immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "audit interval must be positive");
-        AuditRecorder {
-            interval,
-            next_due: SimTime::ZERO,
-            meta: BTreeMap::new(),
-            checkpoints: Vec::new(),
-        }
-    }
-
-    /// The sampling interval.
-    #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Attaches one metadata key (seed, scenario label, …). Values must
-    /// stay free of `"` and `\` — the artifact encoding is escape-free.
-    pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        assert!(
-            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
-            "audit metadata must not contain quotes or backslashes"
-        );
-        self.meta.insert(key.to_string(), value);
-    }
-
-    /// Whether a checkpoint is due at `now`.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Appends a checkpoint and advances the next due time.
-    pub fn record(&mut self, checkpoint: Checkpoint) {
-        self.next_due = checkpoint.at + self.interval;
-        self.checkpoints.push(checkpoint);
-    }
-
-    /// The recorded timeline.
-    #[must_use]
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
-    }
-
-    /// Snapshots the recorder into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> AuditArtifact {
-        AuditArtifact {
-            meta: self.meta.clone(),
-            interval: self.interval,
-            checkpoints: self.checkpoints.clone(),
-        }
+impl Sample for Checkpoint {
+    fn at(&self) -> SimTime {
+        self.at
     }
 }
 
-/// A shared, interiorly-mutable recorder handed to a world.
-pub type SharedAuditor = Rc<RefCell<AuditRecorder>>;
+/// A shared digest timeline handed to a world via `set_auditor`.
+pub type SharedAuditor = SharedTimeline<Checkpoint>;
 
 /// Creates a [`SharedAuditor`] sampling every `interval`.
 #[must_use]
 pub fn shared_auditor(interval: SimDuration) -> SharedAuditor {
-    Rc::new(RefCell::new(AuditRecorder::new(interval)))
+    shared_timeline(interval)
 }
 
-/// The zero-cost-when-disabled auditing handle a world holds, mirroring
-/// [`Tracer`](crate::trace::Tracer) and
-/// [`Telemetry`](crate::telemetry::Telemetry): with no recorder attached
-/// every call is a single branch on an `Option` and no state is ever
-/// digested.
-#[derive(Clone, Default)]
-pub struct Auditor {
-    recorder: Option<SharedAuditor>,
-}
-
-impl fmt::Debug for Auditor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Auditor").field("enabled", &self.recorder.is_some()).finish()
-    }
-}
-
-impl Auditor {
-    /// A handle with no recorder — all operations are no-ops.
+impl Timeline<Checkpoint> {
+    /// Snapshots the digest timeline into a serializable artifact.
     #[must_use]
-    pub fn disabled() -> Self {
-        Auditor { recorder: None }
-    }
-
-    /// A handle feeding `recorder`.
-    #[must_use]
-    pub fn attached(recorder: SharedAuditor) -> Self {
-        Auditor { recorder: Some(recorder) }
-    }
-
-    /// Whether a recorder is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Whether a checkpoint is due at `now`. Always `false` when
-    /// disabled — the caller skips the (expensive) state digesting.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.borrow().due(now))
-    }
-
-    /// Records a checkpoint (no-op when disabled).
-    pub fn record(&self, checkpoint: Checkpoint) {
-        if let Some(r) = &self.recorder {
-            r.borrow_mut().record(checkpoint);
+    pub fn to_artifact(&self) -> AuditArtifact {
+        AuditArtifact {
+            meta: self.meta().clone(),
+            interval: self.interval(),
+            checkpoints: self.samples().to_vec(),
         }
     }
 }
@@ -397,35 +292,13 @@ impl AuditArtifact {
     /// are decimal `u64`s.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
-        let _ = write!(out, "}},\"interval_us\":{},\"checkpoints\":[", self.interval.as_micros());
-        for (i, cp) in self.checkpoints.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "{{\"t_us\":{},\"combined\":{},\"components\":{{",
-                cp.at.as_micros(),
-                cp.combined
-            );
-            for (j, c) in cp.components.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", c.component, c.hash);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n]}\n");
-        out
+        write_envelope(
+            &self.meta,
+            self.interval,
+            "checkpoints",
+            &self.checkpoints,
+            write_checkpoint,
+        )
     }
 
     /// Parses an artifact previously produced by
@@ -435,39 +308,26 @@ impl AuditArtifact {
     ///
     /// Fails with a description of the first malformed construct.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let root = root.as_object("top level")?;
-        let mut meta = BTreeMap::new();
-        let mut interval = None;
-        let mut checkpoints = Vec::new();
-        for (key, value) in root {
-            match key.as_str() {
-                "meta" => {
-                    for (k, v) in value.as_object("meta")? {
-                        match v {
-                            json::Value::String(s) => {
-                                meta.insert(k.clone(), s.clone());
-                            }
-                            other => {
-                                return Err(format!("meta {k:?}: expected string, got {other:?}"))
-                            }
-                        }
-                    }
-                }
-                "interval_us" => {
-                    interval = Some(SimDuration::from_micros(value.as_u64("interval_us")?));
-                }
-                "checkpoints" => {
-                    for entry in value.as_array("checkpoints")? {
-                        checkpoints.push(parse_checkpoint(entry)?);
-                    }
-                }
-                other => return Err(format!("unknown top-level key {other:?}")),
-            }
-        }
-        let interval = interval.ok_or("missing interval_us")?;
+        let (meta, interval, checkpoints) = read_envelope(text, "checkpoints", parse_checkpoint)?;
         Ok(AuditArtifact { meta, interval, checkpoints })
     }
+}
+
+fn write_checkpoint(out: &mut String, cp: &Checkpoint) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"t_us\":{},\"combined\":{},\"components\":{{",
+        cp.at.as_micros(),
+        cp.combined
+    );
+    for (j, c) in cp.components.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":{}", c.component, c.hash);
+    }
+    out.push_str("}}");
 }
 
 fn parse_checkpoint(value: &json::Value) -> Result<Checkpoint, String> {
@@ -1008,28 +868,9 @@ mod tests {
         assert_ne!(checkpoint(1, 5).combined, checkpoint(2, 5).combined);
     }
 
-    #[test]
-    fn recorder_cadence_and_due() {
-        let mut rec = AuditRecorder::new(SimDuration::from_secs(1));
-        assert!(rec.due(SimTime::ZERO));
-        rec.record(checkpoint(0, 1));
-        assert!(!rec.due(SimTime::from_millis(900)));
-        assert!(rec.due(SimTime::from_secs(1)));
-        rec.record(checkpoint(1, 2));
-        assert_eq!(rec.checkpoints().len(), 2);
-    }
-
-    #[test]
-    fn disabled_auditor_is_never_due() {
-        let a = Auditor::disabled();
-        assert!(!a.is_enabled());
-        assert!(!a.due(SimTime::from_secs(100)));
-        a.record(checkpoint(1, 1)); // no-op, must not panic
-    }
-
     fn artifact() -> AuditArtifact {
         let rec = {
-            let mut r = AuditRecorder::new(SimDuration::from_secs(1));
+            let mut r = Timeline::new(SimDuration::from_secs(1));
             r.set_meta("seed", "42");
             r.set_meta("scenario", "interarea");
             r.record(checkpoint(0, 10));

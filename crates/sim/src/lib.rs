@@ -21,12 +21,13 @@
 //! * [`audit`] — deterministic run auditing: per-component state digests
 //!   on a checkpoint timeline, `.audit.json` artifacts with first-
 //!   divergence diffing, and an online [`InvariantChecker`] for the
-//!   EN 302 636-4-1 forwarding rules, behind a zero-cost-when-disabled
-//!   [`Auditor`] handle.
+//!   EN 302 636-4-1 forwarding rules.
 //! * [`topo`] — spatial & topological observability: radio
 //!   connectivity-graph snapshots with partition/articulation/local-
-//!   maximum/coverage analytics, `.topo.json` + DOT artifacts, behind a
-//!   zero-cost-when-detached [`TopoObserver`] handle.
+//!   maximum/coverage analytics, `.topo.json` + DOT artifacts.
+//! * [`timeline`] — the fixed-interval [`Timeline`] recorder that
+//!   collects both the audit checkpoints and the topology snapshots,
+//!   and the JSON envelope their artifacts share.
 //!
 //! # Example
 //!
@@ -53,13 +54,14 @@ pub mod queue;
 pub mod rng;
 pub mod telemetry;
 pub mod time;
+pub mod timeline;
 pub mod topo;
 pub mod trace;
 
 pub use audit::{
-    diff_artifacts, shared_auditor, trace_window, AuditArtifact, AuditRecorder, Auditor,
-    Checkpoint, CheckpointBuilder, ComponentDigest, Divergence, DivergenceReport, InvariantChecker,
-    InvariantParams, SharedAuditor, StateHasher, UnorderedDigest, Violation,
+    diff_artifacts, shared_auditor, trace_window, AuditArtifact, Checkpoint, CheckpointBuilder,
+    ComponentDigest, Divergence, DivergenceReport, InvariantChecker, InvariantParams,
+    SharedAuditor, StateHasher, UnorderedDigest, Violation,
 };
 pub use kernel::Kernel;
 pub use metrics::{AbComparison, RunningStats, TimeBins};
@@ -70,9 +72,9 @@ pub use telemetry::{
     SharedRegistry, Telemetry,
 };
 pub use time::{SimDuration, SimTime};
+pub use timeline::{Sample, SharedTimeline, Timeline};
 pub use topo::{
-    shared_topo, AttackerCoverage, GradientHealth, SharedTopo, TopoArtifact, TopoNode,
-    TopoObserver, TopoRecorder, TopoSnapshot,
+    shared_topo, AttackerCoverage, GradientHealth, SharedTopo, TopoArtifact, TopoNode, TopoSnapshot,
 };
 pub use trace::{
     shared, AttackKind, CountingSink, DropReason, EventCounters, JsonlSink, NullSink, PacketRef,

@@ -21,12 +21,12 @@
 //!   detection toward the current destination, and per-attacker
 //!   coverage (which legit nodes sit inside its sniff/TX range).
 //!
-//! * **Recording.** A [`TopoRecorder`] accumulates snapshots at a fixed
-//!   sim-time interval; worlds hold a zero-cost-when-detached
-//!   [`TopoObserver`] handle mirroring [`Tracer`](crate::trace::Tracer)
-//!   / [`Telemetry`](crate::telemetry::Telemetry) /
-//!   [`Auditor`](crate::audit::Auditor): with no recorder attached,
-//!   every call is a single branch and no graph is ever built.
+//! * **Recording.** A [`SharedTopo`] (a
+//!   [`Timeline`] of snapshots, the same
+//!   recorder the audit checkpoints use) accumulates snapshots at a
+//!   fixed sim-time interval. Worlds hold it as an `Option`: with no
+//!   recorder attached the per-step check is a single branch and no
+//!   graph is ever built.
 //!
 //! * **Artifacts.** The timeline serializes to a `.topo.json` artifact
 //!   ([`TopoArtifact`], same hand-rolled JSON discipline as the trace,
@@ -50,15 +50,16 @@
 //! let snap = TopoSnapshot::build(SimTime::from_secs(1), None, nodes);
 //! assert_eq!(snap.partitions, 1);
 //! topo.borrow_mut().record(snap);
-//! assert_eq!(topo.borrow().snapshots().len(), 1);
+//! assert_eq!(topo.borrow().samples().len(), 1);
 //! ```
 
 use crate::telemetry::json;
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
+use crate::timeline::{
+    read_envelope, shared_timeline, write_envelope, Sample, SharedTimeline, Timeline,
+};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Nodes and gradient health
@@ -447,140 +448,32 @@ fn articulation_and_bridges(nodes: &[TopoNode], adj: &[Vec<usize>]) -> (Vec<u32>
 }
 
 // ---------------------------------------------------------------------
-// Recorder and observer handle
+// Recording
 // ---------------------------------------------------------------------
 
-/// Collects a snapshot timeline at a fixed sim-time interval, plus
-/// free-form run metadata — the topological twin of
-/// [`AuditRecorder`](crate::audit::AuditRecorder).
-#[derive(Debug)]
-pub struct TopoRecorder {
-    interval: SimDuration,
-    next_due: SimTime,
-    meta: BTreeMap<String, String>,
-    snapshots: Vec<TopoSnapshot>,
-}
-
-impl TopoRecorder {
-    /// Creates a recorder sampling every `interval` of simulation time
-    /// (the first snapshot is due immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "topo interval must be positive");
-        TopoRecorder {
-            interval,
-            next_due: SimTime::ZERO,
-            meta: BTreeMap::new(),
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// The sampling interval.
-    #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Attaches one metadata key (seed, scenario label, …). Values must
-    /// stay free of `"` and `\` — the artifact encoding is escape-free.
-    pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        assert!(
-            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
-            "topo metadata must not contain quotes or backslashes"
-        );
-        self.meta.insert(key.to_string(), value);
-    }
-
-    /// Whether a snapshot is due at `now`.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Appends a snapshot and advances the next due time.
-    pub fn record(&mut self, snapshot: TopoSnapshot) {
-        self.next_due = snapshot.at + self.interval;
-        self.snapshots.push(snapshot);
-    }
-
-    /// The recorded timeline.
-    #[must_use]
-    pub fn snapshots(&self) -> &[TopoSnapshot] {
-        &self.snapshots
-    }
-
-    /// Snapshots the recorder into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> TopoArtifact {
-        TopoArtifact {
-            meta: self.meta.clone(),
-            interval: self.interval,
-            snapshots: self.snapshots.clone(),
-        }
+impl Sample for TopoSnapshot {
+    fn at(&self) -> SimTime {
+        self.at
     }
 }
 
-/// A shared, interiorly-mutable recorder handed to a world.
-pub type SharedTopo = Rc<RefCell<TopoRecorder>>;
+/// A shared snapshot timeline handed to a world via `set_topo_observer`.
+pub type SharedTopo = SharedTimeline<TopoSnapshot>;
 
 /// Creates a [`SharedTopo`] sampling every `interval`.
 #[must_use]
 pub fn shared_topo(interval: SimDuration) -> SharedTopo {
-    Rc::new(RefCell::new(TopoRecorder::new(interval)))
+    shared_timeline(interval)
 }
 
-/// The zero-cost-when-detached topology handle a world holds, mirroring
-/// [`Tracer`](crate::trace::Tracer),
-/// [`Telemetry`](crate::telemetry::Telemetry) and
-/// [`Auditor`](crate::audit::Auditor): with no recorder attached every
-/// call is a single branch on an `Option` and no adjacency graph is
-/// ever built.
-#[derive(Clone, Default)]
-pub struct TopoObserver {
-    recorder: Option<SharedTopo>,
-}
-
-impl fmt::Debug for TopoObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TopoObserver").field("enabled", &self.recorder.is_some()).finish()
-    }
-}
-
-impl TopoObserver {
-    /// A handle with no recorder — all operations are no-ops.
+impl Timeline<TopoSnapshot> {
+    /// Snapshots the timeline into a serializable artifact.
     #[must_use]
-    pub fn disabled() -> Self {
-        TopoObserver { recorder: None }
-    }
-
-    /// A handle feeding `recorder`.
-    #[must_use]
-    pub fn attached(recorder: SharedTopo) -> Self {
-        TopoObserver { recorder: Some(recorder) }
-    }
-
-    /// Whether a recorder is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Whether a snapshot is due at `now`. Always `false` when
-    /// detached — the caller skips the (expensive) graph build.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.borrow().due(now))
-    }
-
-    /// Records a snapshot (no-op when detached).
-    pub fn record(&self, snapshot: TopoSnapshot) {
-        if let Some(r) = &self.recorder {
-            r.borrow_mut().record(snapshot);
+    pub fn to_artifact(&self) -> TopoArtifact {
+        TopoArtifact {
+            meta: self.meta().clone(),
+            interval: self.interval(),
+            snapshots: self.samples().to_vec(),
         }
     }
 }
@@ -608,23 +501,7 @@ impl TopoArtifact {
     /// use the shortest round-tripping representation.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
-        let _ = write!(out, "}},\"interval_us\":{},\"snapshots\":[", self.interval.as_micros());
-        for (i, s) in self.snapshots.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            write_snapshot(&mut out, s);
-        }
-        out.push_str("\n]}\n");
-        out
+        write_envelope(&self.meta, self.interval, "snapshots", &self.snapshots, write_snapshot)
     }
 
     /// Parses an artifact previously produced by
@@ -638,37 +515,7 @@ impl TopoArtifact {
     /// Fails with a description of the first malformed or inconsistent
     /// construct.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let root = root.as_object("top level")?;
-        let mut meta = BTreeMap::new();
-        let mut interval = None;
-        let mut snapshots = Vec::new();
-        for (key, value) in root {
-            match key.as_str() {
-                "meta" => {
-                    for (k, v) in value.as_object("meta")? {
-                        match v {
-                            json::Value::String(s) => {
-                                meta.insert(k.clone(), s.clone());
-                            }
-                            other => {
-                                return Err(format!("meta {k:?}: expected string, got {other:?}"))
-                            }
-                        }
-                    }
-                }
-                "interval_us" => {
-                    interval = Some(SimDuration::from_micros(value.as_u64("interval_us")?));
-                }
-                "snapshots" => {
-                    for entry in value.as_array("snapshots")? {
-                        snapshots.push(parse_snapshot(entry)?);
-                    }
-                }
-                other => return Err(format!("unknown top-level key {other:?}")),
-            }
-        }
-        let interval = interval.ok_or("missing interval_us")?;
+        let (meta, interval, snapshots) = read_envelope(text, "snapshots", parse_snapshot)?;
         Ok(TopoArtifact { meta, interval, snapshots })
     }
 }
@@ -1028,40 +875,8 @@ mod tests {
         assert!(s.edges.is_empty());
     }
 
-    #[test]
-    fn recorder_cadence_and_due() {
-        let mut rec = TopoRecorder::new(SimDuration::from_secs(1));
-        assert!(rec.due(SimTime::ZERO));
-        rec.record(TopoSnapshot::build(SimTime::ZERO, None, vec![road(0, 0.0)]));
-        assert!(!rec.due(SimTime::from_millis(900)));
-        assert!(rec.due(SimTime::from_secs(1)));
-        rec.record(TopoSnapshot::build(SimTime::from_secs(1), None, vec![road(0, 10.0)]));
-        assert_eq!(rec.snapshots().len(), 2);
-        assert_eq!(rec.interval(), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn detached_observer_is_never_due() {
-        let t = TopoObserver::disabled();
-        assert!(!t.is_enabled());
-        assert!(!t.due(SimTime::from_secs(100)));
-        t.record(TopoSnapshot::build(SimTime::ZERO, None, Vec::new())); // no-op
-        assert_eq!(format!("{t:?}"), "TopoObserver { enabled: false }");
-    }
-
-    #[test]
-    fn attached_observer_feeds_the_recorder() {
-        let rec = shared_topo(SimDuration::from_secs(1));
-        let t = TopoObserver::attached(rec.clone());
-        assert!(t.is_enabled());
-        assert!(t.due(SimTime::ZERO));
-        t.record(TopoSnapshot::build(SimTime::ZERO, None, vec![road(0, 0.0)]));
-        assert!(!t.due(SimTime::from_millis(1)));
-        assert_eq!(rec.borrow().snapshots().len(), 1);
-    }
-
     fn artifact() -> TopoArtifact {
-        let mut rec = TopoRecorder::new(SimDuration::from_secs(1));
+        let mut rec = Timeline::new(SimDuration::from_secs(1));
         rec.set_meta("seed", "42");
         rec.set_meta("scenario", "interception");
         rec.record(TopoSnapshot::build(
