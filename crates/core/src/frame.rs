@@ -1,6 +1,6 @@
 //! Link-layer frames.
 
-use crate::security::SecuredPacket;
+use crate::security::{SecuredPacket, Verifier};
 use crate::types::GnAddress;
 use geonet_geo::Position;
 use serde::{Deserialize, Serialize};
@@ -70,6 +70,49 @@ impl fmt::Display for Frame {
     }
 }
 
+/// One transmission on the air, shared by every receiver.
+///
+/// [`OnAir::new`] checks the signature exactly once and keeps the verdict
+/// next to the frame, so a broadcast heard by thirty nodes is verified
+/// once rather than thirty times. The verdict cannot go stale: both
+/// fields are private, `OnAir` hands out only `&Frame`, and the verdict
+/// is a pure function of the frame's bytes and the verifying domain. A
+/// receiver from another trust domain does not take the verdict on
+/// faith; [`OnAir::authentic_under`] verifies again for it.
+#[derive(Debug)]
+pub struct OnAir {
+    frame: Frame,
+    verified_by: Verifier,
+    authentic: bool,
+}
+
+impl OnAir {
+    /// Puts `frame` on the air, verifying its signature under `verifier`.
+    #[must_use]
+    pub fn new(frame: Frame, verifier: &Verifier) -> Self {
+        let authentic = verifier.verify(&frame.msg);
+        OnAir { frame, verified_by: verifier.clone(), authentic }
+    }
+
+    /// The frame as transmitted.
+    #[must_use]
+    pub fn frame(&self) -> &Frame {
+        &self.frame
+    }
+
+    /// Whether the frame verifies under `verifier`: the stored verdict
+    /// when `verifier` belongs to the domain that produced it, otherwise
+    /// a fresh [`Verifier::verify`].
+    #[must_use]
+    pub fn authentic_under(&self, verifier: &Verifier) -> bool {
+        if verifier.same_domain(&self.verified_by) {
+            self.authentic
+        } else {
+            verifier.verify(&self.frame.msg)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +143,20 @@ mod tests {
         assert!(f.addressed_to(GnAddress::vehicle(2)));
         assert!(f.addressed_to(a));
         assert!(f.to_string().contains("→ *"));
+    }
+
+    #[test]
+    fn on_air_verdict_is_per_domain() {
+        let a = GnAddress::vehicle(1);
+        let home = CertificateAuthority::new(1).verifier();
+        let foreign = CertificateAuthority::new(2).verifier();
+        let genuine = OnAir::new(Frame::broadcast(a, Position::ORIGIN, beacon_msg(a)), &home);
+        assert!(genuine.authentic_under(&home));
+        assert!(!genuine.authentic_under(&foreign));
+        // A verdict reached under a foreign domain is re-checked at home.
+        let carried = OnAir::new(genuine.frame().clone(), &foreign);
+        assert!(!carried.authentic_under(&foreign));
+        assert!(carried.authentic_under(&home));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use cbf::{CbfBuffer, CbfParams, CbfVerdict, PacketKey};
 pub use config::{GnConfig, MitigationConfig};
-pub use frame::Frame;
+pub use frame::{Frame, OnAir};
 pub use gf::{greedy_select, GfDecision};
 pub use loct::{LocTEntry, LocationTable};
 pub use pv::LongPositionVector;

@@ -9,7 +9,7 @@
 
 use crate::cbf::{CbfBuffer, CbfVerdict, PacketKey};
 use crate::config::GnConfig;
-use crate::frame::Frame;
+use crate::frame::{Frame, OnAir};
 use crate::gf::{greedy_select_excluding, GfDecision};
 use crate::loct::LocationTable;
 use crate::pv::LongPositionVector;
@@ -507,13 +507,39 @@ impl GnRouter {
         position: Position,
         now: SimTime,
     ) -> Vec<RouterAction> {
+        self.accept(frame, |verifier| verifier.verify(&frame.msg), position, now)
+    }
+
+    /// Processes a transmission shared by several receivers. Behaves
+    /// exactly like [`GnRouter::handle_frame`] on `on_air.frame()`, but
+    /// reuses the transmission's signature verdict when it was reached
+    /// under this router's trust domain (see [`OnAir::authentic_under`]).
+    pub fn receive(
+        &mut self,
+        on_air: &OnAir,
+        position: Position,
+        now: SimTime,
+    ) -> Vec<RouterAction> {
+        self.accept(on_air.frame(), |verifier| on_air.authentic_under(verifier), position, now)
+    }
+
+    /// The reception path behind [`GnRouter::handle_frame`] and
+    /// [`GnRouter::receive`]; `authentic` decides the signature check
+    /// under this router's verifier.
+    fn accept(
+        &mut self,
+        frame: &Frame,
+        authentic: impl FnOnce(&Verifier) -> bool,
+        position: Position,
+        now: SimTime,
+    ) -> Vec<RouterAction> {
         let _span = self.telemetry.time("router_handle_frame_ns");
         // Link-layer address filter: unicasts for someone else are ignored.
         if !frame.addressed_to(self.addr()) {
             return Vec::new();
         }
         // Security: certificate + signature over the protected bytes.
-        if !self.verifier.verify(&frame.msg) {
+        if !authentic(&self.verifier) {
             self.note(
                 now,
                 TraceEvent::Dropped {

@@ -137,6 +137,13 @@ pub struct Verifier {
 }
 
 impl Verifier {
+    /// Whether `other` checks signatures for the same trust domain: for
+    /// every message, both verifiers return the same verdict.
+    #[must_use]
+    pub fn same_domain(&self, other: &Verifier) -> bool {
+        self.secret == other.secret
+    }
+
     /// Checks that a certificate was issued by this trust domain.
     #[must_use]
     pub fn certificate_valid(&self, cert: &Certificate) -> bool {
@@ -295,6 +302,14 @@ mod tests {
         let (_, _, msg) = setup();
         let other = CertificateAuthority::new(0x1234);
         assert!(!other.verifier().verify(&msg));
+    }
+
+    #[test]
+    fn same_domain_follows_the_ca() {
+        let ca = CertificateAuthority::new(0xDEAD_BEEF);
+        assert!(ca.verifier().same_domain(&ca.verifier()));
+        assert!(ca.verifier().same_domain(&CertificateAuthority::new(0xDEAD_BEEF).verifier()));
+        assert!(!ca.verifier().same_domain(&CertificateAuthority::new(0x1234).verifier()));
     }
 
     #[test]

@@ -406,6 +406,20 @@ impl GnPacket {
         gbc.area.to_area(shape, reference)
     }
 
+    /// The length of [`GnPacket::encode`]'s output, computed without
+    /// encoding.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        let extended = match self.extended {
+            Extended::Beacon { .. } => BEACON_LEN,
+            Extended::Guc(_) => GUC_LEN,
+            Extended::Gbc(_) => GBC_LEN,
+            Extended::Tsb { .. } => TSB_LEN,
+            Extended::Shb { .. } => SHB_LEN,
+        };
+        BASIC_LEN + COMMON_LEN + extended + self.payload.len()
+    }
+
     /// Encodes the full packet to wire bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -744,6 +758,28 @@ mod tests {
                 _ => GnPacket::single_hop_broadcast(sample_pv(1), payload),
             };
             prop_assert_eq!(GnPacket::decode(&p.encode()).unwrap(), p);
+        }
+
+        #[test]
+        fn prop_encoded_len_matches_encode(sn in any::<u16>(),
+                                           payload in prop::collection::vec(any::<u8>(), 0..400),
+                                           which in 0usize..5) {
+            let r = GeoReference::default();
+            let area = Area::circle(Position::new(2_000.0, 0.0), 500.0);
+            let p = match which {
+                0 => GnPacket::beacon(sample_pv(1)),
+                1 => GnPacket::single_hop_broadcast(sample_pv(1), payload),
+                2 => GnPacket::topo_broadcast(SequenceNumber(sn), sample_pv(1), payload, 10),
+                3 => GnPacket::geounicast(
+                    SequenceNumber(sn),
+                    sample_pv(1),
+                    ShortPositionVector::from_long(&sample_pv(2)),
+                    payload,
+                    10,
+                ),
+                _ => GnPacket::geobroadcast(SequenceNumber(sn), sample_pv(1), &area, &r, payload, 10),
+            };
+            prop_assert_eq!(p.encoded_len(), p.encode().len());
         }
 
         #[test]

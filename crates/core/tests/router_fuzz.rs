@@ -1,13 +1,20 @@
 //! Adversarial fuzzing of the router: arbitrary frame streams — replayed,
 //! reordered, RHL-mutated, cross-wired between nodes — must never panic,
 //! never emit a forwardable packet with a spent hop limit, and never
-//! accept tampered content.
+//! accept tampered content. The shared-transmission entry
+//! ([`GnRouter::receive`]) must behave exactly like the per-frame one
+//! ([`GnRouter::handle_frame`]) and never trust a foreign domain's verdict.
 
 use geonet::wire::GnPacket;
-use geonet::{CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, RouterAction};
+use geonet::{
+    CertificateAuthority, Credentials, Frame, GnAddress, GnConfig, GnRouter, OnAir, RouterAction,
+    SecuredPacket,
+};
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_sim::{SimDuration, SimTime};
+use geonet_sim::{shared, DropReason, SimDuration, SimTime, TraceEvent, Tracer, VecSink};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn router(ca: &CertificateAuthority, mid: u64) -> GnRouter {
     GnRouter::new(
@@ -40,8 +47,69 @@ fn frame_pool(ca: &CertificateAuthority, now: SimTime) -> Vec<Frame> {
     frames
 }
 
+/// A router whose trace events are collected.
+fn traced_router(ca: &CertificateAuthority, mid: u64) -> (GnRouter, Rc<RefCell<VecSink>>) {
+    let sink = shared(VecSink::new());
+    let mut r = router(ca, mid);
+    r.set_tracer(Tracer::attached(sink.clone()).for_node(0));
+    (r, sink)
+}
+
+/// `msg` attributed to the holder of `creds` without re-signing it.
+fn reattributed(msg: &SecuredPacket, creds: Credentials) -> SecuredPacket {
+    let mut msg = msg.clone();
+    msg.signer = creds.certificate();
+    msg
+}
+
+/// The frame-level attacks the equivalence test replays: `kind` picks
+/// genuine, tampered payload, forged certificate, re-attributed signer or
+/// an RHL-clamped replay.
+fn attack(ca: &CertificateAuthority, base: &Frame, kind: u8, rhl: u8) -> Frame {
+    let msg = match kind % 5 {
+        0 => base.msg.clone(),
+        1 => {
+            let mut packet = base.msg.packet.clone();
+            packet.payload.push(0xEE);
+            base.msg.with_packet(packet)
+        }
+        2 => reattributed(
+            &base.msg,
+            CertificateAuthority::new(0xBAD).enroll(base.msg.signer.subject),
+        ),
+        3 => reattributed(&base.msg, ca.enroll(GnAddress::vehicle(0x0DD))),
+        _ => base.msg.with_rhl(rhl),
+    };
+    Frame { msg, ..base.clone() }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn receive_matches_handle_frame(
+        choices in prop::collection::vec((0usize..32, 0u8..5, 0u8..=3, 0u64..60), 1..60))
+    {
+        let ca = CertificateAuthority::new(99);
+        let verifier = ca.verifier();
+        let t0 = SimTime::from_secs(1);
+        let pool = frame_pool(&ca, t0);
+        let (mut direct, direct_sink) = traced_router(&ca, 77);
+        let (mut shared_rx, shared_sink) = traced_router(&ca, 77);
+        let pos = Position::new(600.0, 2.5);
+        for (idx, kind, rhl, delay_ms) in choices {
+            let frame = attack(&ca, &pool[idx % pool.len()], kind, rhl);
+            let now = t0 + SimDuration::from_millis(delay_ms);
+            let on_air = OnAir::new(frame.clone(), &verifier);
+            prop_assert_eq!(
+                direct.handle_frame(&frame, pos, now),
+                shared_rx.receive(&on_air, pos, now)
+            );
+            prop_assert_eq!(direct.stats(), shared_rx.stats());
+        }
+        let direct_events = direct_sink.borrow().records().to_vec();
+        prop_assert_eq!(direct_events, shared_sink.borrow().records().to_vec());
+    }
 
     #[test]
     fn router_survives_arbitrary_frame_streams(
@@ -130,4 +198,45 @@ fn replayed_pool_frames_are_all_authentic() {
     for f in &pool {
         assert!(ca.verifier().verify(&f.msg));
     }
+}
+
+#[test]
+fn attacks_in_the_equivalence_pool_are_rejected() {
+    // The tampered, forged and re-attributed variants must really fail
+    // verification, or the equivalence test would not cover drops.
+    let ca = CertificateAuthority::new(99);
+    let pool = frame_pool(&ca, SimTime::from_secs(1));
+    for base in &pool {
+        for kind in 1..=3 {
+            assert!(!ca.verifier().verify(&attack(&ca, base, kind, 1).msg), "kind {kind}");
+        }
+        assert!(ca.verifier().verify(&attack(&ca, base, 4, 1).msg));
+    }
+}
+
+#[test]
+fn foreign_verdict_never_admits_a_frame() {
+    // Another CA signs a GBC and vouches for it: its verdict is `true`,
+    // but a router of the world's CA re-verifies and drops the frame.
+    let world_ca = CertificateAuthority::new(99);
+    let rogue_ca = CertificateAuthority::new(0xBAD);
+    let t0 = SimTime::from_secs(1);
+    let area = Area::rectangle(Position::new(2_000.0, 0.0), 2_050.0, 25.0, 90.0);
+    let mut rogue = router(&rogue_ca, 5);
+    let (_, actions) =
+        rogue.originate(&area, vec![0x66], t0, Position::new(1_000.0, 2.5), 30.0, Heading::EAST);
+    let RouterAction::Transmit(frame) = &actions[0] else { panic!("origination sends") };
+    let on_air = OnAir::new(frame.clone(), &rogue_ca.verifier());
+    assert!(on_air.authentic_under(&rogue_ca.verifier()));
+    assert!(!world_ca.verifier().verify(&frame.msg));
+
+    let (mut victim, sink) = traced_router(&world_ca, 2);
+    let actions = victim.receive(&on_air, Position::new(1_400.0, 2.5), t0);
+    assert!(actions.is_empty(), "foreign-vouched frame was processed: {actions:?}");
+    assert_eq!(victim.stats().auth_failures, 1);
+    let records = sink.borrow();
+    assert!(matches!(
+        records.records()[..],
+        [ref r] if matches!(r.event, TraceEvent::Dropped { reason: DropReason::AuthFailure, .. })
+    ));
 }

@@ -18,12 +18,16 @@
 //! both comfort-braking at 2 m/s², warned deceleration 4 m/s², emergency
 //! braking 6 m/s² once the drivers see each other across the curve.
 
-use geonet::{CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, RouterAction};
+use geonet::{
+    CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, OnAir, PacketKey, RouterAction,
+    Verifier,
+};
 use geonet_attack::{BlockageMode, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::Medium;
-use geonet_sim::SimTime;
+use geonet_radio::{Medium, NodeId};
+use geonet_sim::{Kernel, SimTime};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Scenario geometry and kinematics (all tunable for ablations).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,12 +106,41 @@ enum V2Mode {
     Warned,
 }
 
+/// Protocol events of the case study.
+#[derive(Debug)]
+enum Ev {
+    Deliver { to: NodeId, frame: Rc<OnAir> },
+    CbfTimer { node: NodeId, key: PacketKey, generation: u64 },
+    AttackerTx { frame: Frame, cap: Option<f64> },
+}
+
+/// Puts `frame` on the air from `from` at time `at`: one shared [`OnAir`]
+/// delivered to every node within the sender's range (optionally
+/// power-capped) after the propagation delay.
+fn transmit(
+    kernel: &mut Kernel<Ev>,
+    medium: &Medium,
+    verifier: &Verifier,
+    from: NodeId,
+    frame: Frame,
+    cap: Option<f64>,
+    at: SimTime,
+) {
+    let on_air = Rc::new(OnAir::new(frame, verifier));
+    let cap = cap.unwrap_or_else(|| medium.tx_range(from));
+    for rx in medium.receivers_within(from, cap) {
+        let d = medium.propagation_delay(from, rx);
+        kernel.schedule_at(at + d, Ev::Deliver { to: rx, frame: Rc::clone(&on_air) });
+    }
+}
+
 /// Runs the case study once.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
     let reference = GeoReference::default();
     let ca = CertificateAuthority::new(0x5AFE);
+    let verifier = ca.verifier();
     let gn = GnConfig::paper_default(1_283.0);
 
     let mut medium = Medium::new();
@@ -127,17 +160,10 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
             BlockageMode::PowerControlled { range: 5.0 },
         )
     });
-    let attacker_node = attacked.then_some(geonet_radio::NodeId(3));
+    let attacker_node = attacked.then_some(NodeId(3));
 
-    // Event loop: (time, deliver-to, frame) plus CBF timers, kept simple
-    // with an explicit queue keyed by integer microseconds.
-    let mut kernel: geonet_sim::Kernel<Ev> = geonet_sim::Kernel::new();
-    #[derive(Debug, Clone)]
-    enum Ev {
-        Deliver { to: geonet_radio::NodeId, frame: Frame },
-        CbfTimer { node: geonet_radio::NodeId, key: geonet::PacketKey, generation: u64 },
-        AttackerTx { frame: Frame, cap: Option<f64> },
-    }
+    // Event loop: deliveries, CBF timers and attacker replays.
+    let mut kernel: Kernel<Ev> = Kernel::new();
 
     let dt = 0.1_f64;
     let mut t = 0.0_f64;
@@ -167,7 +193,7 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
                 Ev::Deliver { to, frame } => {
                     if Some(to) == attacker_node {
                         if let Some(atk) = attacker.as_mut() {
-                            if let Some(order) = atk.on_sniff(&frame, now) {
+                            if let Some(order) = atk.on_sniff(frame.frame(), now) {
                                 kernel.schedule_in(
                                     order.delay,
                                     Ev::AttackerTx { frame: order.frame, cap: order.range_cap },
@@ -178,14 +204,11 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
                     }
                     let pos = medium.position(to);
                     let rt = kernel.now();
-                    let actions = routers[to.index()].handle_frame(&frame, pos, rt);
+                    let actions = routers[to.index()].receive(&frame, pos, rt);
                     for a in actions {
                         match a {
                             RouterAction::Transmit(f) => {
-                                for rx in medium.receivers(to) {
-                                    let d = medium.propagation_delay(to, rx);
-                                    kernel.schedule_in(d, Ev::Deliver { to: rx, frame: f.clone() });
-                                }
+                                transmit(&mut kernel, &medium, &verifier, to, f, None, rt);
                             }
                             RouterAction::Deliver { .. } => {
                                 if to == v2_node {
@@ -210,20 +233,14 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
                     let actions = routers[node.index()].handle_cbf_timer(key, generation, pos, rt);
                     for a in actions {
                         if let RouterAction::Transmit(f) = a {
-                            for rx in medium.receivers(node) {
-                                let d = medium.propagation_delay(node, rx);
-                                kernel.schedule_in(d, Ev::Deliver { to: rx, frame: f.clone() });
-                            }
+                            transmit(&mut kernel, &medium, &verifier, node, f, None, rt);
                         }
                     }
                 }
                 Ev::AttackerTx { frame, cap } => {
                     if let Some(an) = attacker_node {
-                        let cap = cap.unwrap_or_else(|| medium.tx_range(an));
-                        for rx in medium.receivers_within(an, cap) {
-                            let d = medium.propagation_delay(an, rx);
-                            kernel.schedule_in(d, Ev::Deliver { to: rx, frame: frame.clone() });
-                        }
+                        let rt = kernel.now();
+                        transmit(&mut kernel, &medium, &verifier, an, frame, cap, rt);
                     }
                 }
             }
@@ -247,10 +264,7 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
             );
             for a in actions {
                 if let RouterAction::Transmit(f) = a {
-                    for rx in medium.receivers(v1_node) {
-                        let d = medium.propagation_delay(v1_node, rx);
-                        kernel.schedule_at(rt + d, Ev::Deliver { to: rx, frame: f.clone() });
-                    }
+                    transmit(&mut kernel, &medium, &verifier, v1_node, f, None, rt);
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::config::{AttackerSetup, ScenarioConfig};
 use geonet::{
-    CertificateAuthority, Frame, GfDecision, GnAddress, GnRouter, PacketKey, RouterAction,
+    CertificateAuthority, Frame, GfDecision, GnAddress, GnRouter, OnAir, PacketKey, RouterAction,
 };
 use geonet_attack::{InterAreaAttacker, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
@@ -14,6 +14,7 @@ use geonet_sim::{
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// What a radio node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +29,22 @@ pub enum NodeKind {
 }
 
 /// Events driving the world.
+///
+/// Kept small (at most 40 bytes) because the kernel's heap moves events
+/// on every push and pop: a frame travels as one shared [`OnAir`] per
+/// transmission, or boxed while the attacker holds it.
 #[derive(Debug, Clone)]
 enum Ev {
     /// Advance the traffic simulation one step.
     TrafficStep,
     /// A node's beacon is due.
     Beacon(NodeId),
-    /// A frame arrives at a node's radio.
-    Deliver { to: NodeId, frame: Frame },
+    /// A transmission arrives at a node's radio.
+    Deliver { to: NodeId, frame: Rc<OnAir> },
     /// A CBF contention timer fires.
     CbfTimer { node: NodeId, key: PacketKey, generation: u64 },
     /// The attacker's replay leaves its transmitter.
-    AttackerTx { frame: Frame, cap: Option<f64> },
+    AttackerTx { frame: Box<Frame>, cap: Option<f64> },
     /// A greedy unicast's link-layer acknowledgement window elapsed
     /// without an ACK (only with the link-ack extension).
     AckTimeout { node: NodeId, key: PacketKey },
@@ -638,7 +643,7 @@ impl World {
             }
             Ev::AttackerTx { frame, cap } => {
                 if let Some(node) = self.attacker_node {
-                    self.transmit(node, frame, cap);
+                    self.transmit(node, *frame, cap);
                 }
             }
             Ev::GfRetry { node, key } => {
@@ -763,8 +768,9 @@ impl World {
         self.kernel.schedule_in(delay, Ev::Beacon(node));
     }
 
-    fn on_deliver(&mut self, to: NodeId, frame: Frame) {
+    fn on_deliver(&mut self, to: NodeId, on_air: Rc<OnAir>) {
         let now = self.kernel.now();
+        let frame = on_air.frame();
         if Some(to) == self.attacker_node {
             let key = PacketKey::of(&frame.msg);
             self.tracer.for_node(to.0).emit(now, || TraceEvent::FrameRx {
@@ -773,14 +779,14 @@ impl World {
                 beacon: key.is_none(),
             });
             let order = match (&mut self.inter_attacker, &mut self.intra_attacker) {
-                (Some(a), _) => a.on_sniff(&frame, now),
-                (_, Some(a)) => a.on_sniff(&frame, now),
+                (Some(a), _) => a.on_sniff(frame, now),
+                (_, Some(a)) => a.on_sniff(frame, now),
                 (None, None) => None,
             };
             if let Some(order) = order {
                 self.kernel.schedule_in(
                     order.delay,
-                    Ev::AttackerTx { frame: order.frame, cap: order.range_cap },
+                    Ev::AttackerTx { frame: Box::new(order.frame), cap: order.range_cap },
                 );
             }
             return;
@@ -796,7 +802,7 @@ impl World {
         });
         let position = self.medium.position(to);
         let router = self.routers[to.index()].as_mut().expect("legitimate node");
-        let actions = router.handle_frame(&frame, position, now);
+        let actions = router.receive(&on_air, position, now);
         self.execute(to, actions);
     }
 
@@ -819,7 +825,8 @@ impl World {
 
     /// Puts a frame on the air from `node`, delivering it to every active
     /// node within range (optionally power-capped) after the propagation
-    /// delay.
+    /// delay. The receivers share one [`OnAir`]: the frame is neither
+    /// copied nor re-verified per receiver.
     ///
     /// The attacker↔vehicle link is special-cased: the paper's attacker
     /// sits elevated at the roadside with line of sight ("at street light
@@ -829,7 +836,7 @@ impl World {
     fn transmit(&mut self, from: NodeId, frame: Frame, cap: Option<f64>) {
         let _span = self.telemetry.time("radio_broadcast_ns");
         self.frames_on_air += 1;
-        let wire_bytes = frame.msg.packet.encode().len() as u64;
+        let wire_bytes = frame.msg.packet.encoded_len() as u64;
         self.bytes_on_air += wire_bytes;
         self.telemetry.add("frames_on_air_total", 1);
         self.telemetry.add("bytes_on_air_total", wire_bytes);
@@ -892,9 +899,10 @@ impl World {
                 }
             }
         }
+        let on_air = Rc::new(OnAir::new(frame, &self.ca.verifier()));
         for &rx in &receivers {
             let delay = self.medium.propagation_delay(from, rx);
-            self.kernel.schedule_in(delay, Ev::Deliver { to: rx, frame: frame.clone() });
+            self.kernel.schedule_in(delay, Ev::Deliver { to: rx, frame: Rc::clone(&on_air) });
         }
         receivers.clear();
         self.rx_buf = receivers;
@@ -1197,6 +1205,13 @@ mod tests {
             sum.record(&r.event);
         }
         assert_eq!(agg, sum);
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // Inlining a `Frame` into an event would put ~200 bytes back on
+        // every heap move; frames ride in an `Rc<OnAir>` or a `Box`.
+        assert!(std::mem::size_of::<Ev>() <= 40, "Ev is {} bytes", std::mem::size_of::<Ev>());
     }
 
     #[test]
