@@ -87,6 +87,9 @@ impl fmt::Display for GeoCoord {
 pub struct GeoReference {
     anchor_lat_deg: f64,
     anchor_lon_deg: f64,
+    /// `cos(anchor latitude)`, the east-west scale, computed once in
+    /// [`GeoReference::new`].
+    cos_lat: f64,
 }
 
 impl GeoReference {
@@ -106,7 +109,7 @@ impl GeoReference {
             (-180.0..=180.0).contains(&anchor_lon_deg),
             "anchor longitude out of range: {anchor_lon_deg}"
         );
-        GeoReference { anchor_lat_deg, anchor_lon_deg }
+        GeoReference { anchor_lat_deg, anchor_lon_deg, cos_lat: anchor_lat_deg.to_radians().cos() }
     }
 
     /// A reference anchored near the Baltimore-Washington Parkway, the road
@@ -120,8 +123,7 @@ impl GeoReference {
     #[must_use]
     pub fn to_geo(&self, p: Position) -> GeoCoord {
         let lat_deg = self.anchor_lat_deg + (p.y / EARTH_RADIUS_M).to_degrees();
-        let lon_deg = self.anchor_lon_deg
-            + (p.x / (EARTH_RADIUS_M * self.anchor_lat_deg.to_radians().cos())).to_degrees();
+        let lon_deg = self.anchor_lon_deg + (p.x / (EARTH_RADIUS_M * self.cos_lat)).to_degrees();
         GeoCoord::from_degrees(lat_deg, lon_deg)
     }
 
@@ -130,10 +132,7 @@ impl GeoReference {
     pub fn to_plane(&self, c: GeoCoord) -> Position {
         let dlat = (c.lat_degrees() - self.anchor_lat_deg).to_radians();
         let dlon = (c.lon_degrees() - self.anchor_lon_deg).to_radians();
-        Position::new(
-            dlon * EARTH_RADIUS_M * self.anchor_lat_deg.to_radians().cos(),
-            dlat * EARTH_RADIUS_M,
-        )
+        Position::new(dlon * EARTH_RADIUS_M * self.cos_lat, dlat * EARTH_RADIUS_M)
     }
 }
 
@@ -203,6 +202,33 @@ mod tests {
             let back = r.to_plane(r.to_geo(p));
             // Dominated by 1/10 µ° quantisation (~1 cm).
             prop_assert!(p.distance(back) < 0.05);
+        }
+
+        #[test]
+        fn prop_cached_cosine_is_bit_identical(lat in -80.0f64..80.0, lon in -170.0f64..170.0,
+                                               x in -20_000.0f64..20_000.0,
+                                               y in -20_000.0f64..20_000.0,
+                                               dlat in -5_000_000i32..5_000_000,
+                                               dlon in -5_000_000i32..5_000_000) {
+            // Both directions must equal the formula that recomputes the
+            // cosine per call, bit for bit.
+            let r = GeoReference::new(lat, lon);
+            let cos = lat.to_radians().cos();
+            let p = Position::new(x, y);
+            let want = GeoCoord::from_degrees(
+                lat + (y / EARTH_RADIUS_M).to_degrees(),
+                lon + (x / (EARTH_RADIUS_M * cos)).to_degrees(),
+            );
+            prop_assert_eq!(r.to_geo(p), want);
+            let c = GeoCoord {
+                lat: (lat * TENTH_MICRODEG_PER_DEG).round() as i32 + dlat,
+                lon: (lon * TENTH_MICRODEG_PER_DEG).round() as i32 + dlon,
+            };
+            let back = r.to_plane(c);
+            let want_x = (c.lon_degrees() - lon).to_radians() * EARTH_RADIUS_M * cos;
+            let want_y = (c.lat_degrees() - lat).to_radians() * EARTH_RADIUS_M;
+            prop_assert_eq!(back.x.to_bits(), want_x.to_bits());
+            prop_assert_eq!(back.y.to_bits(), want_y.to_bits());
         }
 
         #[test]

@@ -139,3 +139,40 @@ fn injected_duplicate_forward_is_caught() {
     assert_eq!(v.node, fired.node);
     assert!(v.detail.contains("duplicate forward"), "got: {}", v.detail);
 }
+
+/// Runs one attacked 20 s world of a family and returns its event count
+/// and final combined audit digest.
+fn golden_run(intra: bool) -> (u64, u64) {
+    let cfg = ScenarioConfig::paper_dsrc_default().with_duration(SimDuration::from_secs(20));
+    let seed = 7;
+    let w = if intra {
+        let cfg = cfg.with_attack_range(500.0);
+        let mut w = intraarea::world(&cfg, true, seed);
+        let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
+        w
+    } else {
+        let cfg = cfg.with_attack_range(486.0);
+        let mut w = interarea::world(&cfg, true, seed);
+        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
+        w
+    };
+    (w.events_processed(), w.audit_checkpoint().combined)
+}
+
+/// Golden history pins. Any change to kernel event ordering, the event
+/// queue's digest or the simulated behaviour changes these numbers, so
+/// this test fails on it and not only the benchmark's reference
+/// fingerprints.
+///
+/// After an intended history change, regenerate them by running
+/// `cargo test -p geonet-scenarios --test audit golden` and copying the
+/// `got` array from the failure message.
+#[test]
+fn golden_histories_are_pinned() {
+    let got = [golden_run(false), golden_run(true)];
+    assert_eq!(
+        got,
+        [(34730, 16215225509723573459), (33589, 3030571092036486867)],
+        "golden (interarea, intraarea) histories changed: got {got:?}"
+    );
+}

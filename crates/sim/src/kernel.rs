@@ -173,6 +173,26 @@ mod tests {
     }
 
     #[test]
+    fn scheduling_after_the_horizon_stop_still_drains_in_order() {
+        let h = SimTime::from_micros(100);
+        let mut k = Kernel::with_horizon(h);
+        k.schedule_at(SimTime::from_micros(95), 'a');
+        k.schedule_at(SimTime::from_micros(200), 'z');
+        assert_eq!(k.pop(), Some((SimTime::from_micros(95), 'a')));
+        assert_eq!(k.pop(), None);
+        assert_eq!(k.now(), h);
+        // The clock sits at the horizon, 5 µs past the last popped event.
+        k.schedule_in(SimDuration::ZERO, 'b');
+        k.schedule_in(SimDuration::ZERO, 'c');
+        assert_eq!(k.peek_time(), Some(h));
+        assert_eq!(k.pop(), Some((h, 'b')));
+        assert_eq!(k.pop(), Some((h, 'c')));
+        assert_eq!(k.pop(), None);
+        assert_eq!(k.pending(), 1, "past-horizon event remains queued");
+        assert_eq!(k.events_processed(), 3);
+    }
+
+    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn schedule_into_past_panics() {
         let mut k = Kernel::new();

@@ -7,7 +7,9 @@
 //!   immune to floating-point drift.
 //! * [`EventQueue`] — a priority queue with a deterministic total order:
 //!   events at equal timestamps fire in insertion order, so a run is a pure
-//!   function of its seed.
+//!   function of its seed. Events due within 8 µs of the last pop (radio
+//!   deliveries) wait in per-microsecond FIFO lanes instead of the binary
+//!   heap, without changing that order.
 //! * [`Kernel`] — the event loop: schedule, pop, advance the clock.
 //! * [`SimRng`] — a seedable, splittable random source; every node and
 //!   every run derives an independent stream from one `u64` seed.

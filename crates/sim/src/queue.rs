@@ -2,7 +2,7 @@
 
 use crate::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event scheduled at a time, ordered by `(time, insertion sequence)`.
 struct Scheduled<E> {
@@ -33,12 +33,30 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// Number of near-future lanes: one per microsecond of the window
+/// `[floor, floor + LANES)`. Radio deliveries are due 1–2 µs after their
+/// transmission, so a small window catches nearly all of them; each lane
+/// keeps its peak capacity, so more lanes cost memory for little gain.
+const LANES: usize = 8;
+
 /// A priority queue of timestamped events with a deterministic total order.
 ///
 /// Events with equal timestamps are popped in the order they were pushed,
 /// which makes every simulation run a pure function of its inputs: no
 /// dependence on hash ordering, allocation addresses or platform `sort`
 /// stability.
+///
+/// Two stores hold the pending events. Call the largest timestamp popped
+/// so far the *floor*; it never decreases. An event due in
+/// `[floor, floor + 8 µs)` is appended to a FIFO lane chosen by its
+/// timestamp modulo 8, and every other event goes to a binary heap. Each
+/// lane holds a single timestamp, in push order and hence in
+/// insertion-sequence order, so `pop` takes the earlier of the first
+/// non-empty lane's head and the heap's top under `(time, sequence)`, and
+/// the pop order is exactly that of a heap alone. The lanes exist for
+/// radio deliveries, which are due a microsecond or two after the
+/// transmission that scheduled them and would otherwise each sift
+/// through the whole heap twice.
 ///
 /// # Example
 ///
@@ -55,6 +73,13 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Lane `t % LANES` holds the pending events at time `t`, for every
+    /// `t` in `[floor, floor + LANES)` that was pushed inside the window.
+    lanes: [VecDeque<Scheduled<E>>; LANES],
+    /// Bit `i` is set iff lane `i` is non-empty.
+    occupied: u8,
+    /// The largest timestamp popped so far.
+    floor: u64,
     next_seq: u64,
 }
 
@@ -62,57 +87,101 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            lanes: Default::default(),
+            occupied: 0,
+            floor: 0,
+            next_seq: 0,
+        }
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        let s = Scheduled { time, seq, event };
+        // Times below the floor wrap to a large offset and go to the heap.
+        if time.as_micros().wrapping_sub(self.floor) < LANES as u64 {
+            let lane = time.as_micros() as usize % LANES;
+            self.lanes[lane].push_back(s);
+            self.occupied |= 1 << lane;
+        } else {
+            self.heap.push(s);
+        }
+    }
+
+    /// The index of the earliest non-empty lane, if any. Every lane time
+    /// lies in `[floor, floor + LANES)`, so the first set bit at or after
+    /// the floor's lane (cyclically) is the earliest time.
+    fn first_lane(&self) -> Option<usize> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let base = (self.floor % LANES as u64) as u32;
+        let offset = self.occupied.rotate_right(base).trailing_zeros();
+        Some((base + offset) as usize % LANES)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        let lane = self.first_lane().filter(|&i| {
+            let head = &self.lanes[i][0];
+            self.heap.peek().is_none_or(|top| (head.time, head.seq) < (top.time, top.seq))
+        });
+        let s = match lane {
+            Some(i) => {
+                let s = self.lanes[i].pop_front()?;
+                if self.lanes[i].is_empty() {
+                    self.occupied &= !(1 << i);
+                }
+                s
+            }
+            None => self.heap.pop()?,
+        };
+        self.floor = self.floor.max(s.time.as_micros());
+        Some((s.time, s.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        let lane = self.first_lane().map(|i| self.lanes[i][0].time);
+        lane.into_iter().chain(self.heap.peek().map(|s| s.time)).min()
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// The `(time, insertion sequence)` keys of every pending event, in
-    /// unspecified order (the heap's internal layout). The audit layer
-    /// folds these through an order-independent combiner to digest the
-    /// queue's contents without draining it.
+    /// unspecified order (the heap's internal layout, then the lanes).
+    /// The audit layer folds these through an order-independent combiner
+    /// to digest the queue's contents without draining it.
     pub fn pending_keys(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
-        self.heap.iter().map(|s| (s.time, s.seq))
+        self.heap.iter().chain(self.lanes.iter().flatten()).map(|s| (s.time, s.seq))
     }
 
     /// Returns `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.occupied == 0 && self.heap.is_empty()
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
+        self.occupied = 0;
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.len())
             .field("next_time", &self.peek_time())
             .finish()
     }
@@ -175,7 +244,148 @@ mod tests {
         assert!(format!("{q:?}").contains("EventQueue"));
     }
 
+    fn drain(q: &mut EventQueue<char>) -> Vec<(u64, char)> {
+        std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_micros(), e))).collect()
+    }
+
+    #[test]
+    fn window_edges_split_lanes_from_heap() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(100), 'f');
+        assert_eq!(q.pop(), Some((SimTime::from_micros(100), 'f')));
+        // Floor is 100: offsets 0..=7 go to lanes, 8 and up to the heap,
+        // and a push below the floor falls back to the heap as well.
+        for (t, e) in [(108, 'g'), (107, 'e'), (100, 'a'), (99, 'z'), (101, 'b'), (109, 'h')] {
+            q.push(SimTime::from_micros(t), e);
+        }
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(99)));
+        assert_eq!(
+            drain(&mut q),
+            [(99, 'z'), (100, 'a'), (101, 'b'), (107, 'e'), (108, 'g'), (109, 'h')]
+        );
+    }
+
+    #[test]
+    fn heap_and_lane_events_at_one_time_pop_in_push_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(20), 'a'); // floor 0: heap
+        q.push(SimTime::from_micros(15), 'x');
+        assert_eq!(q.pop(), Some((SimTime::from_micros(15), 'x')));
+        q.push(SimTime::from_micros(20), 'b'); // floor 15: lane
+        q.push(SimTime::from_micros(20), 'c');
+        assert_eq!(drain(&mut q), [(20, 'a'), (20, 'b'), (20, 'c')]);
+    }
+
+    #[test]
+    fn floor_jump_reuses_lanes_for_later_times() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(1), 'a');
+        q.push(SimTime::from_micros(2), 'b');
+        q.push(SimTime::from_micros(1_003), 'd');
+        assert_eq!(drain(&mut q)[..2], [(1, 'a'), (2, 'b')]);
+        // The floor is now 1003; lanes 1 and 2 are reused at new times.
+        q.push(SimTime::from_micros(1_010), 'f'); // lane 2
+        q.push(SimTime::from_micros(1_009), 'e'); // lane 1
+        q.push(SimTime::from_micros(1_003), 'c'); // lane 3
+        assert_eq!(q.len(), 3);
+        assert_eq!(drain(&mut q), [(1_003, 'c'), (1_009, 'e'), (1_010, 'f')]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_lanes_and_heap() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(1), 'a');
+        q.push(SimTime::from_micros(50), 'b');
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pending_keys().count(), 0);
+        q.push(SimTime::from_micros(3), 'c');
+        assert_eq!(drain(&mut q), [(3, 'c')]);
+    }
+
+    /// A queue operation for the model test. Push delays are relative to
+    /// the floor: 0 lands on it, 7 is the last lane offset, 8 the first
+    /// heap offset, `Far` a heap-only timer and `Below` a push under the
+    /// floor.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Push(Delay),
+        Pop,
+        /// Pops up to this many events back to back, moving the floor
+        /// past the lane contents it drains.
+        PopBurst(usize),
+        Peek,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Delay {
+        Near(u64),
+        Far(u64),
+        Below(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let delay = prop_oneof![
+            prop::sample::select(vec![0u64, 1, 2, 7, 8, 9]).prop_map(Delay::Near),
+            (10u64..100_000).prop_map(Delay::Far),
+            (1u64..20).prop_map(Delay::Below),
+        ];
+        prop_oneof![
+            delay.prop_map(Op::Push),
+            Just(Op::Pop),
+            (2usize..6).prop_map(Op::PopBurst),
+            Just(Op::Peek),
+        ]
+    }
+
     proptest! {
+        #[test]
+        fn prop_interleaved_ops_match_a_sorted_model(ops in prop::collection::vec(op(), 0..300)) {
+            let mut q = EventQueue::new();
+            // The model: pending (time, seq) keys, popped by minimum.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let (mut floor, mut seq) = (0u64, 0u64);
+            for op in ops {
+                let pops = match op {
+                    Op::Push(d) => {
+                        let t = match d {
+                            Delay::Near(d) | Delay::Far(d) => floor + d,
+                            Delay::Below(d) => floor.saturating_sub(d),
+                        };
+                        q.push(SimTime::from_micros(t), seq);
+                        model.push((t, seq));
+                        seq += 1;
+                        0
+                    }
+                    Op::Pop => 1,
+                    Op::PopBurst(n) => n,
+                    Op::Peek => 0,
+                };
+                for _ in 0..pops {
+                    let want = model.iter().copied().enumerate().min_by_key(|&(_, k)| k);
+                    let want = want.map(|(i, _)| model.swap_remove(i));
+                    let got = q.pop().map(|(t, s)| (t.as_micros(), s));
+                    prop_assert_eq!(got, want);
+                    if let Some((t, _)) = want {
+                        floor = floor.max(t);
+                    }
+                }
+                let want_peek = model.iter().map(|&(t, _)| t).min();
+                prop_assert_eq!(q.peek_time().map(SimTime::as_micros), want_peek);
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                let mut keys: Vec<(u64, u64)> =
+                    q.pending_keys().map(|(t, s)| (t.as_micros(), s)).collect();
+                keys.sort_unstable();
+                let mut want_keys = model.clone();
+                want_keys.sort_unstable();
+                prop_assert_eq!(keys, want_keys);
+            }
+        }
+
         #[test]
         fn prop_pop_order_is_sorted_and_stable(times in prop::collection::vec(0u64..1_000, 0..200)) {
             let mut q = EventQueue::new();
