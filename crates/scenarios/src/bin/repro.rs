@@ -71,8 +71,8 @@ use geonet_scenarios::{
 };
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, shared_registry, trace_window, AuditArtifact,
-    EventCounters, InvariantChecker, InvariantParams, SharedSink, SimDuration, TopoArtifact,
-    TraceRecord, VecSink,
+    EventCounters, InvariantChecker, InvariantParams, JsonlSink, SharedSink, SimDuration,
+    TopoArtifact, TraceRecord, TraceSink, VecSink,
 };
 use geonet_traffic::IdmParams;
 use std::process::ExitCode;
@@ -135,14 +135,15 @@ fn write_trace_jsonl(path: &str, records: &[TraceRecord]) -> Result<(), String> 
     write_jsonl(std::io::BufWriter::new(file), records).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Writes the JSONL lines, propagating every write error and the final
-/// flush's — a full disk must fail the run, not leave a truncated trace
-/// for `--audit-diff` to read.
-fn write_jsonl(mut out: impl std::io::Write, records: &[TraceRecord]) -> std::io::Result<()> {
+/// Writes the JSONL lines through a [`JsonlSink`], propagating the first
+/// write error or the final flush's — a full disk must fail the run,
+/// not leave a truncated trace for `--audit-diff` to read.
+fn write_jsonl(out: impl std::io::Write, records: &[TraceRecord]) -> std::io::Result<()> {
+    let mut sink = JsonlSink::new(out);
     for r in records {
-        writeln!(out, "{}", r.to_json())?;
+        sink.record(r.at, r.node, &r.event);
     }
-    out.flush()
+    sink.into_inner().map(drop)
 }
 
 #[derive(Debug)]
@@ -614,7 +615,7 @@ fn audit_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         w.set_trace_sink(sink.clone());
         w.set_auditor(auditor.clone());
         let _ = interarea::drive(&cfg, &mut w, |_, _| {});
-        let artifact = auditor.borrow().to_artifact();
+        let artifact = auditor.borrow();
         let audit_path = format!("{prefix}.{variant}.audit.json");
         std::fs::write(&audit_path, artifact.to_json())
             .map_err(|e| format!("--audit {audit_path}: {e}"))?;
@@ -623,7 +624,7 @@ fn audit_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         write_trace_jsonl(&trace_path, &records).map_err(|e| format!("--audit {e}"))?;
         eprintln!(
             "# audit: {} checkpoints -> {audit_path}, {} events -> {trace_path}",
-            artifact.checkpoints.len(),
+            artifact.samples().len(),
             records.len()
         );
     }
@@ -711,7 +712,7 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         let base = format!("{prefix}.{variant}");
         write(format!("{base}.topo.json"), &r.topo.to_json())?;
         let mut dot = String::new();
-        for s in &r.topo.snapshots {
+        for s in r.topo.samples() {
             dot.push_str(&s.to_dot());
         }
         write(format!("{base}.topo.dot"), &dot)?;
@@ -720,7 +721,7 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         eprintln!(
             "# topology: {} snapshots -> {base}.topo.json/.dot, \
              {} packets -> {base}.heatmap.json/.csv",
-            r.topo.snapshots.len(),
+            r.topo.samples().len(),
             r.packets.len()
         );
     }

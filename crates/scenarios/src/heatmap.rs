@@ -20,17 +20,9 @@
 //! Artifacts export as CSV (dense grid, for plotting) and JSON (sparse,
 //! round-trips byte-identically through [`RoadHeatmap::from_json`]).
 
-use geonet_sim::telemetry::json::{self, Value};
+use geonet_sim::json::{self, float};
 use geonet_sim::{DropReason, SimDuration, SimTime, TopoArtifact, TraceEvent};
-use std::collections::BTreeMap;
 use std::fmt;
-
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace/telemetry/topo encoders).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialize non-finite float {x}");
-    format!("{x:?}")
-}
 
 // ---------------------------------------------------------------------
 // Cells and the grid
@@ -92,7 +84,7 @@ impl HeatCell {
 /// destinations sit just past it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoadHeatmap {
-    meta: BTreeMap<String, String>,
+    meta: json::Meta,
     x_bin: f64,
     t_bin: SimDuration,
     road_length: f64,
@@ -144,7 +136,7 @@ impl RoadHeatmap {
         let nx = bin_count(road_length, x_bin);
         let nt = bin_count(duration.as_secs_f64(), t_bin.as_secs_f64());
         RoadHeatmap {
-            meta: BTreeMap::new(),
+            meta: json::Meta::new(),
             x_bin,
             t_bin,
             road_length,
@@ -162,16 +154,12 @@ impl RoadHeatmap {
     /// Panics if the key or value contains a quote or backslash (the
     /// encoder never escapes).
     pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        for s in [key, value.as_str()] {
-            assert!(!s.contains('"') && !s.contains('\\'), "meta must not need escaping: {s:?}");
-        }
-        self.meta.insert(key.to_string(), value);
+        json::set_meta(&mut self.meta, key, value.into());
     }
 
     /// The run metadata.
     #[must_use]
-    pub fn meta(&self) -> &BTreeMap<String, String> {
+    pub fn meta(&self) -> &json::Meta {
         &self.meta
     }
 
@@ -299,10 +287,10 @@ impl RoadHeatmap {
                 let _ = write!(
                     out,
                     "{},{},{},{},{},{}",
-                    format_f64(xl),
-                    format_f64(xh),
-                    format_f64(tl),
-                    format_f64(th),
+                    float(xl),
+                    float(xh),
+                    float(tl),
+                    float(th),
                     c.generated,
                     c.delivered
                 );
@@ -320,58 +308,39 @@ impl RoadHeatmap {
     // JSON
     // -----------------------------------------------------------------
 
-    /// Renders the heatmap as JSON (sparse: empty cells are omitted).
-    /// Deterministic — two same-seed runs produce byte-identical
+    /// Renders the heatmap as JSON (sparse: empty cells are omitted) in
+    /// the shared artifact envelope, with the grid geometry as header
+    /// fields. Deterministic — two same-seed runs produce byte-identical
     /// artifacts.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
-        let _ = write!(
-            out,
-            "}},\"x_bin_m\":{},\"t_bin_us\":{},\"road_length_m\":{},\"duration_us\":{},\"cells\":[",
-            format_f64(self.x_bin),
-            self.t_bin.as_micros(),
-            format_f64(self.road_length),
-            self.duration.as_micros()
-        );
-        let mut first = true;
-        for ti in 0..self.nt {
-            for xi in 0..self.nx {
-                let c = self.cell(xi, ti);
-                if c.is_empty() {
-                    continue;
+        let header = [
+            ("x_bin_m", float(self.x_bin)),
+            ("t_bin_us", self.t_bin.as_micros().to_string()),
+            ("road_length_m", float(self.road_length)),
+            ("duration_us", self.duration.as_micros().to_string()),
+        ];
+        let cells = self.cells.iter().enumerate().filter(|(_, c)| !c.is_empty());
+        json::write_envelope(&self.meta, &header, "cells", cells, |out, (i, c)| {
+            let (xi, ti) = (i % self.nx, i / self.nx);
+            let _ = write!(
+                out,
+                "{{\"xi\":{xi},\"ti\":{ti},\"generated\":{},\"delivered\":{},\"dropped\":[",
+                c.generated, c.delivered
+            );
+            for (i, d) in c.dropped.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
-                out.push_str(if first { "\n" } else { ",\n" });
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"xi\":{xi},\"ti\":{ti},\"generated\":{},\"delivered\":{},\"dropped\":[",
-                    c.generated, c.delivered
-                );
-                for (i, d) in c.dropped.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{d}");
-                }
-                let _ = write!(
-                    out,
-                    "],\"cbf_cancelled\":{},\"cbf_by_attacker\":{},\"intercepted\":{}}}",
-                    c.cbf_cancelled, c.cbf_by_attacker, c.intercepted
-                );
+                let _ = write!(out, "{d}");
             }
-        }
-        out.push_str("\n]}\n");
-        out
+            let _ = write!(
+                out,
+                "],\"cbf_cancelled\":{},\"cbf_by_attacker\":{},\"intercepted\":{}}}",
+                c.cbf_cancelled, c.cbf_by_attacker, c.intercepted
+            );
+        })
     }
 
     /// Parses an artifact produced by [`RoadHeatmap::to_json`].
@@ -381,27 +350,13 @@ impl RoadHeatmap {
     /// Returns a message naming the offending construct on malformed
     /// JSON, out-of-range cell indices or duplicate cells.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let fields = v.as_object("heatmap artifact")?;
-        let get = |name: &str| -> Result<&Value, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("heatmap artifact missing {name:?}"))
-        };
-        let mut meta = BTreeMap::new();
-        for (k, v) in get("meta")?.as_object("meta")? {
-            if let Value::String(s) = v {
-                meta.insert(k.clone(), s.clone());
-            } else {
-                return Err(format!("meta value for {k:?} is not a string"));
-            }
-        }
-        let x_bin = get("x_bin_m")?.as_f64("x_bin_m")?;
-        let t_bin = SimDuration::from_micros(get("t_bin_us")?.as_u64("t_bin_us")?);
-        let road_length = get("road_length_m")?.as_f64("road_length_m")?;
-        let duration = SimDuration::from_micros(get("duration_us")?.as_u64("duration_us")?);
+        let header = ["x_bin_m", "t_bin_us", "road_length_m", "duration_us"];
+        let env = json::read_envelope(text, &header, "cells", parse_cell)?;
+        let t_bin = SimDuration::from_micros(env.root.get("t_bin_us")?.as_u64("t_bin_us")?);
+        let duration =
+            SimDuration::from_micros(env.root.get("duration_us")?.as_u64("duration_us")?);
+        let x_bin = env.root.get("x_bin_m")?.as_f64("x_bin_m")?;
+        let road_length = env.root.get("road_length_m")?.as_f64("road_length_m")?;
         if t_bin == SimDuration::ZERO || duration == SimDuration::ZERO {
             return Err("heatmap artifact has a zero time extent".to_string());
         }
@@ -409,37 +364,10 @@ impl RoadHeatmap {
             return Err("heatmap artifact has a non-positive spatial extent".to_string());
         }
         let mut map = RoadHeatmap::with_bins(road_length, duration, x_bin, t_bin);
-        map.meta = meta;
-        for cell in get("cells")?.as_array("cells")? {
-            let cf = cell.as_object("cell")?;
-            let cg = |name: &str| -> Result<&Value, String> {
-                cf.iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("cell missing {name:?}"))
-            };
-            let xi = cg("xi")?.as_u64("xi")? as usize;
-            let ti = cg("ti")?.as_u64("ti")? as usize;
+        map.meta = env.meta;
+        for (xi, ti, c) in env.items {
             if xi >= map.nx || ti >= map.nt {
                 return Err(format!("cell ({xi},{ti}) outside the {}x{} grid", map.nx, map.nt));
-            }
-            let mut c = HeatCell {
-                generated: cg("generated")?.as_u64("generated")?,
-                delivered: cg("delivered")?.as_u64("delivered")?,
-                ..HeatCell::default()
-            };
-            let dropped = cg("dropped")?.as_array("dropped")?;
-            if dropped.len() != DropReason::ALL.len() {
-                return Err(format!("cell ({xi},{ti}) has {} drop counters", dropped.len()));
-            }
-            for (slot, v) in c.dropped.iter_mut().zip(dropped) {
-                *slot = v.as_u64("drop counter")?;
-            }
-            c.cbf_cancelled = cg("cbf_cancelled")?.as_u64("cbf_cancelled")?;
-            c.cbf_by_attacker = cg("cbf_by_attacker")?.as_u64("cbf_by_attacker")?;
-            c.intercepted = cg("intercepted")?.as_u64("intercepted")?;
-            if c.is_empty() {
-                return Err(format!("cell ({xi},{ti}) is empty (must be omitted)"));
             }
             let slot = &mut map.cells[ti * map.nx + xi];
             if !slot.is_empty() {
@@ -449,6 +377,30 @@ impl RoadHeatmap {
         }
         Ok(map)
     }
+}
+
+/// Decodes one sparse cell as `(xi, ti, counters)`.
+fn parse_cell(cell: &json::Value) -> Result<(usize, usize, HeatCell), String> {
+    let (xi, ti) = (cell.get("xi")?.as_int("xi")?, cell.get("ti")?.as_int("ti")?);
+    let mut c = HeatCell {
+        generated: cell.get("generated")?.as_u64("generated")?,
+        delivered: cell.get("delivered")?.as_u64("delivered")?,
+        cbf_cancelled: cell.get("cbf_cancelled")?.as_u64("cbf_cancelled")?,
+        cbf_by_attacker: cell.get("cbf_by_attacker")?.as_u64("cbf_by_attacker")?,
+        intercepted: cell.get("intercepted")?.as_u64("intercepted")?,
+        ..HeatCell::default()
+    };
+    let dropped = cell.get("dropped")?.as_array("dropped")?;
+    if dropped.len() != DropReason::ALL.len() {
+        return Err(format!("cell ({xi},{ti}) has {} drop counters", dropped.len()));
+    }
+    for (slot, v) in c.dropped.iter_mut().zip(dropped) {
+        *slot = v.as_u64("drop counter")?;
+    }
+    if c.is_empty() {
+        return Err(format!("cell ({xi},{ti}) is empty (must be omitted)"));
+    }
+    Ok((xi, ti, c))
 }
 
 // ---------------------------------------------------------------------
@@ -632,11 +584,11 @@ pub struct BlastRadiusReport {
 }
 
 fn partition_fraction(t: &TopoArtifact) -> f64 {
-    if t.snapshots.is_empty() {
+    if t.samples().is_empty() {
         return 0.0;
     }
-    let parted = t.snapshots.iter().filter(|s| s.partitions > 1).count();
-    parted as f64 / t.snapshots.len() as f64
+    let parted = t.samples().iter().filter(|s| s.partitions > 1).count();
+    parted as f64 / t.samples().len() as f64
 }
 
 impl BlastRadiusReport {
@@ -664,9 +616,9 @@ impl BlastRadiusReport {
             s.nodes.iter().filter(|n| n.attacker).map(|n| n.id).collect::<Vec<_>>()
         };
         let with_attacker =
-            atk_topo.snapshots.iter().filter(|s| !attacker_ids(s).is_empty()).count();
+            atk_topo.samples().iter().filter(|s| !attacker_ids(s).is_empty()).count();
         let local_max_hits = atk_topo
-            .snapshots
+            .samples()
             .iter()
             .filter(|s| attacker_ids(s).iter().any(|id| s.local_max.contains(id)))
             .count();
@@ -677,7 +629,7 @@ impl BlastRadiusReport {
         let mut poisoned_n = 0usize;
         let mut poisoned_total = 0u64;
         let mut poisoned_in_cov = 0u64;
-        for s in &atk_topo.snapshots {
+        for s in atk_topo.samples() {
             let legit = s.nodes.iter().filter(|n| !n.attacker).count();
             if legit == 0 {
                 continue;
@@ -706,7 +658,7 @@ impl BlastRadiusReport {
         // claims one node id right after the initial vehicles: an
         // attacker-free id at or above it maps one slot up.
         let attacker_id = atk_topo
-            .snapshots
+            .samples()
             .iter()
             .flat_map(|s| s.nodes.iter().filter(|n| n.attacker).map(|n| n.id))
             .min();
@@ -715,7 +667,7 @@ impl BlastRadiusReport {
             _ => id,
         };
         let mut displaced = std::collections::BTreeSet::new();
-        for (a, b) in af_topo.snapshots.iter().zip(&atk_topo.snapshots) {
+        for (a, b) in af_topo.samples().iter().zip(atk_topo.samples()) {
             let covered: std::collections::BTreeSet<u32> =
                 b.coverage.iter().flat_map(|c| c.covered.iter().copied()).collect();
             for &id in &a.articulation {
@@ -811,7 +763,7 @@ impl fmt::Display for BlastRadiusReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geonet_sim::{GradientHealth, TopoNode, TopoSnapshot};
+    use geonet_sim::{GradientHealth, Timeline, TopoNode, TopoSnapshot};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -946,8 +898,11 @@ mod tests {
         assert!(HeatmapDiff::build(&af, &atk).unwrap_err().contains("geometry"));
     }
 
-    fn snap(at: SimTime, nodes: Vec<TopoNode>, dest: Option<(f64, f64)>) -> TopoSnapshot {
-        TopoSnapshot::build(at, dest, nodes)
+    /// A one-snapshot topology timeline.
+    fn topo(at: SimTime, nodes: Vec<TopoNode>, dest: Option<(f64, f64)>) -> TopoArtifact {
+        let mut tl = Timeline::new(SimDuration::from_secs(1));
+        tl.record(TopoSnapshot::build(at, dest, nodes));
+        tl
     }
 
     #[test]
@@ -957,42 +912,33 @@ mod tests {
         // the last vehicle to id 3) whose phantom link makes node 1
         // poisoned and the attacker the local maximum.
         let dest = Some((1_000.0, 0.0));
-        let af = TopoArtifact {
-            meta: BTreeMap::new(),
-            interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
-                t(1),
-                vec![
-                    TopoNode::new(0, 0.0, 0.0, 150.0, false),
-                    TopoNode::new(1, 100.0, 0.0, 150.0, false),
-                    TopoNode::new(2, 200.0, 0.0, 150.0, false),
-                ],
-                dest,
-            )],
-        };
-        let atk = TopoArtifact {
-            meta: BTreeMap::new(),
-            interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
-                t(1),
-                vec![
-                    TopoNode::new(0, 0.0, 0.0, 150.0, false),
-                    TopoNode::new(1, 100.0, 0.0, 150.0, false)
-                        .with_gradient(GradientHealth::Poisoned),
-                    TopoNode::new(2, 300.0, -10.0, 400.0, true),
-                    // Displaced far east: the af articulation point at
-                    // id 1 keeps its role only attacker-free.
-                    TopoNode::new(3, 320.0, 0.0, 150.0, false),
-                ],
-                dest,
-            )],
-        };
+        let af = topo(
+            t(1),
+            vec![
+                TopoNode::new(0, 0.0, 0.0, 150.0, false),
+                TopoNode::new(1, 100.0, 0.0, 150.0, false),
+                TopoNode::new(2, 200.0, 0.0, 150.0, false),
+            ],
+            dest,
+        );
+        let atk = topo(
+            t(1),
+            vec![
+                TopoNode::new(0, 0.0, 0.0, 150.0, false),
+                TopoNode::new(1, 100.0, 0.0, 150.0, false).with_gradient(GradientHealth::Poisoned),
+                TopoNode::new(2, 300.0, -10.0, 400.0, true),
+                // Displaced far east: the af articulation point at
+                // id 1 keeps its role only attacker-free.
+                TopoNode::new(3, 320.0, 0.0, 150.0, false),
+            ],
+            dest,
+        );
         let (af_h, atk_h) = toy_heatmaps();
         let diff = HeatmapDiff::build(&af_h, &atk_h).unwrap();
         let report = BlastRadiusReport::build(&af, &atk, &diff, 10, 9);
         assert_eq!(report.hot_bins.len(), 1);
         assert!(report.partition_fraction_af < report.partition_fraction_atk);
-        assert!(report.attacker_local_max_fraction > 0.0 || !atk.snapshots[0].local_max.is_empty());
+        assert!(report.attacker_local_max_fraction > 0.0 || !atk.samples()[0].local_max.is_empty());
         assert!(report.poisoned_fraction > 0.3, "{}", report.poisoned_fraction);
         assert_eq!(report.poisoned_in_coverage_fraction, 1.0);
         assert!(report.attacker_is_gradient_local_max());
@@ -1008,41 +954,33 @@ mod tests {
         // slot 2; it is covered and no longer an articulation point, so
         // it counts as displaced.
         let dest = None;
-        let af = TopoArtifact {
-            meta: BTreeMap::new(),
-            interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
-                t(1),
-                vec![
-                    TopoNode::new(0, 0.0, 0.0, 150.0, false),
-                    TopoNode::new(1, 100.0, 0.0, 150.0, false),
-                    TopoNode::new(2, 200.0, 0.0, 150.0, false),
-                    TopoNode::new(3, 300.0, 0.0, 150.0, false),
-                    TopoNode::new(4, 400.0, 0.0, 150.0, false),
-                ],
-                dest,
-            )],
-        };
+        let af = topo(
+            t(1),
+            vec![
+                TopoNode::new(0, 0.0, 0.0, 150.0, false),
+                TopoNode::new(1, 100.0, 0.0, 150.0, false),
+                TopoNode::new(2, 200.0, 0.0, 150.0, false),
+                TopoNode::new(3, 300.0, 0.0, 150.0, false),
+                TopoNode::new(4, 400.0, 0.0, 150.0, false),
+            ],
+            dest,
+        );
         // Same chain under attack, ids ≥ 2 shifted up by the attacker
         // at slot 2; the old articulation vertex (now id 3) is inside
         // coverage, and we hand it a parallel path so it stops being a
         // cut vertex.
-        let atk = TopoArtifact {
-            meta: BTreeMap::new(),
-            interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
-                t(1),
-                vec![
-                    TopoNode::new(0, 0.0, 0.0, 150.0, false),
-                    TopoNode::new(1, 100.0, 0.0, 250.0, false),
-                    TopoNode::new(2, 200.0, -10.0, 500.0, true),
-                    TopoNode::new(3, 200.0, 0.0, 150.0, false),
-                    TopoNode::new(4, 300.0, 0.0, 250.0, false),
-                    TopoNode::new(5, 400.0, 0.0, 150.0, false),
-                ],
-                dest,
-            )],
-        };
+        let atk = topo(
+            t(1),
+            vec![
+                TopoNode::new(0, 0.0, 0.0, 150.0, false),
+                TopoNode::new(1, 100.0, 0.0, 250.0, false),
+                TopoNode::new(2, 200.0, -10.0, 500.0, true),
+                TopoNode::new(3, 200.0, 0.0, 150.0, false),
+                TopoNode::new(4, 300.0, 0.0, 250.0, false),
+                TopoNode::new(5, 400.0, 0.0, 150.0, false),
+            ],
+            dest,
+        );
         let (af_h, atk_h) = toy_heatmaps();
         let diff = HeatmapDiff::build(&af_h, &atk_h).unwrap();
         let report = BlastRadiusReport::build(&af, &atk, &diff, 0, 0);

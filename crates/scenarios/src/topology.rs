@@ -24,8 +24,8 @@ use geonet::PacketKey;
 use geonet_geo::Position;
 use geonet_radio::NodeId;
 use geonet_sim::{
-    shared_topo, SharedSink, SharedTopo, SimDuration, SimTime, TimeBins, TopoArtifact, TraceEvent,
-    VecSink,
+    shared_topo, SharedSink, SharedTopo, SimDuration, SimTime, TimeBins, Timeline, TopoArtifact,
+    TraceEvent, VecSink,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -186,7 +186,9 @@ impl Instrument {
             p.delivered = delivered;
             heatmap.record_packet(p.origin_x, p.generated_at, delivered);
         }
-        let topo = topo.borrow().to_artifact();
+        // The world still holds the recorder; leave it an empty one.
+        let interval = topo.borrow().interval();
+        let topo = topo.replace(Timeline::new(interval));
         TopologyRun { bins, topo, heatmap, packets }
     }
 }
@@ -285,13 +287,13 @@ mod tests {
         let cfg = short(486.0);
         let run = run_interarea(&cfg, true, 31, SimDuration::from_secs(5));
         assert!(!run.packets.is_empty());
-        assert!(run.topo.snapshots.len() >= 5, "{} snapshots", run.topo.snapshots.len());
-        assert_eq!(run.topo.meta.get("scenario").unwrap(), "interarea");
+        assert!(run.topo.samples().len() >= 5, "{} snapshots", run.topo.samples().len());
+        assert_eq!(run.topo.meta().get("scenario").unwrap(), "interarea");
         assert!(run.heatmap.totals().generated > 0);
         // Forwarding moved at least one packet's last hop off its origin.
         assert!(run.packets.iter().any(|p| (p.last_hop_x - p.origin_x).abs() > 50.0));
         // Snapshots carry the attacker and graded gradients.
-        let s = run.topo.snapshots.last().unwrap();
+        let s = run.topo.samples().last().unwrap();
         assert_eq!(s.coverage.len(), 1);
         assert!(s.dest.is_some());
     }

@@ -24,8 +24,8 @@ fn audited_artifact(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> AuditArt
     let mut w = interarea::world(cfg, attacked, seed);
     w.set_auditor(auditor.clone());
     let _ = interarea::drive(cfg, &mut w, |_, _| {});
-    let artifact = auditor.borrow().to_artifact();
-    assert!(!artifact.checkpoints.is_empty(), "a 5 s run must produce checkpoints");
+    let artifact = auditor.borrow().clone();
+    assert!(!artifact.samples().is_empty(), "a 5 s run must produce checkpoints");
     artifact
 }
 
@@ -78,7 +78,7 @@ fn artifact_round_trips_through_json() {
     let cfg = short_cfg().with_attack_range(486.0);
     let a = audited_artifact(&cfg, true, 42);
     let parsed = AuditArtifact::from_json(&a.to_json()).expect("own output must parse");
-    assert_eq!(parsed.meta.get("scenario").map(String::as_str), Some("interarea"));
+    assert_eq!(parsed.meta().get("scenario").map(String::as_str), Some("interarea"));
     assert!(diff_artifacts(&a, &parsed).identical());
 }
 

@@ -150,7 +150,7 @@ mod jsonl_roundtrip {
         ])
     }
 
-    /// Road coordinates are finite by construction (`format_f64` asserts
+    /// Road coordinates are finite by construction (`json::float` asserts
     /// it), so the strategy draws from a finite range.
     fn arb_coord() -> impl Strategy<Value = f64> {
         -1.0e9..1.0e9_f64

@@ -76,7 +76,7 @@ fn campaigns_and_audits_are_byte_identical_across_jobs() {
                 let mut w = interarea::world(&cfg, true, seed);
                 w.set_auditor(auditor.clone());
                 let _ = interarea::drive(&cfg, &mut w, |_, _| {});
-                let json = auditor.borrow().to_artifact().to_json();
+                let json = auditor.borrow().to_json();
                 json
             })
         })

@@ -102,7 +102,7 @@ fn same_seed_topology_runs_are_byte_identical() {
     let b = run_interarea(&cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
     assert_eq!(a.topo.to_json(), b.topo.to_json(), "same seed, same snapshots");
     assert_eq!(a.heatmap.to_json(), b.heatmap.to_json(), "same seed, same heatmap");
-    let a_dot: String = a.topo.snapshots.iter().map(|s| s.to_dot()).collect();
-    let b_dot: String = b.topo.snapshots.iter().map(|s| s.to_dot()).collect();
+    let a_dot: String = a.topo.samples().iter().map(|s| s.to_dot()).collect();
+    let b_dot: String = b.topo.samples().iter().map(|s| s.to_dot()).collect();
     assert_eq!(a_dot, b_dot, "same seed, same DOT rendering");
 }

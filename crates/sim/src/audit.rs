@@ -16,9 +16,10 @@
 //!   it as an `Option`: absent by default, a single branch per traffic
 //!   step when detached.
 //!
-//! * **Record / diff.** The timeline plus free-form run metadata
-//!   serializes to a `.audit.json` artifact ([`AuditArtifact`], same
-//!   hand-rolled JSON discipline as the trace and telemetry modules).
+//! * **Record / diff.** The timeline plus free-form run metadata is
+//!   itself the `.audit.json` artifact ([`AuditArtifact`] names
+//!   `Timeline<Checkpoint>`; encoded through [`crate::json`] like every
+//!   other artifact).
 //!   [`diff_artifacts`] compares two artifacts — a same-seed re-run, a
 //!   baseline-vs-attacked pair, or pre/post-refactor runs — and reports
 //!   the first diverging checkpoint, which components diverged, and the
@@ -52,11 +53,9 @@
 //! assert_eq!(auditor.borrow().samples().len(), 1);
 //! ```
 
-use crate::telemetry::json;
+use crate::json;
 use crate::time::{SimDuration, SimTime};
-use crate::timeline::{
-    read_envelope, shared_timeline, write_envelope, Sample, SharedTimeline, Timeline,
-};
+use crate::timeline::{shared_timeline, Sample, SharedTimeline, Timeline};
 use crate::trace::{PacketRef, TraceEvent, TraceRecord, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -243,8 +242,50 @@ impl CheckpointBuilder {
 }
 
 impl Sample for Checkpoint {
+    const ITEMS: &'static str = "checkpoints";
+
     fn at(&self) -> SimTime {
         self.at
+    }
+
+    fn write_item(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "{{\"t_us\":{},\"combined\":{},\"components\":{{",
+            self.at.as_micros(),
+            self.combined
+        );
+        for (j, c) in self.components.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{}", c.component, c.hash);
+        }
+        out.push_str("}}");
+    }
+
+    /// Decodes one checkpoint, recomputing its combined hash from the
+    /// components: a hand-edited artifact cannot silently claim
+    /// agreement.
+    fn parse_item(value: &json::Value) -> Result<Self, String> {
+        let at = SimTime::from_micros(value.get("t_us")?.as_u64("t_us")?);
+        let combined = value.get("combined")?.as_u64("combined")?;
+        value.only_keys("checkpoint", &["t_us", "combined", "components"])?;
+        let mut b = Checkpoint::builder(at);
+        for (name, hash) in value.get("components")?.as_object("components")? {
+            b.push(name, hash.as_u64(name)?);
+        }
+        let rebuilt = b.finish();
+        if rebuilt.combined != combined {
+            return Err(format!(
+                "checkpoint at {} µs: combined hash {} does not match components (expected {})",
+                at.as_micros(),
+                combined,
+                rebuilt.combined
+            ));
+        }
+        Ok(rebuilt)
     }
 }
 
@@ -257,118 +298,11 @@ pub fn shared_auditor(interval: SimDuration) -> SharedAuditor {
     shared_timeline(interval)
 }
 
-impl Timeline<Checkpoint> {
-    /// Snapshots the digest timeline into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> AuditArtifact {
-        AuditArtifact {
-            meta: self.meta().clone(),
-            interval: self.interval(),
-            checkpoints: self.samples().to_vec(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The .audit.json artifact
-// ---------------------------------------------------------------------
-
-/// A serialized digest timeline: run metadata, sampling interval and the
-/// checkpoint sequence. Two artifacts from identically-seeded runs are
-/// byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditArtifact {
-    /// Free-form run metadata (seed, scenario, attacked, …).
-    pub meta: BTreeMap<String, String>,
-    /// The sampling interval the timeline was recorded at.
-    pub interval: SimDuration,
-    /// The digest timeline, in sampling order.
-    pub checkpoints: Vec<Checkpoint>,
-}
-
-impl AuditArtifact {
-    /// Renders the artifact as JSON (one checkpoint per line, so the
-    /// timeline greps well). Deterministic: metadata is sorted, hashes
-    /// are decimal `u64`s.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        write_envelope(
-            &self.meta,
-            self.interval,
-            "checkpoints",
-            &self.checkpoints,
-            write_checkpoint,
-        )
-    }
-
-    /// Parses an artifact previously produced by
-    /// [`AuditArtifact::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description of the first malformed construct.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let (meta, interval, checkpoints) = read_envelope(text, "checkpoints", parse_checkpoint)?;
-        Ok(AuditArtifact { meta, interval, checkpoints })
-    }
-}
-
-fn write_checkpoint(out: &mut String, cp: &Checkpoint) {
-    use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"t_us\":{},\"combined\":{},\"components\":{{",
-        cp.at.as_micros(),
-        cp.combined
-    );
-    for (j, c) in cp.components.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", c.component, c.hash);
-    }
-    out.push_str("}}");
-}
-
-fn parse_checkpoint(value: &json::Value) -> Result<Checkpoint, String> {
-    let fields = value.as_object("checkpoint")?;
-    let mut at = None;
-    let mut combined = None;
-    let mut components = Vec::new();
-    for (k, v) in fields {
-        match k.as_str() {
-            "t_us" => at = Some(SimTime::from_micros(v.as_u64("t_us")?)),
-            "combined" => combined = Some(v.as_u64("combined")?),
-            "components" => {
-                for (name, hash) in v.as_object("components")? {
-                    components.push(ComponentDigest {
-                        component: name.clone(),
-                        hash: hash.as_u64(name)?,
-                    });
-                }
-            }
-            other => return Err(format!("unknown checkpoint field {other:?}")),
-        }
-    }
-    let at = at.ok_or("checkpoint missing t_us")?;
-    let combined = combined.ok_or("checkpoint missing combined")?;
-    // Trust but verify: the combined hash must match the components, so
-    // a hand-edited artifact cannot silently claim agreement.
-    let mut b = Checkpoint::builder(at);
-    for c in &components {
-        b.push(&c.component, c.hash);
-    }
-    let rebuilt = b.finish();
-    if rebuilt.combined != combined {
-        return Err(format!(
-            "checkpoint at {} µs: combined hash {} does not match components (expected {})",
-            at.as_micros(),
-            combined,
-            rebuilt.combined
-        ));
-    }
-    Ok(rebuilt)
-}
+/// A digest timeline is its own `.audit.json` artifact: run metadata,
+/// sampling interval and the checkpoint sequence, written by
+/// [`Timeline::to_json`]. Two artifacts from identically-seeded runs
+/// are byte-identical.
+pub type AuditArtifact = Timeline<Checkpoint>;
 
 // ---------------------------------------------------------------------
 // Divergence diffing
@@ -458,17 +392,18 @@ impl fmt::Display for DivergenceReport {
 #[must_use]
 pub fn diff_artifacts(a: &AuditArtifact, b: &AuditArtifact) -> DivergenceReport {
     let mut meta_differences = Vec::new();
-    let keys: BTreeSet<&String> = a.meta.keys().chain(b.meta.keys()).collect();
+    let keys: BTreeSet<&String> = a.meta().keys().chain(b.meta().keys()).collect();
     for key in keys {
-        let (va, vb) = (a.meta.get(key), b.meta.get(key));
+        let (va, vb) = (a.meta().get(key), b.meta().get(key));
         if va != vb {
             meta_differences.push((key.clone(), va.cloned(), vb.cloned()));
         }
     }
-    let compared = a.checkpoints.len().min(b.checkpoints.len());
+    let (a, b) = (a.samples(), b.samples());
+    let compared = a.len().min(b.len());
     let mut first_divergence = None;
     for i in 0..compared {
-        let (ca, cb) = (&a.checkpoints[i], &b.checkpoints[i]);
+        let (ca, cb) = (&a[i], &b[i]);
         if ca.combined == cb.combined && ca.at == cb.at {
             continue;
         }
@@ -487,16 +422,11 @@ pub fn diff_artifacts(a: &AuditArtifact, b: &AuditArtifact) -> DivergenceReport 
                 components.push(name.clone());
             }
         }
-        let window_start = if i == 0 { SimTime::ZERO } else { a.checkpoints[i - 1].at };
+        let window_start = if i == 0 { SimTime::ZERO } else { a[i - 1].at };
         first_divergence = Some(Divergence { index: i, at: ca.at, window_start, components });
         break;
     }
-    DivergenceReport {
-        first_divergence,
-        compared,
-        lengths: (a.checkpoints.len(), b.checkpoints.len()),
-        meta_differences,
-    }
+    DivergenceReport { first_divergence, compared, lengths: (a.len(), b.len()), meta_differences }
 }
 
 /// The trace records falling inside a divergence window `(from, to]` —
@@ -868,17 +798,18 @@ mod tests {
         assert_ne!(checkpoint(1, 5).combined, checkpoint(2, 5).combined);
     }
 
+    fn artifact_with(seed: &str, rngs: &[u64]) -> AuditArtifact {
+        let mut r = Timeline::new(SimDuration::from_secs(1));
+        r.set_meta("seed", seed);
+        r.set_meta("scenario", "interarea");
+        for (s, &rng) in rngs.iter().enumerate() {
+            r.record(checkpoint(s as u64, rng));
+        }
+        r
+    }
+
     fn artifact() -> AuditArtifact {
-        let rec = {
-            let mut r = Timeline::new(SimDuration::from_secs(1));
-            r.set_meta("seed", "42");
-            r.set_meta("scenario", "interarea");
-            r.record(checkpoint(0, 10));
-            r.record(checkpoint(1, 11));
-            r.record(checkpoint(2, 12));
-            r
-        };
-        rec.to_artifact()
+        artifact_with("42", &[10, 11, 12])
     }
 
     #[test]
@@ -910,13 +841,7 @@ mod tests {
     #[test]
     fn diff_names_first_divergence_and_component() {
         let a = artifact();
-        let mut b = artifact();
-        b.checkpoints[1] = {
-            let mut cb = Checkpoint::builder(SimTime::from_secs(1));
-            cb.push("rng", 999); // diverged
-            cb.push("routers", 7);
-            cb.finish()
-        };
+        let b = artifact_with("42", &[10, 999, 12]); // rng diverged at 1 s
         let report = diff_artifacts(&a, &b);
         let d = report.first_divergence.clone().expect("divergence found");
         assert_eq!(d.index, 1);
@@ -930,9 +855,7 @@ mod tests {
     #[test]
     fn diff_reports_meta_and_length_differences() {
         let a = artifact();
-        let mut b = artifact();
-        b.meta.insert("seed".into(), "43".into());
-        b.checkpoints.pop();
+        let b = artifact_with("43", &[10, 11]);
         let report = diff_artifacts(&a, &b);
         assert!(report.first_divergence.is_none());
         assert!(!report.identical(), "length mismatch is not identical");

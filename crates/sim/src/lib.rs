@@ -28,8 +28,15 @@
 //!   connectivity-graph snapshots with partition/articulation/local-
 //!   maximum/coverage analytics, `.topo.json` + DOT artifacts.
 //! * [`timeline`] — the fixed-interval [`Timeline`] recorder that
-//!   collects both the audit checkpoints and the topology snapshots,
-//!   and the JSON envelope their artifacts share.
+//!   collects both the audit checkpoints and the topology snapshots.
+//!   Timelines are the artifacts: [`Timeline::to_json`] /
+//!   [`Timeline::from_json`] write and read `.audit.json` and
+//!   `.topo.json` directly ([`AuditArtifact`] and [`TopoArtifact`] are
+//!   aliases).
+//! * [`json`] — the one JSON codec behind every artifact (trace JSONL,
+//!   metrics, audit, topology and the scenario crate's heatmaps): an
+//!   escape-free parser with typed, key-naming accessors, the shortest
+//!   round-trip float formatter and the shared metadata envelope.
 //!
 //! # Example
 //!
@@ -50,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod json;
 pub mod kernel;
 pub mod metrics;
 pub mod queue;

@@ -41,6 +41,7 @@
 //! assert!(snapshot.to_prometheus().contains("frames_total 3"));
 //! ```
 
+use crate::json;
 use crate::metrics::RunningStats;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -556,10 +557,10 @@ impl MetricsSnapshot {
         }
         for (name, g) in &self.gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{stat=\"last\"}} {}", format_f64(g.last));
-            let _ = writeln!(out, "{name}{{stat=\"mean\"}} {}", format_f64(g.mean));
-            let _ = writeln!(out, "{name}{{stat=\"min\"}} {}", format_f64(g.min));
-            let _ = writeln!(out, "{name}{{stat=\"max\"}} {}", format_f64(g.max));
+            let _ = writeln!(out, "{name}{{stat=\"last\"}} {}", json::float(g.last));
+            let _ = writeln!(out, "{name}{{stat=\"mean\"}} {}", json::float(g.mean));
+            let _ = writeln!(out, "{name}{{stat=\"min\"}} {}", json::float(g.min));
+            let _ = writeln!(out, "{name}{{stat=\"max\"}} {}", json::float(g.max));
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} histogram");
@@ -611,11 +612,11 @@ impl MetricsSnapshot {
             let _ = write!(
                 out,
                 "\"{name}\":{{\"last\":{},\"count\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-                format_f64(g.last),
+                json::float(g.last),
                 g.count,
-                format_f64(g.mean),
-                format_f64(g.min),
-                format_f64(g.max)
+                json::float(g.mean),
+                json::float(g.min),
+                json::float(g.max)
             );
         }
         out.push_str("},\"histograms\":{");
@@ -719,245 +720,6 @@ impl MetricsSnapshot {
             }
         }
         Ok(snap)
-    }
-}
-
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace module's coordinate formatting).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "metric values must be finite: {x}");
-    let s = format!("{x:?}");
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
-}
-
-/// Minimal recursive-descent JSON parser for the exporter subset
-/// (objects, arrays, numbers, strings without escapes, booleans, null).
-/// Shared with the audit module's `.audit.json` artifact parser, the
-/// topology module's `.topo.json` parser and the scenario crate's
-/// heatmap parser.
-pub mod json {
-    /// Parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// Numeric literal, kept as raw text so 64-bit integers survive
-        /// without a round-trip through `f64` (which only has 53 bits).
-        Number(String),
-        /// String literal.
-        String(String),
-        /// `true` / `false`.
-        Bool(bool),
-        /// `null`.
-        Null,
-        /// Array of values.
-        Array(Vec<Value>),
-        /// Object as ordered key/value pairs.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The value as an object's key/value pairs; `what` names the
-        /// construct in the error message.
-        ///
-        /// # Errors
-        ///
-        /// Fails if the value is not an object.
-        pub fn as_object(&self, what: &str) -> Result<&Vec<(String, Value)>, String> {
-            match self {
-                Value::Object(fields) => Ok(fields),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-
-        /// The value as an array's items.
-        ///
-        /// # Errors
-        ///
-        /// Fails if the value is not an array.
-        pub fn as_array(&self, what: &str) -> Result<&Vec<Value>, String> {
-            match self {
-                Value::Array(items) => Ok(items),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-
-        /// The value as an `f64`.
-        ///
-        /// # Errors
-        ///
-        /// Fails if the value is not a parseable number.
-        pub fn as_f64(&self, what: &str) -> Result<f64, String> {
-            match self {
-                Value::Number(text) => {
-                    text.parse().map_err(|_| format!("{what}: bad number {text:?}"))
-                }
-                other => Err(format!("{what}: expected number, got {other:?}")),
-            }
-        }
-
-        /// The value as a `u64`, kept exact (no round-trip through
-        /// `f64`, whose mantissa only has 53 bits).
-        ///
-        /// # Errors
-        ///
-        /// Fails if the value is not an unsigned integer literal.
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Number(text) => text
-                    .parse()
-                    .map_err(|_| format!("{what}: expected unsigned integer, got {text:?}")),
-                other => Err(format!("{what}: expected number, got {other:?}")),
-            }
-        }
-    }
-
-    /// Parses one JSON document (of the exporter subset) into a
-    /// [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description of the first malformed construct.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                match b {
-                    b'"' => {
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?
-                            .to_string();
-                        self.pos += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => {
-                        return Err(format!("escape sequences unsupported at byte {}", self.pos))
-                    }
-                    _ => self.pos += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while self.peek().is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                self.pos += 1;
-            }
-            let text =
-                std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-            // Validate now so malformed numbers fail at parse time even if
-            // the field is never read.
-            text.parse::<f64>().map_err(|_| format!("bad number {text:?}"))?;
-            Ok(Value::Number(text.to_string()))
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
     }
 }
 

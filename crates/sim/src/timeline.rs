@@ -1,6 +1,6 @@
 //! Fixed-interval sample timelines: the one recorder behind the audit
-//! checkpoints and the topology snapshots, and the JSON envelope both of
-//! their artifacts share.
+//! checkpoints and the topology snapshots, and the artifact both
+//! serialize to.
 //!
 //! A [`Timeline`] holds a sampling interval, the next due time, free-form
 //! run metadata and the samples recorded so far. A world keeps an
@@ -8,32 +8,51 @@
 //! builds and records a sample only when one is due: detached, the check
 //! is a single branch on the `Option` and no sample is ever built.
 //!
-//! Serialized, a timeline is `{"meta":{…},"interval_us":N,"<items>":[…]}`
-//! with one item per line. The envelope codec lives here; each artifact
-//! ([`AuditArtifact`](crate::audit::AuditArtifact),
-//! [`TopoArtifact`](crate::topo::TopoArtifact)) supplies only its
-//! per-item writer and parser.
+//! The timeline is its own artifact: [`Timeline::to_json`] writes
+//! `{"meta":{…},"interval_us":N,"<items>":[…]}` with one item per line
+//! (the shared [`json::write_envelope`] layout) and
+//! [`Timeline::from_json`] reads it back. Each sample type supplies only
+//! its item key, writer and parser through [`Sample`];
+//! [`AuditArtifact`](crate::audit::AuditArtifact) and
+//! [`TopoArtifact`](crate::topo::TopoArtifact) name the two timelines.
 
-use crate::telemetry::json;
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// A timeline item, stamped with the simulation time it was taken at.
-pub trait Sample {
+/// A timeline item, stamped with the simulation time it was taken at,
+/// and its artifact encoding.
+pub trait Sample: Sized {
+    /// The artifact key of the item array (`"checkpoints"`, …).
+    const ITEMS: &'static str;
+
     /// When the sample was taken; the next one falls due an interval
     /// later.
     fn at(&self) -> SimTime;
+
+    /// Appends the sample's single-line JSON object to `out`.
+    fn write_item(&self, out: &mut String);
+
+    /// Decodes one item written by [`Sample::write_item`].
+    ///
+    /// # Errors
+    ///
+    /// Fails with a description of the first malformed or inconsistent
+    /// construct.
+    fn parse_item(value: &json::Value) -> Result<Self, String>;
 }
 
 /// Collects samples at a fixed sim-time interval, plus free-form run
 /// metadata (seed, scenario, attack setup…).
-#[derive(Debug)]
+///
+/// Two timelines from identically-seeded runs are equal and serialize
+/// byte-identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline<T> {
     interval: SimDuration,
     next_due: SimTime,
-    meta: BTreeMap<String, String>,
+    meta: json::Meta,
     samples: Vec<T>,
 }
 
@@ -56,7 +75,7 @@ impl<T: Sample> Timeline<T> {
     #[must_use]
     pub fn new(interval: SimDuration) -> Self {
         assert!(interval > SimDuration::ZERO, "timeline interval must be positive");
-        Timeline { interval, next_due: SimTime::ZERO, meta: BTreeMap::new(), samples: Vec::new() }
+        Timeline { interval, next_due: SimTime::ZERO, meta: json::Meta::new(), samples: Vec::new() }
     }
 
     /// The sampling interval.
@@ -72,17 +91,12 @@ impl<T: Sample> Timeline<T> {
     /// Panics if the key or value contains `"` or `\` — the artifact
     /// encoding is escape-free.
     pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        assert!(
-            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
-            "timeline metadata must not contain quotes or backslashes"
-        );
-        self.meta.insert(key.to_string(), value);
+        json::set_meta(&mut self.meta, key, value.into());
     }
 
     /// The run metadata, sorted by key.
     #[must_use]
-    pub fn meta(&self) -> &BTreeMap<String, String> {
+    pub fn meta(&self) -> &json::Meta {
         &self.meta
     }
 
@@ -103,75 +117,35 @@ impl<T: Sample> Timeline<T> {
     pub fn samples(&self) -> &[T] {
         &self.samples
     }
-}
 
-/// Renders the artifact envelope: sorted metadata, the interval, and the
-/// `key` array with one item per line, each written by `write_item`.
-pub(crate) fn write_envelope<T>(
-    meta: &BTreeMap<String, String>,
-    interval: SimDuration,
-    key: &str,
-    items: &[T],
-    write_item: impl Fn(&mut String, &T),
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"meta\":{");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// Renders the timeline as its artifact: sorted metadata, the
+    /// interval and one sample per line, so the timeline greps well.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let header = [("interval_us", self.interval.as_micros().to_string())];
+        json::write_envelope(&self.meta, &header, T::ITEMS, &self.samples, |out, s| {
+            s.write_item(out);
+        })
+    }
+
+    /// Parses an artifact written by [`Timeline::to_json`]. The next
+    /// due time is the last sample's time plus the interval (zero when
+    /// empty), so the result equals the recorder it was written from.
+    ///
+    /// # Errors
+    ///
+    /// Fails with a description of the first malformed construct,
+    /// including any item [`Sample::parse_item`] rejects.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let env = json::read_envelope(text, &["interval_us"], T::ITEMS, T::parse_item)?;
+        let interval =
+            SimDuration::from_micros(env.root.get("interval_us")?.as_u64("interval_us")?);
+        if interval == SimDuration::ZERO {
+            return Err("interval_us must be positive".into());
         }
-        let _ = write!(out, "\"{k}\":\"{v}\"");
+        let next_due = env.items.last().map_or(SimTime::ZERO, |s| s.at() + interval);
+        Ok(Timeline { interval, next_due, meta: env.meta, samples: env.items })
     }
-    let _ = write!(out, "}},\"interval_us\":{},\"{key}\":[", interval.as_micros());
-    for (i, item) in items.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        write_item(&mut out, item);
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// The parts of a parsed envelope: metadata, interval and items.
-pub(crate) type Envelope<T> = (BTreeMap<String, String>, SimDuration, Vec<T>);
-
-/// Parses an envelope written by [`write_envelope`] with the same `key`,
-/// decoding each item with `parse_item`.
-pub(crate) fn read_envelope<T>(
-    text: &str,
-    key: &str,
-    parse_item: impl Fn(&json::Value) -> Result<T, String>,
-) -> Result<Envelope<T>, String> {
-    let root = json::parse(text)?;
-    let mut meta = BTreeMap::new();
-    let mut interval = None;
-    let mut items = Vec::new();
-    for (k, value) in root.as_object("top level")? {
-        match k.as_str() {
-            "meta" => {
-                for (mk, v) in value.as_object("meta")? {
-                    match v {
-                        json::Value::String(s) => {
-                            meta.insert(mk.clone(), s.clone());
-                        }
-                        other => {
-                            return Err(format!("meta {mk:?}: expected string, got {other:?}"))
-                        }
-                    }
-                }
-            }
-            "interval_us" => {
-                interval = Some(SimDuration::from_micros(value.as_u64("interval_us")?));
-            }
-            k if k == key => {
-                for entry in value.as_array(key)? {
-                    items.push(parse_item(entry)?);
-                }
-            }
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-    }
-    let interval = interval.ok_or("missing interval_us")?;
-    Ok((meta, interval, items))
 }
 
 #[cfg(test)]
@@ -182,8 +156,18 @@ mod tests {
     struct Tick(SimTime);
 
     impl Sample for Tick {
+        const ITEMS: &'static str = "ticks";
+
         fn at(&self) -> SimTime {
             self.0
+        }
+
+        fn write_item(&self, out: &mut String) {
+            out.push_str(&self.0.as_micros().to_string());
+        }
+
+        fn parse_item(value: &json::Value) -> Result<Self, String> {
+            Ok(Tick(SimTime::from_micros(value.as_u64("tick")?)))
         }
     }
 
@@ -212,22 +196,26 @@ mod tests {
     }
 
     #[test]
-    fn envelope_round_trips() {
-        let mut meta = BTreeMap::new();
-        meta.insert("seed".to_string(), "42".to_string());
-        meta.insert("attacked".to_string(), "true".to_string());
-        let ticks = [3u64, 5];
-        let text = write_envelope(&meta, SimDuration::from_secs(2), "ticks", &ticks, |out, t| {
-            out.push_str(&t.to_string());
-        });
+    fn timeline_round_trips_to_an_equal_recorder() {
+        let mut rec = Timeline::new(SimDuration::from_secs(2));
+        rec.set_meta("seed", "42");
+        rec.set_meta("attacked", "true");
+        let empty = Timeline::<Tick>::from_json(&rec.to_json()).unwrap();
+        assert_eq!(empty, rec);
+        rec.record(Tick(SimTime::from_micros(3)));
+        rec.record(Tick(SimTime::from_secs(2)));
+        let text = rec.to_json();
         assert_eq!(
             text,
             "{\"meta\":{\"attacked\":\"true\",\"seed\":\"42\"},\"interval_us\":2000000,\
-             \"ticks\":[\n3,\n5\n]}\n"
+             \"ticks\":[\n3,\n2000000\n]}\n"
         );
-        let (m, interval, items) = read_envelope(&text, "ticks", |v| v.as_u64("tick")).unwrap();
-        assert_eq!((m, interval, items), (meta, SimDuration::from_secs(2), ticks.to_vec()));
-        let err = read_envelope(&text, "snapshots", |v| v.as_u64("tick")).unwrap_err();
-        assert!(err.contains("unknown top-level key \"ticks\""), "got: {err}");
+        let back = Timeline::<Tick>::from_json(&text).unwrap();
+        assert_eq!(back, rec);
+        assert!(!back.due(SimTime::from_millis(3_999)) && back.due(SimTime::from_secs(4)));
+        let zero = text.replace("2000000,", "0,");
+        assert!(Timeline::<Tick>::from_json(&zero).unwrap_err().contains("positive"));
+        let renamed = text.replace("ticks", "tocks");
+        assert!(Timeline::<Tick>::from_json(&renamed).unwrap_err().contains("unknown top-level"));
     }
 }

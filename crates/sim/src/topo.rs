@@ -28,12 +28,13 @@
 //!   recorder attached the per-step check is a single branch and no
 //!   graph is ever built.
 //!
-//! * **Artifacts.** The timeline serializes to a `.topo.json` artifact
-//!   ([`TopoArtifact`], same hand-rolled JSON discipline as the trace,
-//!   telemetry and audit modules) whose parser *recomputes* every
-//!   derived analytic from the serialized node set and rejects
-//!   artifacts whose claimed analytics disagree — the same
-//!   trust-but-verify stance as the audit checkpoints. Snapshots also
+//! * **Artifacts.** The timeline is itself the `.topo.json` artifact
+//!   ([`TopoArtifact`] names `Timeline<TopoSnapshot>`; encoded through
+//!   [`crate::json`] like every other artifact). Its parser
+//!   *recomputes* every derived analytic from the serialized node set
+//!   and rejects snapshots whose claimed analytics differ or are
+//!   missing — the same trust-but-verify stance as the audit
+//!   checkpoints. Snapshots also
 //!   render as Graphviz DOT via [`TopoSnapshot::to_dot`].
 //!
 //! # Example
@@ -53,13 +54,9 @@
 //! assert_eq!(topo.borrow().samples().len(), 1);
 //! ```
 
-use crate::telemetry::json;
+use crate::json::{self, float};
 use crate::time::{SimDuration, SimTime};
-use crate::timeline::{
-    read_envelope, shared_timeline, write_envelope, Sample, SharedTimeline, Timeline,
-};
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::timeline::{shared_timeline, Sample, SharedTimeline, Timeline};
 
 // ---------------------------------------------------------------------
 // Nodes and gradient health
@@ -361,10 +358,10 @@ impl TopoSnapshot {
             "  label=\"t={}us partitions={} largest={}\";",
             self.at.as_micros(),
             self.partitions,
-            format_f64(self.largest_fraction)
+            float(self.largest_fraction)
         );
         for n in &self.nodes {
-            let mut attrs = format!("pos=\"{},{}!\"", format_f64(n.x), format_f64(n.y));
+            let mut attrs = format!("pos=\"{},{}!\"", float(n.x), float(n.y));
             if n.attacker {
                 attrs.push_str(",shape=box,color=red");
             } else if self.articulation.contains(&n.id) {
@@ -452,8 +449,106 @@ fn articulation_and_bridges(nodes: &[TopoNode], adj: &[Vec<usize>]) -> (Vec<u32>
 // ---------------------------------------------------------------------
 
 impl Sample for TopoSnapshot {
+    const ITEMS: &'static str = "snapshots";
+
     fn at(&self) -> SimTime {
         self.at
+    }
+
+    fn write_item(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{{\"t_us\":{},\"dest\":", self.at.as_micros());
+        match self.dest {
+            Some((x, y)) => {
+                let _ = write!(out, "[{},{}]", float(x), float(y));
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"nodes\":[");
+        for (i, n) in self.nodes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"id\":{},\"x\":{},\"y\":{},\"range\":{},\"attacker\":{},\"grad\":\"{}\"}}",
+                n.id,
+                float(n.x),
+                float(n.y),
+                float(n.range),
+                n.attacker,
+                n.gradient.name()
+            );
+        }
+        out.push_str("],\"derived\":");
+        self.write_derived(out);
+        out.push('}');
+    }
+
+    /// Decodes one snapshot from its `t_us`, `dest` and `nodes`,
+    /// rebuilds every analytic from the node set and requires the
+    /// claimed `derived` object to equal the rebuilt one's encoding
+    /// (trust but verify, like the audit checkpoints' combined hashes).
+    fn parse_item(value: &json::Value) -> Result<Self, String> {
+        value.only_keys("snapshot", &["t_us", "dest", "nodes", "derived"])?;
+        let at = SimTime::from_micros(value.get("t_us")?.as_u64("t_us")?);
+        let dest = match value.get("dest")? {
+            json::Value::Null => None,
+            pair => match pair.as_array("dest")? {
+                [x, y] => Some((x.as_f64("dest x")?, y.as_f64("dest y")?)),
+                _ => return Err("dest is not an [x,y] pair".into()),
+            },
+        };
+        let nodes = value.get("nodes")?.as_array("nodes")?.iter().map(parse_node);
+        let rebuilt = TopoSnapshot::build(at, dest, nodes.collect::<Result<_, _>>()?);
+        let claimed = value.get("derived")?;
+        let mut encoded = String::new();
+        rebuilt.write_derived(&mut encoded);
+        let actual = json::parse(&encoded)?;
+        if claimed != &actual {
+            let keys = actual.as_object("derived")?.iter().chain(claimed.as_object("derived")?);
+            let key = keys.map(|(k, _)| k).find(|k| claimed.field(k) != actual.field(k));
+            return Err(format!(
+                "snapshot at {} µs: derived {} does not match the recomputed analytics",
+                at.as_micros(),
+                key.map_or("key order".to_string(), |k| format!("{k:?}"))
+            ));
+        }
+        Ok(rebuilt)
+    }
+}
+
+impl TopoSnapshot {
+    /// Appends the derived analytics as one JSON object.
+    fn write_derived(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "{{\"partitions\":{},\"largest_fraction\":{},\"articulation\":",
+            self.partitions,
+            float(self.largest_fraction)
+        );
+        write_id_list(out, &self.articulation);
+        out.push_str(",\"bridges\":[");
+        for (i, &(a, b)) in self.bridges.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "[{a},{b}]");
+        }
+        out.push_str("],\"local_max\":");
+        write_id_list(out, &self.local_max);
+        out.push_str(",\"coverage\":[");
+        for (i, c) in self.coverage.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ =
+                write!(out, "{{\"id\":{},\"fraction\":{},\"covered\":", c.id, float(c.fraction));
+            write_id_list(out, &c.covered);
+            out.push('}');
+        }
+        out.push_str("]}");
     }
 }
 
@@ -466,113 +561,12 @@ pub fn shared_topo(interval: SimDuration) -> SharedTopo {
     shared_timeline(interval)
 }
 
-impl Timeline<TopoSnapshot> {
-    /// Snapshots the timeline into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> TopoArtifact {
-        TopoArtifact {
-            meta: self.meta().clone(),
-            interval: self.interval(),
-            snapshots: self.samples().to_vec(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The .topo.json artifact
-// ---------------------------------------------------------------------
-
-/// A serialized snapshot timeline: run metadata, sampling interval and
-/// the snapshot sequence. Two artifacts from identically-seeded runs
-/// are byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopoArtifact {
-    /// Free-form run metadata (seed, scenario, attacked, …).
-    pub meta: BTreeMap<String, String>,
-    /// The sampling interval the timeline was recorded at.
-    pub interval: SimDuration,
-    /// The snapshot timeline, in sampling order.
-    pub snapshots: Vec<TopoSnapshot>,
-}
-
-impl TopoArtifact {
-    /// Renders the artifact as JSON (one snapshot per line, so the
-    /// timeline greps well). Deterministic: metadata is sorted, floats
-    /// use the shortest round-tripping representation.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        write_envelope(&self.meta, self.interval, "snapshots", &self.snapshots, write_snapshot)
-    }
-
-    /// Parses an artifact previously produced by
-    /// [`TopoArtifact::to_json`], *recomputing* every derived analytic
-    /// from each snapshot's node set and rejecting snapshots whose
-    /// claimed analytics disagree (trust but verify, like the audit
-    /// artifact's combined hashes).
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description of the first malformed or inconsistent
-    /// construct.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let (meta, interval, snapshots) = read_envelope(text, "snapshots", parse_snapshot)?;
-        Ok(TopoArtifact { meta, interval, snapshots })
-    }
-}
-
-fn write_snapshot(out: &mut String, s: &TopoSnapshot) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{\"t_us\":{},\"dest\":", s.at.as_micros());
-    match s.dest {
-        Some((x, y)) => {
-            let _ = write!(out, "[{},{}]", format_f64(x), format_f64(y));
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"nodes\":[");
-    for (i, n) in s.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"x\":{},\"y\":{},\"range\":{},\"attacker\":{},\"grad\":\"{}\"}}",
-            n.id,
-            format_f64(n.x),
-            format_f64(n.y),
-            format_f64(n.range),
-            n.attacker,
-            n.gradient.name()
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"derived\":{{\"partitions\":{},\"largest_fraction\":{},\"articulation\":",
-        s.partitions,
-        format_f64(s.largest_fraction)
-    );
-    write_id_list(out, &s.articulation);
-    out.push_str(",\"bridges\":[");
-    for (i, &(a, b)) in s.bridges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{a},{b}]");
-    }
-    out.push_str("],\"local_max\":");
-    write_id_list(out, &s.local_max);
-    out.push_str(",\"coverage\":[");
-    for (i, c) in s.coverage.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ =
-            write!(out, "{{\"id\":{},\"fraction\":{},\"covered\":", c.id, format_f64(c.fraction));
-        write_id_list(out, &c.covered);
-        out.push('}');
-    }
-    out.push_str("]}}");
-}
+/// A snapshot timeline is its own `.topo.json` artifact: run metadata,
+/// sampling interval and the snapshot sequence, written by
+/// [`Timeline::to_json`]. Parsing recomputes every derived analytic
+/// from each snapshot's node set and rejects snapshots whose claimed
+/// analytics differ or are missing.
+pub type TopoArtifact = Timeline<TopoSnapshot>;
 
 fn write_id_list(out: &mut String, ids: &[u32]) {
     use std::fmt::Write as _;
@@ -586,185 +580,18 @@ fn write_id_list(out: &mut String, ids: &[u32]) {
     out.push(']');
 }
 
-fn parse_id_list(value: &json::Value, what: &str) -> Result<Vec<u32>, String> {
-    let mut out = Vec::new();
-    for v in value.as_array(what)? {
-        out.push(u32::try_from(v.as_u64(what)?).map_err(|_| format!("{what}: id too large"))?);
-    }
-    Ok(out)
-}
-
-fn parse_snapshot(value: &json::Value) -> Result<TopoSnapshot, String> {
-    let fields = value.as_object("snapshot")?;
-    let mut at = None;
-    let mut dest = None;
-    let mut nodes = Vec::new();
-    let mut derived = None;
-    for (k, v) in fields {
-        match k.as_str() {
-            "t_us" => at = Some(SimTime::from_micros(v.as_u64("t_us")?)),
-            "dest" => {
-                dest = match v {
-                    json::Value::Null => None,
-                    other => {
-                        let pair = other.as_array("dest")?;
-                        if pair.len() != 2 {
-                            return Err("dest is not an [x,y] pair".into());
-                        }
-                        Some((pair[0].as_f64("dest x")?, pair[1].as_f64("dest y")?))
-                    }
-                };
-            }
-            "nodes" => {
-                for entry in v.as_array("nodes")? {
-                    nodes.push(parse_node(entry)?);
-                }
-            }
-            "derived" => derived = Some(v),
-            other => return Err(format!("unknown snapshot field {other:?}")),
-        }
-    }
-    let at = at.ok_or("snapshot missing t_us")?;
-    let derived = derived.ok_or("snapshot missing derived")?;
-    // Trust but verify: recompute every analytic from the node set and
-    // compare with the artifact's claims.
-    let rebuilt = TopoSnapshot::build(at, dest, nodes);
-    verify_derived(&rebuilt, derived)?;
-    Ok(rebuilt)
-}
-
 fn parse_node(value: &json::Value) -> Result<TopoNode, String> {
-    let fields = value.as_object("node")?;
-    let (mut id, mut x, mut y, mut range) = (None, None, None, None);
-    let mut attacker = false;
-    let mut gradient = GradientHealth::Unknown;
-    for (k, v) in fields {
-        match k.as_str() {
-            "id" => {
-                id = Some(u32::try_from(v.as_u64("node id")?).map_err(|_| "node id too large")?);
-            }
-            "x" => x = Some(v.as_f64("node x")?),
-            "y" => y = Some(v.as_f64("node y")?),
-            "range" => range = Some(v.as_f64("node range")?),
-            "attacker" => {
-                attacker = match v {
-                    json::Value::Bool(b) => *b,
-                    other => return Err(format!("attacker: expected bool, got {other:?}")),
-                };
-            }
-            "grad" => {
-                gradient = match v {
-                    json::Value::String(s) => GradientHealth::from_name(s)
-                        .ok_or_else(|| format!("unknown gradient {s:?}"))?,
-                    other => return Err(format!("grad: expected string, got {other:?}")),
-                };
-            }
-            other => return Err(format!("unknown node field {other:?}")),
-        }
-    }
+    value.only_keys("node", &["id", "x", "y", "range", "attacker", "grad"])?;
+    let grad = value.get("grad")?.as_str("grad")?;
     Ok(TopoNode {
-        id: id.ok_or("node missing id")?,
-        x: x.ok_or("node missing x")?,
-        y: y.ok_or("node missing y")?,
-        range: range.ok_or("node missing range")?,
-        attacker,
-        gradient,
+        id: value.get("id")?.as_int("node id")?,
+        x: value.get("x")?.as_f64("node x")?,
+        y: value.get("y")?.as_f64("node y")?,
+        range: value.get("range")?.as_f64("node range")?,
+        attacker: value.get("attacker")?.as_bool("attacker")?,
+        gradient: GradientHealth::from_name(grad)
+            .ok_or_else(|| format!("unknown gradient {grad:?}"))?,
     })
-}
-
-fn verify_derived(rebuilt: &TopoSnapshot, derived: &json::Value) -> Result<(), String> {
-    let t = rebuilt.at.as_micros();
-    let mismatch = |what: &str, claimed: &dyn fmt::Debug, actual: &dyn fmt::Debug| {
-        Err(format!(
-            "snapshot at {t} µs: derived {what} {claimed:?} does not match recomputed {actual:?}"
-        ))
-    };
-    for (k, v) in derived.as_object("derived")? {
-        match k.as_str() {
-            "partitions" => {
-                let claimed = v.as_u64("partitions")? as usize;
-                if claimed != rebuilt.partitions {
-                    return mismatch("partitions", &claimed, &rebuilt.partitions);
-                }
-            }
-            "largest_fraction" => {
-                let claimed = v.as_f64("largest_fraction")?;
-                if claimed != rebuilt.largest_fraction {
-                    return mismatch("largest_fraction", &claimed, &rebuilt.largest_fraction);
-                }
-            }
-            "articulation" => {
-                let claimed = parse_id_list(v, "articulation")?;
-                if claimed != rebuilt.articulation {
-                    return mismatch("articulation", &claimed, &rebuilt.articulation);
-                }
-            }
-            "bridges" => {
-                let mut claimed = Vec::new();
-                for pair in v.as_array("bridges")? {
-                    let pair = pair.as_array("bridge")?;
-                    if pair.len() != 2 {
-                        return Err("bridge is not a pair".into());
-                    }
-                    claimed.push((
-                        u32::try_from(pair[0].as_u64("bridge a")?)
-                            .map_err(|_| "bridge id too large")?,
-                        u32::try_from(pair[1].as_u64("bridge b")?)
-                            .map_err(|_| "bridge id too large")?,
-                    ));
-                }
-                if claimed != rebuilt.bridges {
-                    return mismatch("bridges", &claimed, &rebuilt.bridges);
-                }
-            }
-            "local_max" => {
-                let claimed = parse_id_list(v, "local_max")?;
-                if claimed != rebuilt.local_max {
-                    return mismatch("local_max", &claimed, &rebuilt.local_max);
-                }
-            }
-            "coverage" => {
-                let mut claimed = Vec::new();
-                for entry in v.as_array("coverage")? {
-                    let (mut id, mut fraction, mut covered) = (None, None, None);
-                    for (ck, cv) in entry.as_object("coverage entry")? {
-                        match ck.as_str() {
-                            "id" => {
-                                id = Some(
-                                    u32::try_from(cv.as_u64("coverage id")?)
-                                        .map_err(|_| "coverage id too large")?,
-                                );
-                            }
-                            "fraction" => fraction = Some(cv.as_f64("coverage fraction")?),
-                            "covered" => covered = Some(parse_id_list(cv, "covered")?),
-                            other => {
-                                return Err(format!("unknown coverage field {other:?}"));
-                            }
-                        }
-                    }
-                    claimed.push(AttackerCoverage {
-                        id: id.ok_or("coverage missing id")?,
-                        covered: covered.ok_or("coverage missing covered")?,
-                        fraction: fraction.ok_or("coverage missing fraction")?,
-                    });
-                }
-                if claimed != rebuilt.coverage {
-                    return mismatch("coverage", &claimed, &rebuilt.coverage);
-                }
-            }
-            other => return Err(format!("unknown derived field {other:?}")),
-        }
-    }
-    Ok(())
-}
-
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace and telemetry modules' formatting).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "topology values must be finite: {x}");
-    let s = format!("{x:?}");
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
 }
 
 #[cfg(test)]
@@ -894,7 +721,7 @@ mod tests {
             Some((4020.0, 0.0)),
             vec![road(0, 30.0), road(1, 130.0).with_gradient(GradientHealth::Healthy)],
         ));
-        rec.to_artifact()
+        rec
     }
 
     #[test]
@@ -928,12 +755,27 @@ mod tests {
     fn gradient_classification_survives_the_artifact() {
         let text = artifact().to_json();
         let parsed = TopoArtifact::from_json(&text).expect("parses");
-        assert_eq!(parsed.snapshots[0].nodes_with_gradient(GradientHealth::Poisoned), vec![2]);
+        assert_eq!(parsed.samples()[0].nodes_with_gradient(GradientHealth::Poisoned), vec![2]);
+    }
+
+    #[test]
+    fn artifact_rejects_missing_derived_fields() {
+        let text = artifact().to_json();
+        let first = text.find("\"derived\":{").expect("fixture has derived analytics");
+        let end = first + text[first..].find("]}}").expect("derived ends the snapshot") + 2;
+        let emptied = format!("{}\"derived\":{{}}{}", &text[..first], &text[end..]);
+        let err = TopoArtifact::from_json(&emptied).unwrap_err();
+        assert!(err.contains("does not match"), "got: {err}");
+        let no_articulation = text.replacen("\"articulation\":[1],", "", 1);
+        assert_ne!(no_articulation, text, "fixture lost its articulation point");
+        let err = TopoArtifact::from_json(&no_articulation).unwrap_err();
+        assert!(err.contains("derived \"articulation\" does not match"), "got: {err}");
     }
 
     #[test]
     fn dot_export_is_deterministic_and_complete() {
-        let s = &artifact().snapshots[0];
+        let a = artifact();
+        let s = &a.samples()[0];
         let dot = s.to_dot();
         assert_eq!(dot, s.to_dot());
         assert!(dot.starts_with("graph topo {"));

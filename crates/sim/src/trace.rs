@@ -13,8 +13,8 @@
 //!   router's public statistics are derived from the same events.
 //! * [`JsonlSink`] — one JSON object per line (simulation timestamp, node
 //!   id, event payload), hand-encoded so it works offline without a real
-//!   serde backend, and parseable back into [`TraceRecord`]s for
-//!   post-mortem forensics.
+//!   serde backend, and parseable back into [`TraceRecord`]s through the
+//!   shared [`json`] codec for post-mortem forensics.
 //! * [`VecSink`] — an in-memory record buffer for tests and the
 //!   forensic reconstruction in `geonet-scenarios`.
 //!
@@ -23,6 +23,7 @@
 //! number), peers by their raw address bits, so the bottom-of-the-stack
 //! `geonet-sim` crate needs no knowledge of the wire types above it.
 
+use crate::json;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -467,7 +468,7 @@ impl TraceRecord {
             }
             TraceEvent::HazardOnset { x } | TraceEvent::Collision { x } => {
                 s.push_str(",\"x\":");
-                s.push_str(&format_f64(*x));
+                s.push_str(&json::float(*x));
             }
         }
         s.push('}');
@@ -480,176 +481,82 @@ impl TraceRecord {
     ///
     /// Returns a description of the first syntactic or semantic problem.
     pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let num = |key: &str| -> Result<u64, String> {
-            match get(key) {
-                Some(JsonValue::Number(n)) => {
-                    n.parse::<u64>().map_err(|_| format!("field {key:?} is not a u64: {n:?}"))
-                }
-                Some(v) => Err(format!("field {key:?} is not an integer: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
+        let r = json::parse(line)?;
+        let packet = || -> Result<PacketRef, String> {
+            Ok(PacketRef::new(r.get("src")?.as_u64("src")?, r.get("sn")?.as_int("sn")?))
         };
-        let opt_num = |key: &str| -> Result<Option<u64>, String> {
-            match get(key) {
-                None => Ok(None),
-                Some(_) => num(key).map(Some),
-            }
-        };
-        let string = |key: &str| -> Result<&str, String> {
-            match get(key) {
-                Some(JsonValue::String(v)) => Ok(v),
-                Some(v) => Err(format!("field {key:?} is not a string: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key) {
-                Some(JsonValue::Bool(b)) => Ok(*b),
-                Some(v) => Err(format!("field {key:?} is not a bool: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let float = |key: &str| -> Result<f64, String> {
-            match get(key) {
-                Some(JsonValue::Number(n)) => {
-                    n.parse::<f64>().map_err(|_| format!("field {key:?} is not a number: {n:?}"))
-                }
-                Some(v) => Err(format!("field {key:?} is not a number: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let packet =
-            || -> Result<PacketRef, String> { Ok(PacketRef::new(num("src")?, num("sn")? as u16)) };
-        let opt_packet = || -> Result<Option<PacketRef>, String> {
-            if get("src").is_some() {
-                packet().map(Some)
-            } else {
-                Ok(None)
-            }
-        };
+        let opt_packet = || r.field("src").map(|_| packet()).transpose();
 
-        let at = SimTime::from_micros(num("t_us")?);
-        let node = num("node")? as u32;
-        let ev = string("ev")?;
-        let event = match ev {
+        let at = SimTime::from_micros(r.get("t_us")?.as_u64("t_us")?);
+        let node = r.get("node")?.as_int("node")?;
+        let event = match r.get("ev")?.as_str("ev")? {
             "originated" => TraceEvent::Originated { packet: packet()? },
-            "beacon_accepted" => TraceEvent::BeaconAccepted { from: num("from")? },
+            "beacon_accepted" => {
+                TraceEvent::BeaconAccepted { from: r.get("from")?.as_u64("from")? }
+            }
             "frame_tx" => TraceEvent::FrameTx {
                 packet: opt_packet()?,
-                dst: opt_num("dst")?,
-                beacon: boolean("beacon")?,
+                dst: r.field("dst").map(|d| d.as_u64("dst")).transpose()?,
+                beacon: r.get("beacon")?.as_bool("beacon")?,
             },
             "frame_rx" => TraceEvent::FrameRx {
                 packet: opt_packet()?,
-                from: num("from")?,
-                beacon: boolean("beacon")?,
+                from: r.get("from")?.as_u64("from")?,
+                beacon: r.get("beacon")?.as_bool("beacon")?,
             },
-            "frame_lost" => TraceEvent::FrameLost { packet: opt_packet()?, from: num("from")? },
+            "frame_lost" => TraceEvent::FrameLost {
+                packet: opt_packet()?,
+                from: r.get("from")?.as_u64("from")?,
+            },
             "delivered" => TraceEvent::Delivered { packet: packet()? },
             "duplicate_discarded" => TraceEvent::DuplicateDiscarded { packet: packet()? },
-            "cbf_armed" => TraceEvent::CbfArmed { packet: packet()?, delay_us: num("delay_us")? },
-            "cbf_cancelled" => TraceEvent::CbfCancelled { packet: packet()?, by: num("by")? },
-            "cbf_fired" => TraceEvent::CbfFired { packet: packet()? },
-            "cbf_mitigation_rejected" => {
-                TraceEvent::CbfMitigationRejected { packet: packet()?, by: num("by")? }
-            }
-            "gf_next_hop" => {
-                TraceEvent::GfNextHop { packet: packet()?, next_hop: num("next_hop")? }
-            }
-            "gf_fallback" => TraceEvent::GfFallback { packet: packet()? },
-            "gf_buffered" => {
-                TraceEvent::GfBuffered { packet: packet()?, attempt: num("attempt")? as u32 }
-            }
-            "gf_ack_retry" => {
-                TraceEvent::GfAckRetry { packet: packet()?, attempt: num("attempt")? as u32 }
-            }
-            "dropped" => TraceEvent::Dropped {
+            "cbf_armed" => TraceEvent::CbfArmed {
                 packet: packet()?,
-                reason: DropReason::from_name(string("reason")?)
-                    .ok_or_else(|| format!("unknown drop reason {:?}", string("reason")))?,
+                delay_us: r.get("delay_us")?.as_u64("delay_us")?,
             },
-            "attack_action" => TraceEvent::AttackAction {
-                kind: AttackKind::from_name(string("kind")?)
-                    .ok_or_else(|| format!("unknown attack kind {:?}", string("kind")))?,
-                packet: opt_packet()?,
+            "cbf_cancelled" => {
+                TraceEvent::CbfCancelled { packet: packet()?, by: r.get("by")?.as_u64("by")? }
+            }
+            "cbf_fired" => TraceEvent::CbfFired { packet: packet()? },
+            "cbf_mitigation_rejected" => TraceEvent::CbfMitigationRejected {
+                packet: packet()?,
+                by: r.get("by")?.as_u64("by")?,
             },
-            "hazard_onset" => TraceEvent::HazardOnset { x: float("x")? },
-            "collision" => TraceEvent::Collision { x: float("x")? },
+            "gf_next_hop" => TraceEvent::GfNextHop {
+                packet: packet()?,
+                next_hop: r.get("next_hop")?.as_u64("next_hop")?,
+            },
+            "gf_fallback" => TraceEvent::GfFallback { packet: packet()? },
+            "gf_buffered" => TraceEvent::GfBuffered {
+                packet: packet()?,
+                attempt: r.get("attempt")?.as_int("attempt")?,
+            },
+            "gf_ack_retry" => TraceEvent::GfAckRetry {
+                packet: packet()?,
+                attempt: r.get("attempt")?.as_int("attempt")?,
+            },
+            "dropped" => {
+                let reason = r.get("reason")?.as_str("reason")?;
+                TraceEvent::Dropped {
+                    packet: packet()?,
+                    reason: DropReason::from_name(reason)
+                        .ok_or_else(|| format!("unknown drop reason {reason:?}"))?,
+                }
+            }
+            "attack_action" => {
+                let kind = r.get("kind")?.as_str("kind")?;
+                TraceEvent::AttackAction {
+                    kind: AttackKind::from_name(kind)
+                        .ok_or_else(|| format!("unknown attack kind {kind:?}"))?,
+                    packet: opt_packet()?,
+                }
+            }
+            "hazard_onset" => TraceEvent::HazardOnset { x: r.get("x")?.as_f64("x")? },
+            "collision" => TraceEvent::Collision { x: r.get("x")?.as_f64("x")? },
             other => return Err(format!("unknown event {other:?}")),
         };
         Ok(TraceRecord { at, node, event })
     }
-}
-
-/// Formats an `f64` so it round-trips exactly and is valid JSON.
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "trace coordinates must be finite: {x}");
-    let s = format!("{x:?}"); // shortest representation that round-trips
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    /// Kept as raw text: parsing through `f64` would silently truncate
-    /// u64 address bits above 2^53.
-    Number(String),
-    String(String),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object (no nesting) into key/value pairs.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line:?}"))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        let after_quote =
-            rest.strip_prefix('"').ok_or_else(|| format!("expected quoted key at {rest:?}"))?;
-        let end = after_quote.find('"').ok_or_else(|| format!("unterminated key at {rest:?}"))?;
-        let key = after_quote[..end].to_string();
-        rest = after_quote[end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-            .trim_start();
-        // Value: string, bool, or number.
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            let end =
-                after.find('"').ok_or_else(|| format!("unterminated string value for {key:?}"))?;
-            value = JsonValue::String(after[..end].to_string());
-            rest = &after[end + 1..];
-        } else if let Some(after) = rest.strip_prefix("true") {
-            value = JsonValue::Bool(true);
-            rest = after;
-        } else if let Some(after) = rest.strip_prefix("false") {
-            value = JsonValue::Bool(false);
-            rest = after;
-        } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            let _: f64 =
-                token.parse().map_err(|_| format!("bad number {token:?} for key {key:?}"))?;
-            value = JsonValue::Number(token.to_string());
-            rest = &rest[end..];
-        }
-        fields.push((key, value));
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("trailing garbage: {rest:?}"));
-        }
-    }
-    Ok(fields)
 }
 
 // ---------------------------------------------------------------------
@@ -873,20 +780,25 @@ impl TraceSink for CountingSink {
 }
 
 /// Streams records as JSON Lines to any [`Write`] target.
+///
+/// A trace is advisory output: a failed write never panics or aborts
+/// the run. The sink keeps the first I/O error, writes nothing after
+/// it, and [`JsonlSink::into_inner`] returns it.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps a writer. Callers owning file handles should pass a
     /// `BufWriter`; the sink writes one line per event.
     pub fn new(out: W) -> Self {
-        JsonlSink { out, lines: 0 }
+        JsonlSink { out, lines: 0, error: None }
     }
 
-    /// Number of lines written so far.
+    /// Number of lines written in full so far.
     #[must_use]
     pub fn lines(&self) -> u64 {
         self.lines
@@ -896,20 +808,25 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// # Errors
     ///
-    /// Propagates the flush failure.
+    /// Returns the first failed write, or else the flush failure.
     pub fn into_inner(mut self) -> std::io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
+        match self.error {
+            Some(e) => Err(e),
+            None => self.out.flush().map(|()| self.out),
+        }
     }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, at: SimTime, node: u32, event: &TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
         let record = TraceRecord { at, node, event: event.clone() };
-        // A full trace is advisory output; losing late lines to a broken
-        // pipe must not abort a deterministic simulation run.
-        let _ = writeln!(self.out, "{}", record.to_json());
-        self.lines += 1;
+        match writeln!(self.out, "{}", record.to_json()) {
+            Ok(()) => self.lines += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 }
 
@@ -1059,6 +976,8 @@ mod tests {
             r#"{"t_us":1,"node":0,"ev":"no_such_event"}"#,
             r#"{"t_us":1,"node":0,"ev":"dropped","src":1,"sn":2,"reason":"bogus"}"#,
             r#"{"t_us":-4,"node":0,"ev":"originated","src":1,"sn":2}"#,
+            r#"{"t_us":1,"node":4294967300,"ev":"originated","src":1,"sn":2}"#,
+            r#"{"t_us":1,"node":0,"ev":"originated","src":1,"sn":70000}"#,
         ] {
             assert!(TraceRecord::from_json(bad).is_err(), "accepted: {bad:?}");
         }
@@ -1137,6 +1056,40 @@ mod tests {
             text.lines().map(|l| TraceRecord::from_json(l).unwrap()).collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].event, TraceEvent::CbfCancelled { packet: p, by: 11 });
+    }
+
+    /// Accepts `budget` bytes, then fails every write.
+    #[derive(Debug)]
+    struct FullDisk {
+        budget: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_write_error() {
+        let event = TraceEvent::BeaconAccepted { from: 1 };
+        let line = TraceRecord { at: SimTime::ZERO, node: 0, event: event.clone() }.to_json();
+        let mut sink = JsonlSink::new(FullDisk { budget: line.len() + 1 + 3 });
+        for _ in 0..3 {
+            sink.record(SimTime::ZERO, 0, &event);
+        }
+        assert_eq!(sink.lines(), 1, "only the first line was written in full");
+        let err = sink.into_inner().expect_err("a failed write must surface");
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]
