@@ -11,6 +11,10 @@
 //! optional filter: candidates whose *advertised* position lies farther
 //! from the forwarder than a threshold (the expected communication range)
 //! are skipped, defeating the replayed-beacon poisoning.
+//!
+//! The location table iterates in no particular order, so the selection
+//! never depends on it: among neighbours at exactly the same distance the
+//! smaller address wins, by an explicit comparison.
 
 use crate::loct::LocationTable;
 use crate::types::GnAddress;
@@ -54,8 +58,8 @@ impl fmt::Display for GfDecision {
 ///   the forwarder are considered.
 ///
 /// Ties (two neighbours at exactly the same distance) break towards the
-/// smaller address, which is deterministic because the location table
-/// iterates in address order.
+/// smaller address, compared explicitly, so the result does not depend on
+/// the location table's iteration order.
 #[must_use]
 pub fn greedy_select(
     loct: &LocationTable,
@@ -96,7 +100,7 @@ pub fn greedy_select_excluding(
 ) -> GfDecision {
     let own_dist = own_position.distance(dest_center);
     let mut best: Option<(f64, GnAddress, Position)> = None;
-    for (&addr, entry) in loct.live_entries(now) {
+    for (addr, entry) in loct.live_entries(now) {
         if addr == own_addr || exclude.contains(&addr) {
             continue;
         }
@@ -110,7 +114,7 @@ pub fn greedy_select_excluding(
         let d = entry.position.distance(dest_center);
         let better = match &best {
             None => true,
-            Some((bd, _, _)) => d < *bd,
+            Some((bd, ba, _)) => d < *bd || (d == *bd && addr < *ba),
         };
         if better {
             best = Some((d, addr, entry.position));
@@ -268,6 +272,31 @@ mod tests {
         match select(&t, 0.0, 4_020.0, None) {
             GfDecision::NextHop { addr, .. } => assert_eq!(addr, GnAddress::vehicle(2)),
             other => panic!("expected v2, got {other}"),
+        }
+    }
+
+    #[test]
+    fn equal_distance_tie_breaks_to_smaller_address_in_any_insertion_order() {
+        // `hi` and `lo` sit 100 m either side of the destination at 400 m,
+        // inserted in descending address order; the third neighbour at
+        // 200 m is farther from it.
+        for (hi, lo, third) in [(7, 3, 5), (0x1000_0042, 0x1000_0041, 0x1000_0001), (900, 2, 450)] {
+            let t = table_with(&[(hi, 500.0), (lo, 300.0), (third, 200.0)]);
+            let pick = |exclude: &[GnAddress]| match greedy_select_excluding(
+                &t,
+                GnAddress::vehicle(999),
+                Position::ORIGIN,
+                Position::new(400.0, 0.0),
+                exclude,
+                None,
+                NOW,
+            ) {
+                GfDecision::NextHop { addr, .. } => addr.mid(),
+                other => panic!("expected a next hop, got {other}"),
+            };
+            assert_eq!(pick(&[]), lo);
+            assert_eq!(pick(&[GnAddress::vehicle(third)]), lo);
+            assert_eq!(pick(&[GnAddress::vehicle(lo)]), hi);
         }
     }
 

@@ -10,12 +10,17 @@
 //! check**, so a beacon replayed by a roadside attacker plants an
 //! unreachable "neighbour" whose authentic position may be closer to the
 //! destination than any real neighbour.
+//!
+//! The table is a hash map on the packed address, so an accepted beacon
+//! costs one probe, and it makes **no promise about iteration order**.
+//! Callers that need an order impose it: greedy forwarding breaks
+//! exact-distance ties to the smaller address explicitly, and
+//! [`LocationTable::digest_into`] sorts.
 
 use crate::pv::LongPositionVector;
 use crate::types::GnAddress;
 use geonet_geo::Position;
-use geonet_sim::{SimDuration, SimTime, StateHasher};
-use std::collections::BTreeMap;
+use geonet_sim::{SimDuration, SimTime, StateHasher, U64Map};
 use std::fmt;
 
 /// One location-table entry: the neighbour's last position vector, its
@@ -30,10 +35,9 @@ pub struct LocTEntry {
     pub expires: SimTime,
 }
 
-/// The location table of one node.
-///
-/// Backed by a `BTreeMap` so iteration order — and therefore greedy
-/// forwarding's tie-breaking — is deterministic.
+/// The location table of one node, keyed by the packed address
+/// ([`GnAddress::to_u64`]). Iteration order is unspecified (see the module
+/// docs).
 ///
 /// # Example
 ///
@@ -47,7 +51,7 @@ pub struct LocTEntry {
 #[derive(Debug, Clone)]
 pub struct LocationTable {
     ttl: SimDuration,
-    entries: BTreeMap<GnAddress, LocTEntry>,
+    entries: U64Map<LocTEntry>,
 }
 
 impl LocationTable {
@@ -60,7 +64,7 @@ impl LocationTable {
     #[must_use]
     pub fn new(ttl: SimDuration) -> Self {
         assert!(ttl > SimDuration::ZERO, "LocT TTL must be positive");
-        LocationTable { ttl, entries: BTreeMap::new() }
+        LocationTable { ttl, entries: U64Map::default() }
     }
 
     /// The configured TTL.
@@ -76,18 +80,18 @@ impl LocationTable {
     /// expiry is pushed out to `now + TTL`. No plausibility check is
     /// performed — see the module docs.
     pub fn update(&mut self, pv: LongPositionVector, position: Position, now: SimTime) {
-        self.entries.insert(pv.addr, LocTEntry { pv, position, expires: now + self.ttl });
+        self.entries.insert(pv.addr.to_u64(), LocTEntry { pv, position, expires: now + self.ttl });
     }
 
     /// The live (unexpired) entry for `addr`, if any.
     #[must_use]
     pub fn get(&self, addr: GnAddress, now: SimTime) -> Option<&LocTEntry> {
-        self.entries.get(&addr).filter(|e| e.expires > now)
+        self.entries.get(&addr.to_u64()).filter(|e| e.expires > now)
     }
 
-    /// Iterates over the live entries in address order.
-    pub fn live_entries(&self, now: SimTime) -> impl Iterator<Item = (&GnAddress, &LocTEntry)> {
-        self.entries.iter().filter(move |(_, e)| e.expires > now)
+    /// Iterates over the live entries, in unspecified order.
+    pub fn live_entries(&self, now: SimTime) -> impl Iterator<Item = (GnAddress, &LocTEntry)> {
+        self.entries.values().filter(move |e| e.expires > now).map(|e| (e.pv.addr, e))
     }
 
     /// Number of live entries.
@@ -104,7 +108,7 @@ impl LocationTable {
 
     /// Removes the entry for `addr` regardless of expiry.
     pub fn remove(&mut self, addr: GnAddress) {
-        self.entries.remove(&addr);
+        self.entries.remove(&addr.to_u64());
     }
 
     /// Total number of stored entries including expired ones awaiting
@@ -120,8 +124,10 @@ impl LocationTable {
     pub fn digest_into(&self, h: &mut StateHasher) {
         h.write_u64(self.ttl.as_micros());
         h.write_u64(self.entries.len() as u64);
-        for (addr, e) in &self.entries {
-            h.write_u64(addr.to_u64());
+        let mut entries: Vec<(&u64, &LocTEntry)> = self.entries.iter().collect();
+        entries.sort_unstable_by_key(|&(&addr, _)| addr);
+        for (&addr, e) in entries {
+            h.write_u64(addr);
             h.write_u64(u64::from(e.pv.timestamp.0));
             h.write_u64(e.pv.coord.lat as u64);
             h.write_u64(e.pv.coord.lon as u64);
@@ -199,15 +205,35 @@ mod tests {
     }
 
     #[test]
-    fn live_entries_sorted_by_address() {
+    fn live_entries_yield_each_live_address_once() {
         let mut t = LocationTable::new(SimDuration::from_secs(20));
         let now = SimTime::ZERO;
         for addr in [5u64, 1, 3] {
             let (pv, pos) = pv_at(addr, addr as f64 * 10.0, now);
             t.update(pv, pos, now);
         }
-        let addrs: Vec<u64> = t.live_entries(now).map(|(a, _)| a.mid()).collect();
+        let mut addrs: Vec<u64> = t.live_entries(now).map(|(a, _)| a.mid()).collect();
+        addrs.sort_unstable();
         assert_eq!(addrs, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn digest_is_independent_of_insertion_order() {
+        let now = SimTime::ZERO;
+        let digest = |order: &[u64]| {
+            let mut t = LocationTable::new(SimDuration::from_secs(20));
+            for &addr in order {
+                let (pv, pos) = pv_at(addr, addr as f64 * 10.0, now);
+                t.update(pv, pos, now);
+            }
+            let mut h = StateHasher::new();
+            t.digest_into(&mut h);
+            h.finish()
+        };
+        let order: Vec<u64> = (1..200).collect();
+        let reversed: Vec<u64> = order.iter().rev().copied().collect();
+        assert_eq!(digest(&order), digest(&reversed));
+        assert_ne!(digest(&order), digest(&order[1..]));
     }
 
     #[test]

@@ -1241,6 +1241,26 @@ mod tests {
     }
 
     #[test]
+    fn gradient_query_breaks_distance_ties_to_the_smaller_address() {
+        // Neighbours beaconing from one spot are exactly equidistant from
+        // any destination; they arrive in descending address order.
+        let h = Harness::new();
+        let dest = Position::new(4_020.0, 0.0);
+        for (hi, lo) in [(9, 4), (0x1000_0102, 0x1000_0101), (500, 6)] {
+            let mut victim = h.router(1);
+            for addr in [hi, lo] {
+                let beacon =
+                    h.router(addr).make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST);
+                victim.handle_frame(&beacon, Position::ORIGIN, NOW);
+            }
+            match victim.gradient_query(Position::ORIGIN, dest, NOW) {
+                GfDecision::NextHop { addr, .. } => assert_eq!(addr, GnAddress::vehicle(lo)),
+                other => panic!("expected a next hop, got {other}"),
+            }
+        }
+    }
+
+    #[test]
     fn originate_inside_area_broadcasts() {
         let h = Harness::new();
         let mut src = h.router(1);

@@ -21,19 +21,28 @@
 //! a `Verifier` at most — never `Credentials` — mirroring the paper's
 //! outsider attacker.
 
-use crate::wire::GnPacket;
+use crate::wire::{ByteSink, GnPacket};
 use crate::GnAddress;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// FNV-1a 64-bit hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a 64-bit hash state, fed byte by byte through the wire encoders.
+struct Fnv1a(u64);
+
+impl ByteSink for Fnv1a {
+    fn put_slice(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
-    h
+}
+
+/// FNV-1a over [`GnPacket::encode_protected`], streamed: no byte string
+/// is built.
+fn protected_digest(packet: &GnPacket) -> u64 {
+    let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
+    packet.encode_protected_into(&mut h);
+    h.0
 }
 
 /// A keyed PRF built from splitmix64-style mixing — stands in for the
@@ -87,7 +96,7 @@ impl Credentials {
     /// except the RHL byte, which forwarders rewrite in flight.
     #[must_use]
     pub fn sign(&self, packet: GnPacket) -> SecuredPacket {
-        let digest = fnv1a(&packet.encode_protected());
+        let digest = protected_digest(&packet);
         let signature = prf(self.signing_key, digest);
         SecuredPacket { packet, signer: self.certificate, signature }
     }
@@ -157,7 +166,7 @@ impl Verifier {
         if !self.certificate_valid(&msg.signer) {
             return false;
         }
-        let digest = fnv1a(&msg.packet.encode_protected());
+        let digest = protected_digest(&msg.packet);
         let expected = prf(prf(self.secret, msg.signer.subject.to_u64() ^ 0x5167), digest);
         msg.signature == expected
     }
@@ -219,8 +228,10 @@ mod tests {
     use super::*;
     use crate::pv::LongPositionVector;
     use crate::types::SequenceNumber;
+    use crate::wire::ShortPositionVector;
     use geonet_geo::{Area, GeoReference, Heading, Position};
     use geonet_sim::SimTime;
+    use proptest::prelude::*;
 
     fn setup() -> (CertificateAuthority, Credentials, SecuredPacket) {
         let ca = CertificateAuthority::new(0xDEAD_BEEF);
@@ -347,6 +358,63 @@ mod tests {
         let b = creds.sign(GnPacket::beacon(pv));
         assert!(ca.verifier().verify(&b));
         assert_eq!(b.rhl(), 1);
+    }
+
+    #[test]
+    fn signatures_are_pinned() {
+        // Recorded from the allocating `fnv1a(&encode_protected())` path;
+        // the streamed digest must sign bit-identically.
+        let (_, creds, msg) = setup();
+        assert_eq!(msg.signature, 0x1c0a_6c37_33a8_daa6);
+        let beacon = creds.sign(GnPacket::beacon(*msg.packet.so_pv()));
+        assert_eq!(beacon.signature, 0xddeb_5430_126c_5dd0);
+    }
+
+    /// FNV-1a over a byte string: the reference the streamed digest must
+    /// match.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    proptest! {
+        #[test]
+        fn prop_streamed_digest_matches_the_encoded_bytes(
+            variant in 0usize..7,
+            rhl in 0u8..=255,
+            payload in prop::collection::vec(any::<u8>(), 0..400),
+            sn in any::<u16>(),
+            x in -5_000.0f64..5_000.0,
+        ) {
+            let r = GeoReference::default();
+            let pv = LongPositionVector::from_sim(
+                GnAddress::vehicle(42),
+                SimTime::from_millis(u64::from(sn)),
+                Position::new(x, 2.5),
+                30.0,
+                Heading::EAST,
+                &r,
+            );
+            let sn = SequenceNumber(sn);
+            let at = Position::new(x + 500.0, 0.0);
+            let body = payload.clone();
+            let mut packet = match variant {
+                0 => GnPacket::beacon(pv),
+                1 => GnPacket::geounicast(sn, pv, ShortPositionVector::from_long(&pv), body, 10),
+                2 => GnPacket::geobroadcast(sn, pv, &Area::circle(at, 50.0), &r, body, 10),
+                3 => GnPacket::geobroadcast(sn, pv, &Area::rectangle(at, 80.0, 9.0, 90.0), &r, body, 10),
+                4 => GnPacket::geobroadcast(sn, pv, &Area::ellipse(at, 80.0, 9.0, 45.0), &r, body, 10),
+                5 => GnPacket::topo_broadcast(sn, pv, body, 10),
+                _ => GnPacket::single_hop_broadcast(pv, body),
+            };
+            packet.basic.rhl = rhl;
+            packet.payload = payload;
+            prop_assert_eq!(protected_digest(&packet), fnv1a(&packet.encode_protected()));
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The basic and common headers.
 
-use super::WireError;
-use bytes::BufMut;
+use super::{ByteSink, WireError};
 use serde::{Deserialize, Serialize};
 
 /// What follows the basic header (EN 302 636-4-1 table 15, simplified to
@@ -67,7 +66,7 @@ impl BasicHeader {
     }
 
     /// Encodes into `out` (4 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode<S: ByteSink + ?Sized>(&self, out: &mut S) {
         out.put_u8((self.version << 4) | self.next_header.code());
         out.put_u8(0); // reserved
         out.put_u8(self.lifetime);
@@ -180,7 +179,7 @@ impl CommonHeader {
     }
 
     /// Encodes into `out` (8 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode<S: ByteSink + ?Sized>(&self, out: &mut S) {
         let (ht, hst) = self.kind.type_subtype();
         out.put_u8(0x10); // next header: "any" transport, reserved nibble
         out.put_u8((ht << 4) | hst);

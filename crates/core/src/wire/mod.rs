@@ -13,6 +13,11 @@
 //! RHL field, which forwarders must be able to decrement without
 //! re-signing. [`GnPacket::encode_protected`] reflects that by zeroing the
 //! RHL before producing the byte string that signatures cover.
+//!
+//! Every encoder writes through a [`ByteSink`]. A `Vec<u8>` collects the
+//! bytes; the signature digest absorbs them as they are produced
+//! ([`GnPacket::encode_protected_into`]), so signing and verifying build
+//! no byte string at all.
 
 mod headers;
 mod packet;
@@ -21,6 +26,44 @@ pub use headers::{BasicHeader, CommonHeader, HeaderKind, NextAfterBasic};
 pub use packet::{Extended, GbcHeader, GnPacket, GucHeader, ShortPositionVector, WireArea};
 
 use std::fmt;
+
+/// Where encoded bytes go. Multi-byte values are written big-endian, as on
+/// the wire.
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put_slice(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    /// Appends a big-endian `u16`.
+    fn put_u16(&mut self, v: u16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u32`.
+    fn put_u32(&mut self, v: u32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `i32`.
+    fn put_i32(&mut self, v: i32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+
+    /// Appends a big-endian `u64`.
+    fn put_u64(&mut self, v: u64) {
+        self.put_slice(&v.to_be_bytes());
+    }
+}
+
+impl ByteSink for Vec<u8> {
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
 
 /// Errors produced when decoding wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,10 +1,9 @@
 //! The extended headers and the assembled GeoNetworking packet.
 
 use super::headers::{BASIC_LEN, COMMON_LEN};
-use super::{BasicHeader, CommonHeader, HeaderKind, NextAfterBasic, WireError};
+use super::{BasicHeader, ByteSink, CommonHeader, HeaderKind, NextAfterBasic, WireError};
 use crate::pv::LongPositionVector;
 use crate::types::{GnAddress, SequenceNumber, Timestamp};
-use bytes::BufMut;
 use geonet_geo::{Area, AreaShape, GeoCoord, GeoReference};
 use serde::{Deserialize, Serialize};
 
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 const LPV_LEN: usize = 24;
 
 /// Encodes a long position vector (24 bytes).
-fn encode_lpv(pv: &LongPositionVector, out: &mut Vec<u8>) {
+fn encode_lpv<S: ByteSink + ?Sized>(pv: &LongPositionVector, out: &mut S) {
     out.put_u64(pv.addr.to_u64());
     out.put_u32(pv.timestamp.0);
     out.put_i32(pv.coord.lat);
@@ -71,7 +70,7 @@ impl ShortPositionVector {
         ShortPositionVector { addr: pv.addr, timestamp: pv.timestamp, coord: pv.coord }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: ByteSink + ?Sized>(&self, out: &mut S) {
         out.put_u64(self.addr.to_u64());
         out.put_u32(self.timestamp.0);
         out.put_i32(self.coord.lat);
@@ -151,7 +150,7 @@ impl WireArea {
         })
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: ByteSink + ?Sized>(&self, out: &mut S) {
         out.put_i32(self.center.lat);
         out.put_i32(self.center.lon);
         out.put_u16(self.dist_a);
@@ -423,36 +422,42 @@ impl GnPacket {
     /// Encodes the full packet to wire bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BASIC_LEN + COMMON_LEN + GBC_LEN + self.payload.len());
-        self.basic.encode(&mut out);
-        self.common.encode(&mut out);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_with_rhl(self.basic.rhl, &mut out);
+        out
+    }
+
+    /// Writes the full encoding into `out` with the basic header's RHL
+    /// byte replaced by `rhl`.
+    fn encode_with_rhl<S: ByteSink + ?Sized>(&self, rhl: u8, out: &mut S) {
+        BasicHeader { rhl, ..self.basic }.encode(out);
+        self.common.encode(out);
         match &self.extended {
-            Extended::Beacon { so_pv } => encode_lpv(so_pv, &mut out),
+            Extended::Beacon { so_pv } => encode_lpv(so_pv, out),
             Extended::Guc(g) => {
                 out.put_u16(g.sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(&g.so_pv, &mut out);
-                g.de_pv.encode(&mut out);
+                encode_lpv(&g.so_pv, out);
+                g.de_pv.encode(out);
             }
             Extended::Gbc(g) => {
                 out.put_u16(g.sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(&g.so_pv, &mut out);
-                g.area.encode(&mut out);
+                encode_lpv(&g.so_pv, out);
+                g.area.encode(out);
                 out.put_u16(0); // reserved
             }
             Extended::Tsb { sn, so_pv } => {
                 out.put_u16(sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(so_pv, &mut out);
+                encode_lpv(so_pv, out);
             }
             Extended::Shb { so_pv } => {
-                encode_lpv(so_pv, &mut out);
+                encode_lpv(so_pv, out);
                 out.put_u32(0); // media-dependent data
             }
         }
-        out.extend_from_slice(&self.payload);
-        out
+        out.put_slice(&self.payload);
     }
 
     /// The byte string covered by the integrity envelope: the full
@@ -463,9 +468,15 @@ impl GnPacket {
     /// attacker exploits by rewriting RHL on replayed packets.
     #[must_use]
     pub fn encode_protected(&self) -> Vec<u8> {
-        let mut bytes = self.encode();
-        bytes[3] = 0; // RHL is the 4th byte of the basic header
-        bytes
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_protected_into(&mut out);
+        out
+    }
+
+    /// Streams [`GnPacket::encode_protected`]'s bytes into `out` without
+    /// building them (the signature digest's path).
+    pub fn encode_protected_into<S: ByteSink + ?Sized>(&self, out: &mut S) {
+        self.encode_with_rhl(0, out);
     }
 
     /// Decodes a packet from wire bytes.

@@ -1,11 +1,9 @@
 //! The unit-disk broadcast medium.
 
 use geonet_geo::Position;
-use geonet_sim::{SimDuration, StateHasher, Telemetry};
+use geonet_sim::{SimDuration, StateHasher, Telemetry, U64Map};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 
 /// Identifies a node registered on the radio medium.
 ///
@@ -46,32 +44,8 @@ struct Entry {
 /// in the entry table, which the grid never visits.
 const LINEAR_CUTOFF: usize = 100;
 
-/// Multiply-shift hasher for packed grid-cell keys. The cell map sits on
-/// the per-broadcast hot path, where SipHash would cost more than the
-/// scan the grid saves; a single multiply + xor-shift disperses the
-/// packed `(cx, cy)` pair well enough for uniform vehicle layouts.
-#[derive(Debug, Default)]
-struct CellHasher(u64);
-
-impl std::hash::Hasher for CellHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-}
-
-type CellMap = HashMap<u64, Vec<u32>, BuildHasherDefault<CellHasher>>;
+/// Grid buckets keyed by packed `(cx, cy)` cell coordinates.
+type CellMap = U64Map<Vec<u32>>;
 
 /// Uniform grid over node positions: cell edge `cell` metres, buckets of
 /// **active** node ids keyed by packed cell coordinates.

@@ -31,16 +31,16 @@ pub enum NodeKind {
 /// Events driving the world.
 ///
 /// Kept small (at most 40 bytes) because the kernel's heap moves events
-/// on every push and pop: a frame travels as one shared [`OnAir`] per
-/// transmission, or boxed while the attacker holds it.
+/// on every push and pop: a frame travels as one shared [`Transmission`],
+/// or boxed while the attacker holds it.
 #[derive(Debug, Clone)]
 enum Ev {
     /// Advance the traffic simulation one step.
     TrafficStep,
     /// A node's beacon is due.
     Beacon(NodeId),
-    /// A transmission arrives at a node's radio.
-    Deliver { to: NodeId, frame: Rc<OnAir> },
+    /// A transmission reaches every receiver whose arrival time is now.
+    Deliver(Rc<Transmission>),
     /// A CBF contention timer fires.
     CbfTimer { node: NodeId, key: PacketKey, generation: u64 },
     /// The attacker's replay leaves its transmitter.
@@ -50,6 +50,34 @@ enum Ev {
     AckTimeout { node: NodeId, key: PacketKey },
     /// A forwarding-buffer recheck is due (buffer-retry policy).
     GfRetry { node: NodeId, key: PacketKey },
+}
+
+/// One frame on the air and everyone it reaches.
+///
+/// A transmission with `n` receivers reserves `n` consecutive kernel
+/// sequence numbers, `first_seq + i` for `arrivals[i]`, exactly the
+/// numbers `n` back-to-back per-receiver pushes would have taken. It then
+/// queues one [`Ev::Deliver`] per distinct arrival time, under the number
+/// of that time's first receiver. No other event holds a number inside the
+/// block, so each batch pops where its first receiver's delivery would
+/// have, and the rest of that microsecond's receivers would have followed
+/// it immediately: delivering them in one loop keeps the history intact.
+#[derive(Debug)]
+struct Transmission {
+    on_air: OnAir,
+    first_seq: u64,
+    /// Receivers in sequence-number order, with their arrival times.
+    arrivals: Vec<(NodeId, SimTime)>,
+}
+
+impl Transmission {
+    /// The receivers arriving at `at`, with their sequence numbers.
+    fn arriving_at(&self, at: SimTime) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        (self.first_seq..)
+            .zip(&self.arrivals)
+            .filter(move |&(_, &(_, t))| t == at)
+            .map(|(seq, &(node, _))| (node, seq))
+    }
 }
 
 /// The simulation world: traffic, radio medium, per-node GeoNetworking
@@ -92,9 +120,11 @@ pub struct World {
     /// Traffic steps seen since telemetry was attached (drives the
     /// periodic state-depth sampling cadence).
     telemetry_steps: u32,
-    /// Receiver scratch buffer reused across broadcasts, so the hottest
-    /// path in the event loop allocates nothing in steady state.
+    /// Receiver scratch buffer reused across broadcasts.
     rx_buf: Vec<NodeId>,
+    /// Deliveries dispatched after the first of their batch: the kernel
+    /// counts one event per batch, the history one per delivery.
+    batched_deliveries: u64,
 }
 
 impl World {
@@ -139,6 +169,7 @@ impl World {
             topo_dest: None,
             telemetry_steps: 0,
             rx_buf: Vec::new(),
+            batched_deliveries: 0,
             cfg,
         };
         // Register the pre-filled vehicles.
@@ -328,14 +359,21 @@ impl World {
 
         // Pending events live in a heap whose layout is unspecified, so
         // their (time, seq) keys go through an order-independent combiner.
+        // A delivery batch contributes one key per receiver it stands for.
         let mut h = StateHasher::new();
-        h.write_u64(self.kernel.events_processed());
+        h.write_u64(self.events_processed());
         let mut q = UnorderedDigest::new();
-        for (t, seq) in self.kernel.pending_keys() {
+        let mut absorb = |t: SimTime, seq: u64| {
             let mut eh = StateHasher::new();
             eh.write_u64(t.as_micros());
             eh.write_u64(seq);
             q.absorb(eh.finish());
+        };
+        for (t, seq, ev) in self.kernel.pending_events() {
+            match ev {
+                Ev::Deliver(tx) => tx.arriving_at(t).for_each(|(_, seq)| absorb(t, seq)),
+                _ => absorb(t, seq),
+            }
         }
         q.fold_into(&mut h);
         b.push("event_queue", h.finish());
@@ -386,11 +424,11 @@ impl World {
         b.finish()
     }
 
-    /// Total events the kernel has dispatched — the numerator of the
-    /// sim-events/sec throughput metric.
+    /// Total events dispatched, counting each delivery of a batch — the
+    /// numerator of the sim-events/sec throughput metric.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.kernel.events_processed()
+        self.kernel.events_processed() + self.batched_deliveries
     }
 
     fn packet_ref(key: PacketKey) -> PacketRef {
@@ -630,7 +668,15 @@ impl World {
         match ev {
             Ev::TrafficStep => self.on_traffic_step(),
             Ev::Beacon(node) => self.on_beacon(node),
-            Ev::Deliver { to, frame } => self.on_deliver(to, frame),
+            Ev::Deliver(tx) => {
+                let now = self.kernel.now();
+                let mut delivered = 0;
+                for (to, _) in tx.arriving_at(now) {
+                    self.on_deliver(to, &tx.on_air);
+                    delivered += 1;
+                }
+                self.batched_deliveries += delivered - 1;
+            }
             Ev::CbfTimer { node, key, generation } => {
                 let now = self.kernel.now();
                 if !self.medium.is_active(node) {
@@ -768,7 +814,7 @@ impl World {
         self.kernel.schedule_in(delay, Ev::Beacon(node));
     }
 
-    fn on_deliver(&mut self, to: NodeId, on_air: Rc<OnAir>) {
+    fn on_deliver(&mut self, to: NodeId, on_air: &OnAir) {
         let now = self.kernel.now();
         let frame = on_air.frame();
         if Some(to) == self.attacker_node {
@@ -802,7 +848,7 @@ impl World {
         });
         let position = self.medium.position(to);
         let router = self.routers[to.index()].as_mut().expect("legitimate node");
-        let actions = router.receive(&on_air, position, now);
+        let actions = router.receive(on_air, position, now);
         self.execute(to, actions);
     }
 
@@ -825,8 +871,9 @@ impl World {
 
     /// Puts a frame on the air from `node`, delivering it to every active
     /// node within range (optionally power-capped) after the propagation
-    /// delay. The receivers share one [`OnAir`]: the frame is neither
-    /// copied nor re-verified per receiver.
+    /// delay. The receivers share one [`Transmission`]: the frame is
+    /// neither copied nor re-verified per receiver, and the kernel holds
+    /// one event per distinct arrival time, not one per receiver.
     ///
     /// The attacker↔vehicle link is special-cased: the paper's attacker
     /// sits elevated at the roadside with line of sight ("at street light
@@ -899,13 +946,36 @@ impl World {
                 }
             }
         }
-        let on_air = Rc::new(OnAir::new(frame, &self.ca.verifier()));
-        for &rx in &receivers {
-            let delay = self.medium.propagation_delay(from, rx);
-            self.kernel.schedule_in(delay, Ev::Deliver { to: rx, frame: Rc::clone(&on_air) });
-        }
+        let arrivals: Vec<(NodeId, SimTime)> = receivers
+            .iter()
+            .map(|&rx| (rx, now + self.medium.propagation_delay(from, rx)))
+            .collect();
         receivers.clear();
         self.rx_buf = receivers;
+        let (Some(first), Some(last)) =
+            (arrivals.iter().map(|&(_, t)| t).min(), arrivals.iter().map(|&(_, t)| t).max())
+        else {
+            return;
+        };
+        let first_seq = self.kernel.reserve(arrivals.len() as u64);
+        let tx = Rc::new(Transmission {
+            on_air: OnAir::new(frame, &self.ca.verifier()),
+            first_seq,
+            arrivals,
+        });
+        // One batch per arrival microsecond, under its first receiver's
+        // number. Arrival times span a few µs, so the scan is short.
+        let mut at = first;
+        while at <= last {
+            if let Some(i) = tx.arrivals.iter().position(|&(_, t)| t == at) {
+                self.kernel.schedule_reserved(
+                    at,
+                    first_seq + i as u64,
+                    Ev::Deliver(Rc::clone(&tx)),
+                );
+            }
+            at += SimDuration::from_micros(1);
+        }
     }
 }
 
@@ -915,7 +985,7 @@ impl std::fmt::Debug for World {
             .field("now", &self.kernel.now())
             .field("nodes", &self.medium.len())
             .field("on_road", &self.traffic.count_on_road())
-            .field("events", &self.kernel.events_processed())
+            .field("events", &self.events_processed())
             .field("attacker", &self.attacker_node)
             .finish()
     }

@@ -2,10 +2,11 @@
 //! real scenario runs, artifact round-trips, divergence diffing, and the
 //! online invariant checker over real traces.
 
+use geonet_geo::{Area, Position};
 use geonet_scenarios::{interarea, intraarea, ScenarioConfig};
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, AuditArtifact, InvariantChecker, InvariantParams,
-    SimDuration, TraceEvent, TraceSink, VecSink,
+    SimDuration, SimTime, TraceEvent, TraceSink, VecSink,
 };
 
 /// A short but non-trivial scenario: long enough for beacons, GF
@@ -174,5 +175,42 @@ fn golden_histories_are_pinned() {
         got,
         [(34730, 16215225509723573459), (33589, 3030571092036486867)],
         "golden (interarea, intraarea) histories changed: got {got:?}"
+    );
+}
+
+/// Runs an attacked world for 3 s, originates a road-wide GeoBroadcast and
+/// returns the event count and combined audit digest right after the
+/// originate call and again 1 µs later. Both samples fall while the
+/// broadcast's deliveries are still queued, which the traffic-step
+/// checkpoints of the golden runs almost never see.
+fn mid_flight(cfg: &ScenarioConfig, seed: u64) -> [(u64, u64); 2] {
+    let mut w = interarea::world(cfg, true, seed);
+    w.run_until(SimTime::from_secs(3));
+    let src = w.random_on_road_vehicle().expect("vehicles on the road");
+    let half = cfg.road.length / 2.0;
+    let road = Area::rectangle(Position::new(half, 0.0), half + 50.0, 25.0, 90.0);
+    let _ = w.originate_from(w.vehicle_node(src), &road, vec![0x5A]);
+    let sent = (w.events_processed(), w.audit_checkpoint().combined);
+    w.run_until(w.now() + SimDuration::from_micros(1));
+    [sent, (w.events_processed(), w.audit_checkpoint().combined)]
+}
+
+/// Pins the queue digest while frames are in flight, on the paper road
+/// and on a 4 km two-way road at 30 m spacing. Regenerate like the golden
+/// pins above.
+#[test]
+fn mid_flight_checkpoints_are_pinned() {
+    let paper = ScenarioConfig::paper_dsrc_default()
+        .with_attack_range(486.0)
+        .with_duration(SimDuration::from_secs(10));
+    let two_way = paper.with_two_way(true).with_spacing(30.0);
+    let got = [mid_flight(&paper, 3), mid_flight(&two_way, 3)];
+    assert_eq!(
+        got,
+        [
+            [(5306, 18250015358150869388), (5324, 3058507403138352829)],
+            [(20838, 4660602643668805181), (20876, 15265055670987371687)],
+        ],
+        "mid-flight pins changed: got {got:?}"
     );
 }

@@ -76,17 +76,36 @@ impl<E> Kernel<E> {
         self.processed
     }
 
-    /// Number of events still pending (including any past the horizon).
+    /// Number of queue entries still pending (including any past the
+    /// horizon). A group event queued under reserved sequence numbers
+    /// counts once, however many members it stands for.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// The `(time, insertion sequence)` keys of all pending events, in
+    /// Every pending event with its `(time, insertion sequence)` key, in
     /// unspecified order — input to the audit layer's event-queue digest
-    /// (see [`EventQueue::pending_keys`]).
-    pub fn pending_keys(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
-        self.queue.pending_keys()
+    /// (see [`EventQueue::pending_events`]).
+    pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
+        self.queue.pending_events()
+    }
+
+    /// Reserves `n` consecutive insertion sequence numbers and returns the
+    /// first (see [`EventQueue::reserve`]).
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        self.queue.reserve(n)
+    }
+
+    /// Schedules `event` at the absolute time `at` under a reserved
+    /// sequence number (see [`EventQueue::push_reserved`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current simulation time.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
+        self.queue.push_reserved(at, seq, event);
     }
 
     /// Schedules `event` at the absolute time `at`.
@@ -208,6 +227,20 @@ mod tests {
         let _ = k.pop();
         k.schedule_in(SimDuration::from_secs(1), 'b');
         assert_eq!(k.pop(), Some((SimTime::from_secs(2), 'b')));
+    }
+
+    #[test]
+    fn reserved_group_pops_at_its_first_members_place() {
+        let mut k = Kernel::new();
+        k.schedule_in(SimDuration::from_micros(2), 'a');
+        let first = k.reserve(3);
+        k.schedule_in(SimDuration::from_micros(2), 'z');
+        // Members 0 and 2 arrive at 2 µs, member 1 at 1 µs.
+        k.schedule_reserved(SimTime::from_micros(2), first, 'g');
+        k.schedule_reserved(SimTime::from_micros(1), first + 1, 'h');
+        assert_eq!(k.pending(), 4);
+        let order: Vec<char> = std::iter::from_fn(|| k.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ['h', 'a', 'g', 'z']);
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!   function of its seed. Events due within 8 µs of the last pop (radio
 //!   deliveries) wait in per-microsecond FIFO lanes instead of the binary
 //!   heap, without changing that order.
+//!   Reserved sequence numbers let one group event stand in for a run of
+//!   same-time events (a transmission's deliveries) at the same place.
 //! * [`Kernel`] — the event loop: schedule, pop, advance the clock.
+//! * [`hash`] — [`U64Map`], a hash map on packed `u64` keys with a
+//!   multiply-shift hasher, shared by the radio grid and the location
+//!   table.
 //! * [`SimRng`] — a seedable, splittable random source; every node and
 //!   every run derives an independent stream from one `u64` seed.
 //! * [`metrics`] — time-binned success/total counters and the γ/λ rate
@@ -57,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod hash;
 pub mod json;
 pub mod kernel;
 pub mod metrics;
@@ -73,6 +79,7 @@ pub use audit::{
     ComponentDigest, Divergence, DivergenceReport, InvariantChecker, InvariantParams,
     SharedAuditor, StateHasher, UnorderedDigest, Violation,
 };
+pub use hash::{KeyHasher, U64Map};
 pub use kernel::Kernel;
 pub use metrics::{AbComparison, RunningStats, TimeBins};
 pub use queue::EventQueue;

@@ -50,13 +50,23 @@ const LANES: usize = 8;
 /// so far the *floor*; it never decreases. An event due in
 /// `[floor, floor + 8 µs)` is appended to a FIFO lane chosen by its
 /// timestamp modulo 8, and every other event goes to a binary heap. Each
-/// lane holds a single timestamp, in push order and hence in
-/// insertion-sequence order, so `pop` takes the earlier of the first
-/// non-empty lane's head and the heap's top under `(time, sequence)`, and
-/// the pop order is exactly that of a heap alone. The lanes exist for
-/// radio deliveries, which are due a microsecond or two after the
-/// transmission that scheduled them and would otherwise each sift
-/// through the whole heap twice.
+/// lane holds a single timestamp in insertion-sequence order (an event
+/// whose reserved sequence number would break that order goes to the
+/// heap instead), so `pop` takes the earlier of the first non-empty
+/// lane's head and the heap's top under `(time, sequence)`, and the pop
+/// order is exactly that of a heap alone. The lanes exist for radio
+/// deliveries, which are due a microsecond or two after the transmission
+/// that scheduled them and would otherwise each sift through the whole
+/// heap twice.
+///
+/// [`EventQueue::reserve`] hands out a block of sequence numbers ahead of
+/// time, and [`EventQueue::push_reserved`] queues an event under one of
+/// them. A caller with `n` events that would have been pushed back to
+/// back can reserve `n` numbers and push one *group* event per distinct
+/// timestamp under the number of its first member: no other event holds
+/// a number inside the block, so each group pops exactly where its first
+/// member would have, and its remaining members would have followed it
+/// immediately.
 ///
 /// # Example
 ///
@@ -98,12 +108,30 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve(1);
+        self.push_reserved(time, seq, event);
+    }
+
+    /// Reserves `n` consecutive insertion sequence numbers and returns the
+    /// first. Later pushes order after all of them.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` at `time` under `seq`, a number inside a block
+    /// returned by an earlier [`EventQueue::reserve`]. The event pops
+    /// exactly where a plain push that took `seq` would have.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
         let s = Scheduled { time, seq, event };
-        // Times below the floor wrap to a large offset and go to the heap.
-        if time.as_micros().wrapping_sub(self.floor) < LANES as u64 {
-            let lane = time.as_micros() as usize % LANES;
+        // Times below the floor wrap to a large offset and go to the heap,
+        // as does an event that would break its lane's sequence order.
+        let lane = time.as_micros() as usize % LANES;
+        if time.as_micros().wrapping_sub(self.floor) < LANES as u64
+            && self.lanes[lane].back().is_none_or(|b| b.seq < seq)
+        {
             self.lanes[lane].push_back(s);
             self.occupied |= 1 << lane;
         } else {
@@ -150,18 +178,19 @@ impl<E> EventQueue<E> {
         lane.into_iter().chain(self.heap.peek().map(|s| s.time)).min()
     }
 
-    /// Number of pending events.
+    /// Number of queue entries; a group counts once.
     #[must_use]
     pub fn len(&self) -> usize {
         self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
-    /// The `(time, insertion sequence)` keys of every pending event, in
+    /// Every pending event with its `(time, insertion sequence)` key, in
     /// unspecified order (the heap's internal layout, then the lanes).
-    /// The audit layer folds these through an order-independent combiner
-    /// to digest the queue's contents without draining it.
-    pub fn pending_keys(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
-        self.heap.iter().chain(self.lanes.iter().flatten()).map(|s| (s.time, s.seq))
+    /// The audit layer folds the keys through an order-independent
+    /// combiner to digest the queue's contents without draining it; the
+    /// event lets it expand a group back into its members' keys.
+    pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
+        self.heap.iter().chain(self.lanes.iter().flatten()).map(|s| (s.time, s.seq, &s.event))
     }
 
     /// Returns `true` if no events are pending.
@@ -294,6 +323,16 @@ mod tests {
     }
 
     #[test]
+    fn reserved_number_pushed_late_still_pops_first() {
+        let mut q = EventQueue::new();
+        let early = q.reserve(1);
+        q.push(SimTime::from_micros(3), 'b'); // takes the next number
+        q.push_reserved(SimTime::from_micros(3), early, 'a');
+        q.push(SimTime::from_micros(3), 'c');
+        assert_eq!(drain(&mut q), [(3, 'a'), (3, 'b'), (3, 'c')]);
+    }
+
+    #[test]
     fn clear_empties_lanes_and_heap() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(1), 'a');
@@ -301,7 +340,7 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pending_keys().count(), 0);
+        assert_eq!(q.pending_events().count(), 0);
         q.push(SimTime::from_micros(3), 'c');
         assert_eq!(drain(&mut q), [(3, 'c')]);
     }
@@ -310,9 +349,13 @@ mod tests {
     /// the floor: 0 lands on it, 7 is the last lane offset, 8 the first
     /// heap offset, `Far` a heap-only timer and `Below` a push under the
     /// floor.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Debug)]
     enum Op {
         Push(Delay),
+        /// Reserves one sequence number per delay and pushes one event per
+        /// distinct time under its first member's number, the way a radio
+        /// transmission queues its deliveries.
+        Group(Vec<Delay>),
         Pop,
         /// Pops up to this many events back to back, moving the floor
         /// past the lane contents it drains.
@@ -327,14 +370,27 @@ mod tests {
         Below(u64),
     }
 
-    fn op() -> impl Strategy<Value = Op> {
-        let delay = prop_oneof![
+    impl Delay {
+        fn time(self, floor: u64) -> u64 {
+            match self {
+                Delay::Near(d) | Delay::Far(d) => floor + d,
+                Delay::Below(d) => floor.saturating_sub(d),
+            }
+        }
+    }
+
+    fn delay() -> impl Strategy<Value = Delay> {
+        prop_oneof![
             prop::sample::select(vec![0u64, 1, 2, 7, 8, 9]).prop_map(Delay::Near),
             (10u64..100_000).prop_map(Delay::Far),
             (1u64..20).prop_map(Delay::Below),
-        ];
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            delay.prop_map(Op::Push),
+            delay().prop_map(Op::Push),
+            prop::collection::vec(delay(), 1..12).prop_map(Op::Group),
             Just(Op::Pop),
             (2usize..6).prop_map(Op::PopBurst),
             Just(Op::Peek),
@@ -344,20 +400,38 @@ mod tests {
     proptest! {
         #[test]
         fn prop_interleaved_ops_match_a_sorted_model(ops in prop::collection::vec(op(), 0..300)) {
-            let mut q = EventQueue::new();
-            // The model: pending (time, seq) keys, popped by minimum.
+            // Each queued event lists the sequence numbers of the members
+            // it stands for: one for a plain push, several for a group.
+            let mut q: EventQueue<Vec<u64>> = EventQueue::new();
+            // The model: pending (time, seq) keys of every member pushed
+            // one by one, popped by minimum.
             let mut model: Vec<(u64, u64)> = Vec::new();
             let (mut floor, mut seq) = (0u64, 0u64);
             for op in ops {
                 let pops = match op {
                     Op::Push(d) => {
-                        let t = match d {
-                            Delay::Near(d) | Delay::Far(d) => floor + d,
-                            Delay::Below(d) => floor.saturating_sub(d),
-                        };
-                        q.push(SimTime::from_micros(t), seq);
+                        let t = d.time(floor);
+                        q.push(SimTime::from_micros(t), vec![seq]);
                         model.push((t, seq));
                         seq += 1;
+                        0
+                    }
+                    Op::Group(delays) => {
+                        let times: Vec<u64> = delays.iter().map(|d| d.time(floor)).collect();
+                        let first = q.reserve(times.len() as u64);
+                        prop_assert_eq!(first, seq);
+                        seq += times.len() as u64;
+                        for (i, &t) in times.iter().enumerate() {
+                            model.push((t, first + i as u64));
+                            if times[..i].contains(&t) {
+                                continue;
+                            }
+                            let members = (i..times.len())
+                                .filter(|&j| times[j] == t)
+                                .map(|j| first + j as u64)
+                                .collect();
+                            q.push_reserved(SimTime::from_micros(t), first + i as u64, members);
+                        }
                         0
                     }
                     Op::Pop => 1,
@@ -365,20 +439,26 @@ mod tests {
                     Op::Peek => 0,
                 };
                 for _ in 0..pops {
-                    let want = model.iter().copied().enumerate().min_by_key(|&(_, k)| k);
-                    let want = want.map(|(i, _)| model.swap_remove(i));
-                    let got = q.pop().map(|(t, s)| (t.as_micros(), s));
-                    prop_assert_eq!(got, want);
-                    if let Some((t, _)) = want {
-                        floor = floor.max(t);
+                    let Some((t, members)) = q.pop() else {
+                        prop_assert!(model.is_empty());
+                        break;
+                    };
+                    for m in members {
+                        let want = model.iter().copied().enumerate().min_by_key(|&(_, k)| k);
+                        let want = want.map(|(i, _)| model.swap_remove(i));
+                        prop_assert_eq!(Some((t.as_micros(), m)), want);
                     }
+                    floor = floor.max(t.as_micros());
                 }
                 let want_peek = model.iter().map(|&(t, _)| t).min();
                 prop_assert_eq!(q.peek_time().map(SimTime::as_micros), want_peek);
-                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.len(), q.pending_events().count());
                 prop_assert_eq!(q.is_empty(), model.is_empty());
-                let mut keys: Vec<(u64, u64)> =
-                    q.pending_keys().map(|(t, s)| (t.as_micros(), s)).collect();
+                let mut keys = Vec::new();
+                for (t, seq, members) in q.pending_events() {
+                    prop_assert_eq!(seq, members[0], "a group is keyed by its first member");
+                    keys.extend(members.iter().map(|&m| (t.as_micros(), m)));
+                }
                 keys.sort_unstable();
                 let mut want_keys = model.clone();
                 want_keys.sort_unstable();

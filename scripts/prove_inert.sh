@@ -1,0 +1,95 @@
+#!/usr/bin/env bash
+# Proves that the working tree is behaviourally inert against a base
+# revision: every simulated history must be bit-identical.
+#
+#   scripts/prove_inert.sh <base-rev>
+#
+# Exports <base-rev> with `git archive` into a temporary directory, builds
+# the `repro` CLI and `perfbench` on both sides (offline, release), then
+#   1. diffs each side's `perfbench --print-reference` against the working
+#      tree's perfbench/reference.txt;
+#   2. runs both sides' `repro` with the same flags (audit, topology for
+#      both scenarios, trace + forensics, and a two-run CSV campaign of
+#      fig7a fig9a fig12a) and `cmp`s every artifact.
+# Prints one line per check and exits 1 on any difference, 0 otherwise.
+# The temporary directory is removed on exit.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 <base-rev>" >&2
+    exit 2
+fi
+base_rev=$1
+root=$(git rev-parse --show-toplevel)
+base_sha=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+build() {
+    (cd "$1" \
+        && cargo build --release --offline --quiet -p geonet-scenarios --bin repro \
+        && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
+}
+
+# Writes every artifact of one side into directory $2 using repro binary $1.
+# Progress lines (stderr) carry wall times, so they go to a log beside it.
+artifacts() {
+    local repro=$1 out=$2
+    mkdir -p "$out"
+    {
+        "$repro" --duration 30 --seed 42 --audit "$out/a" > "$out/audit.txt"
+        "$repro" --duration 30 --seed 42 --topology "$out/ti" > "$out/topo-interception.txt"
+        "$repro" --duration 30 --seed 42 --topology "$out/tb" --topology-scenario blockage \
+            > "$out/topo-blockage.txt"
+        "$repro" --duration 30 --seed 42 --trace "$out/tr" --forensics > "$out/forensics.txt"
+        "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig9a fig12a > "$out/campaign.csv"
+    } 2> "$out.stderr.log"
+}
+
+echo "base:   $base_rev ($base_sha)"
+echo "change: working tree of $root"
+mkdir -p "$work/base"
+git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
+build "$work/base"
+build "$root"
+
+status=0
+for side in base change; do
+    if [ "$side" = base ]; then dir=$work/base; else dir=$root; fi
+    if "$dir/perfbench/target/release/perfbench" --print-reference 2>/dev/null \
+        | diff -u "$root/perfbench/reference.txt" - > "$work/$side.reference.diff"; then
+        echo "reference ($side): identical to perfbench/reference.txt"
+    else
+        echo "reference ($side): DIFF"
+        cat "$work/$side.reference.diff"
+        status=1
+    fi
+done
+
+artifacts "$work/base/target/release/repro" "$work/out-base"
+artifacts "$root/target/release/repro" "$work/out-change"
+
+base_files=$(cd "$work/out-base" && ls)
+change_files=$(cd "$work/out-change" && ls)
+if [ "$base_files" != "$change_files" ]; then
+    echo "artifact lists differ:"
+    diff <(echo "$base_files") <(echo "$change_files") || true
+    status=1
+fi
+same=0
+for f in $base_files; do
+    if [ -f "$work/out-change/$f" ] && cmp -s "$work/out-base/$f" "$work/out-change/$f"; then
+        same=$((same + 1))
+    else
+        echo "DIFF $f"
+        status=1
+    fi
+done
+echo "artifacts: $same of $(echo "$base_files" | wc -w) cmp-equal"
+
+if [ $status -eq 0 ]; then
+    echo "inert: no difference"
+else
+    echo "NOT inert"
+fi
+exit $status
