@@ -7,6 +7,11 @@
 //!   in front of a binary heap) on random timestamps vs a sorted-`Vec`
 //!   lower bound, and on a delivery-shaped schedule vs a plain
 //!   `BinaryHeap` queue.
+//! * `ablation_location_table` — one beacon applied to the 64 receivers
+//!   of a delivery batch across 1,500 location tables: the shipped
+//!   24-byte-value table vs the unpacked 64-byte-value layout it
+//!   replaced, each with and without the warm pass that probes every
+//!   receiver's table before the writes.
 //! * `ablation_cbf_to` — blockage window sensitivity to `TO_MAX`.
 //! * `ablation_attacker_latency` — attack success vs the attacker's
 //!   processing delay, validating the paper's ≤ 1 ms feasibility claim.
@@ -16,12 +21,14 @@
 //!   location-table ghosts honest (see DESIGN.md substitutions).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use geonet::{CbfParams, MitigationConfig};
+use geonet::{
+    CbfParams, GnAddress, LocTEntry, LocationTable, LongPositionVector, MitigationConfig,
+};
 use geonet_bench::{bench_scale, report};
-use geonet_geo::Position;
+use geonet_geo::{GeoReference, Heading, Position};
 use geonet_scenarios::config::AttackerSetup;
 use geonet_scenarios::{interarea, intraarea, ScenarioConfig, World};
-use geonet_sim::{EventQueue, SimDuration, SimTime};
+use geonet_sim::{EventQueue, SimDuration, SimTime, U64Map};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
@@ -126,6 +133,134 @@ fn ablation_event_queue(c: &mut Criterion) {
     group.bench_function("deliveries_binary_heap", |b| {
         b.iter(|| black_box(delivery_load(&mut HeapOnly::default(), 2_000)));
     });
+    group.finish();
+}
+
+/// The location-table operations a beacon delivery performs.
+trait BeaconTable {
+    fn contains(&self, addr: GnAddress) -> bool;
+    fn update(&mut self, pv: LongPositionVector, now: SimTime);
+}
+
+impl BeaconTable for LocationTable {
+    fn contains(&self, addr: GnAddress) -> bool {
+        LocationTable::contains(self, addr)
+    }
+    fn update(&mut self, pv: LongPositionVector, now: SimTime) {
+        LocationTable::update(self, pv, now);
+    }
+}
+
+/// The baseline: the location table before its values were packed, whole
+/// 64-byte [`LocTEntry`] values (72-byte buckets) with the planar position
+/// projected at insertion.
+struct UnpackedTable {
+    ttl: SimDuration,
+    reference: GeoReference,
+    entries: U64Map<LocTEntry>,
+}
+
+impl BeaconTable for UnpackedTable {
+    fn contains(&self, addr: GnAddress) -> bool {
+        self.entries.contains_key(&addr.to_u64())
+    }
+    fn update(&mut self, pv: LongPositionVector, now: SimTime) {
+        let position = pv.position(&self.reference);
+        self.entries.insert(pv.addr.to_u64(), LocTEntry { pv, position, expires: now + self.ttl });
+    }
+}
+
+/// Routers on the road, each knowing its ~90 nearest neighbours.
+const TABLES: usize = 1_500;
+/// Neighbours on either side that a table holds.
+const KNOWN_EACH_SIDE: usize = 45;
+/// Receivers of one beacon.
+const BATCH: usize = 64;
+
+/// `TABLES` tables on a 30 m-spaced road, each filled with its
+/// neighbours' beacons, plus each node's beacon.
+fn beacon_road<T: BeaconTable>(
+    empty: impl Fn() -> T,
+    now: SimTime,
+) -> (Vec<T>, Vec<LongPositionVector>) {
+    let r = GeoReference::default();
+    let pvs: Vec<LongPositionVector> = (0..TABLES)
+        .map(|i| {
+            let at = Position::new(i as f64 * 30.0, 2.5);
+            let addr = GnAddress::vehicle(0x1000 + i as u64);
+            LongPositionVector::from_sim(addr, now, at, 30.0, Heading::EAST, &r)
+        })
+        .collect();
+    let tables = (0..TABLES)
+        .map(|i| {
+            let mut t = empty();
+            let lo = i.saturating_sub(KNOWN_EACH_SIDE);
+            for j in (lo..=(i + KNOWN_EACH_SIDE).min(TABLES - 1)).filter(|&j| j != i) {
+                t.update(pvs[j], now);
+            }
+            t
+        })
+        .collect();
+    (tables, pvs)
+}
+
+/// Delivers `src`'s beacon to the `BATCH` tables around it, optionally
+/// probing every receiver's table first, as `World` dispatch does.
+///
+/// Nothing else runs between two writes here, so the CPU already overlaps
+/// their cache misses and the warm pass can only add its probes. In
+/// `World` dispatch the rest of a reception separates two writes and the
+/// pass pays for itself; DESIGN.md §8 has both measurements.
+fn deliver_beacon<T: BeaconTable>(
+    tables: &mut [T],
+    pvs: &[LongPositionVector],
+    src: usize,
+    warm: bool,
+    now: SimTime,
+) {
+    let lo = src.saturating_sub(BATCH / 2).min(TABLES - BATCH - 1);
+    let receivers = (lo..=lo + BATCH).filter(|&r| r != src).take(BATCH);
+    let pv = pvs[src];
+    if warm {
+        for r in receivers.clone() {
+            black_box(tables[r].contains(pv.addr));
+        }
+    }
+    for r in receivers {
+        tables[r].update(pv, now);
+    }
+}
+
+fn ablation_location_table(c: &mut Criterion) {
+    fn run<T: BeaconTable>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        empty: impl Fn() -> T,
+    ) {
+        let now = SimTime::from_secs(5);
+        let (mut tables, pvs) = beacon_road(empty, now);
+        for warm in [false, true] {
+            let label = if warm { format!("{name}_warm") } else { name.to_string() };
+            // Successive beacons come from far-apart sources, so each
+            // batch starts on tables the previous one left cold.
+            let mut src = 0;
+            group.bench_function(label, |b| {
+                b.iter(|| {
+                    src = (src + 617) % TABLES;
+                    deliver_beacon(&mut tables, &pvs, src, warm, now);
+                });
+            });
+        }
+    }
+    let ttl = SimDuration::from_secs(20);
+    let reference = GeoReference::default();
+    let mut group = c.benchmark_group("ablation_location_table");
+    run(&mut group, "unpacked_64b_value", || UnpackedTable {
+        ttl,
+        reference,
+        entries: U64Map::default(),
+    });
+    run(&mut group, "packed_24b_value", || LocationTable::new(ttl, reference));
     group.finish();
 }
 
@@ -331,8 +466,8 @@ criterion_group! {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(6))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = ablation_event_queue, ablation_cbf_to, ablation_attacker_latency,
-              ablation_plausibility_threshold, ablation_offroad_margin,
+    targets = ablation_event_queue, ablation_location_table, ablation_cbf_to,
+              ablation_attacker_latency, ablation_plausibility_threshold, ablation_offroad_margin,
               ablation_no_progress_policy, ablation_sight_distance, spot_anchor
 }
 criterion_main!(ablations);

@@ -56,14 +56,13 @@ fn bench_security(c: &mut Criterion) {
 
 fn bench_loct_and_gf(c: &mut Criterion) {
     let now = SimTime::from_secs(5);
-    let mut loct = LocationTable::new(SimDuration::from_secs(20));
+    let mut loct = LocationTable::new(SimDuration::from_secs(20), GeoReference::default());
     for i in 0..64u64 {
-        let p = pv(i, i as f64 * 30.0);
-        loct.update(p, Position::new(i as f64 * 30.0, 2.5), now);
+        loct.update(pv(i, i as f64 * 30.0), now);
     }
     c.bench_function("loct_update", |b| {
         let p = pv(99, 1_000.0);
-        b.iter(|| loct.update(black_box(p), Position::new(1_000.0, 2.5), now));
+        b.iter(|| loct.update(black_box(p), now));
     });
     c.bench_function("gf_select_64_neighbors", |b| {
         b.iter(|| {

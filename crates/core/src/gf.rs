@@ -136,20 +136,22 @@ mod tests {
 
     const NOW: SimTime = SimTime::from_secs(10);
 
+    /// The position vector of a neighbour advertising `(x, 0)`.
+    fn pv_at(addr: u64, x: f64) -> LongPositionVector {
+        LongPositionVector::from_sim(
+            GnAddress::vehicle(addr),
+            NOW,
+            Position::new(x, 0.0),
+            30.0,
+            Heading::EAST,
+            &GeoReference::default(),
+        )
+    }
+
     fn table_with(neighbors: &[(u64, f64)]) -> LocationTable {
-        let r = GeoReference::default();
-        let mut t = LocationTable::new(SimDuration::from_secs(20));
+        let mut t = LocationTable::new(SimDuration::from_secs(20), GeoReference::default());
         for &(addr, x) in neighbors {
-            let pos = Position::new(x, 0.0);
-            let pv = LongPositionVector::from_sim(
-                GnAddress::vehicle(addr),
-                NOW,
-                pos,
-                30.0,
-                Heading::EAST,
-                &r,
-            );
-            t.update(pv, pos, NOW);
+            t.update(pv_at(addr, x), NOW);
         }
         t
     }
@@ -227,18 +229,9 @@ mod tests {
     fn excludes_self_entry() {
         // A node may see its own address in the table (e.g. from a replayed
         // beacon); it must never pick itself.
-        let r = GeoReference::default();
         let mut t = table_with(&[]);
         let own = GnAddress::vehicle(999);
-        let pv = LongPositionVector::from_sim(
-            own,
-            NOW,
-            Position::new(1_000.0, 0.0),
-            30.0,
-            Heading::EAST,
-            &r,
-        );
-        t.update(pv, Position::new(1_000.0, 0.0), NOW);
+        t.update(pv_at(999, 1_000.0), NOW);
         let d =
             greedy_select(&t, own, Position::ORIGIN, Position::new(4_020.0, 0.0), None, None, NOW);
         assert_eq!(d, GfDecision::NoProgress);
@@ -277,16 +270,23 @@ mod tests {
 
     #[test]
     fn equal_distance_tie_breaks_to_smaller_address_in_any_insertion_order() {
-        // `hi` and `lo` sit 100 m either side of the destination at 400 m,
-        // inserted in descending address order; the third neighbour at
-        // 200 m is farther from it.
+        // `hi` and `lo` advertise 500 m and 300 m and are inserted in
+        // descending address order; the third neighbour at 200 m is
+        // farther from the destination. The destination is the midpoint
+        // of the two *derived* (quantised, re-projected) positions, so the
+        // two distances tie exactly, not just to the centimetre.
+        let r = GeoReference::default();
+        let (p_hi, p_lo) = (pv_at(0, 500.0).position(&r), pv_at(0, 300.0).position(&r));
+        assert_eq!(p_hi.y, p_lo.y);
+        let dest = Position::new((p_hi.x + p_lo.x) / 2.0, p_hi.y);
+        assert_eq!(p_hi.distance(dest), p_lo.distance(dest), "not an exact tie");
         for (hi, lo, third) in [(7, 3, 5), (0x1000_0042, 0x1000_0041, 0x1000_0001), (900, 2, 450)] {
             let t = table_with(&[(hi, 500.0), (lo, 300.0), (third, 200.0)]);
             let pick = |exclude: &[GnAddress]| match greedy_select_excluding(
                 &t,
                 GnAddress::vehicle(999),
                 Position::ORIGIN,
-                Position::new(400.0, 0.0),
+                dest,
                 exclude,
                 None,
                 NOW,

@@ -226,7 +226,7 @@ impl GnRouter {
         reference: GeoReference,
     ) -> Self {
         GnRouter {
-            loct: LocationTable::new(config.loct_ttl),
+            loct: LocationTable::new(config.loct_ttl, reference),
             credentials,
             verifier,
             config,
@@ -274,9 +274,10 @@ impl GnRouter {
 
     /// Folds the router's canonical forwarding state — sequence counter,
     /// location table, CBF buffers, duplicate caches and the greedy
-    /// forwarding pending/retry books — into an audit digest. All
-    /// containers are B-tree-ordered, so the digest is a pure function of
-    /// the router's logical state.
+    /// forwarding pending/retry books — into an audit digest. The location
+    /// table digests its hashed entries in address order and every other
+    /// container is B-tree-ordered, so the digest is a pure function of the
+    /// router's logical state.
     pub fn digest_into(&self, h: &mut StateHasher) {
         h.write_u64(self.addr().to_u64());
         h.write_u64(u64::from(self.next_sn.0));
@@ -569,8 +570,7 @@ impl GnRouter {
                 // Single-hop broadcast: a beacon with a payload. The
                 // source is by construction a direct neighbour, so the
                 // LocT update is always plausible.
-                let advertised = pv.position(&self.reference);
-                self.loct.update(pv, advertised, now);
+                self.loct.update(pv, now);
                 self.note(now, TraceEvent::BeaconAccepted { from: pv.addr.to_u64() });
                 // SHB carries no sequence number; the reserved sentinel
                 // keeps SHB deliveries from colliding with real
@@ -603,8 +603,7 @@ impl GnRouter {
                 // many hops away and would dominate greedy forwarding
                 // with unreachable "neighbours"; the paper's GF operates
                 // on beacon-advertised neighbour positions.)
-                let advertised = pv.position(&self.reference);
-                self.loct.update(pv, advertised, now);
+                self.loct.update(pv, now);
                 self.note(now, TraceEvent::BeaconAccepted { from: pv.addr.to_u64() });
                 Vec::new()
             }

@@ -14,6 +14,7 @@ use geonet_sim::{
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hint::black_box;
 use std::rc::Rc;
 
 /// What a radio node is.
@@ -670,6 +671,16 @@ impl World {
             Ev::Beacon(node) => self.on_beacon(node),
             Ev::Deliver(tx) => {
                 let now = self.kernel.now();
+                // Warm, then apply: probe every receiver's location table
+                // for the source first. The probes are independent, so
+                // their cache misses overlap, and the delivery loop below
+                // finds the lines its LocT writes need already in cache.
+                let source = tx.on_air.frame().msg.packet.so_pv().addr;
+                for (to, _) in tx.arriving_at(now) {
+                    if let Some(router) = &self.routers[to.index()] {
+                        black_box(router.loct().contains(source));
+                    }
+                }
                 let mut delivered = 0;
                 for (to, _) in tx.arriving_at(now) {
                     self.on_deliver(to, &tx.on_air);
@@ -764,8 +775,10 @@ impl World {
     /// Samples internal state depths into the attached registry: the
     /// event-queue length every traffic step, and the per-node LocT /
     /// CBF-contention-buffer / duplicate-cache sizes (plus their fleet
-    /// totals) every 10th step (once per simulated second at the default
-    /// 100 ms timestep).
+    /// totals) of every active router node every 10th step (once per
+    /// simulated second at the default 100 ms timestep). Exited vehicles
+    /// keep their frozen routers for the run-level statistics, but they
+    /// are off the air, so they stay out of the depth samples.
     fn sample_telemetry(&mut self) {
         if !self.telemetry.is_enabled() {
             return;
@@ -777,7 +790,13 @@ impl World {
         }
         let now = self.kernel.now();
         let (mut loct_total, mut cbf_total, mut dup_total) = (0u64, 0u64, 0u64);
-        for router in self.routers.iter().flatten() {
+        let active = self
+            .routers
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.medium.is_active(NodeId(i as u32)))
+            .filter_map(|(_, r)| r.as_ref());
+        for router in active {
             let loct = router.loct().live_count(now) as u64;
             let cbf = router.cbf_buffered_count() as u64;
             let dup = router.duplicate_cache_size() as u64;
@@ -1119,6 +1138,37 @@ mod tests {
             let node = w.vehicle_node(vid);
             assert!(!w.medium.is_active(node));
         }
+    }
+
+    #[test]
+    fn depth_gauges_sample_only_active_routers() {
+        // By 35 s vehicles have exited; their frozen routers must not be
+        // sampled. Step one traffic step at a time: each per-node sample
+        // covers exactly the routers whose node is on the air.
+        let cfg = ScenarioConfig::paper_dsrc_default().with_duration(SimDuration::from_secs(40));
+        let mut w = World::new(cfg, None, 6);
+        w.run_until(SimTime::from_secs(35));
+        let registry = geonet_sim::shared_registry();
+        w.set_telemetry(registry.clone());
+        let active_routers = |w: &World| {
+            w.legit_nodes().into_iter().filter(|&n| w.medium.is_active(n)).count() as u64
+        };
+        assert!(active_routers(&w) < w.legit_nodes().len() as u64, "nobody exited in 35 s");
+        let count = |name: &str| registry.borrow().histogram(name).map_or(0, |h| h.count());
+        let mut samples = 0;
+        for step in 1..=20 {
+            let before = count("loct_size_per_node");
+            w.run_until(SimTime::from_secs(35) + SimDuration::from_millis(100 * step));
+            let taken = count("loct_size_per_node") - before;
+            if taken > 0 {
+                samples += 1;
+                assert_eq!(taken, active_routers(&w), "at step {step}");
+            }
+        }
+        assert!(samples >= 2, "sampled {samples} times in 2 s");
+        let total = count("loct_size_per_node");
+        assert_eq!(count("cbf_buffer_per_node"), total);
+        assert_eq!(count("dup_cache_per_node"), total);
     }
 
     #[test]

@@ -21,15 +21,10 @@ if [ $# -ne 1 ]; then
 fi
 base_rev=$1
 root=$(git rev-parse --show-toplevel)
-base_sha=$(git -C "$root" rev-parse --verify "$base_rev^{commit}")
+# shellcheck source=scripts/base_checkout.sh
+. "$root/scripts/base_checkout.sh"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-
-build() {
-    (cd "$1" \
-        && cargo build --release --offline --quiet -p geonet-scenarios --bin repro \
-        && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
-}
 
 # Writes every artifact of one side into directory $2 using repro binary $1.
 # Progress lines (stderr) carry wall times, so they go to a log beside it.
@@ -46,12 +41,10 @@ artifacts() {
     } 2> "$out.stderr.log"
 }
 
+base_sha=$(checkout_base "$root" "$base_rev" "$work/base")
 echo "base:   $base_rev ($base_sha)"
 echo "change: working tree of $root"
-mkdir -p "$work/base"
-git -C "$root" archive "$base_sha" | tar -x -C "$work/base"
-build "$work/base"
-build "$root"
+build_side "$root"
 
 status=0
 for side in base change; do
