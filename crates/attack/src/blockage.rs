@@ -1,9 +1,8 @@
 //! The intra-area blockage attack (paper §III-C).
 
-use crate::ReplayOrder;
+use crate::Replay;
 use geonet::{Frame, GnAddress, PacketKey};
-use geonet_geo::Position;
-use geonet_sim::{AttackKind, PacketRef, SimDuration, SimTime, TraceEvent, Tracer};
+use geonet_sim::{AttackKind, PacketRef, SimTime, TraceEvent, Tracer};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -36,130 +35,39 @@ impl fmt::Display for BlockageMode {
     }
 }
 
-/// The CBF forwarder-impersonation attacker.
+/// The CBF forwarder-impersonation strategy's state.
 ///
-/// It captures the **first copy** of each GeoBroadcast packet it hears and
-/// immediately replays it (within the paper's ≤ 1 ms processing window,
-/// well inside TO_MIN), impersonating the contention winner. Buffered
-/// candidate forwarders in its coverage treat the replay as a peer's
-/// re-broadcast and discard their copies.
-///
-/// Subsequent copies of the same packet (legitimate re-broadcasts that
-/// escaped the first replay) are replayed too — the attacker keeps
-/// suppressing the flood wherever it can hear it — unless
-/// `replay_once` is set, which models a minimal attacker.
+/// The attacker captures the **first copy** of each GeoBroadcast packet
+/// it hears and immediately replays it (within the paper's ≤ 1 ms
+/// processing window, well inside TO_MIN), impersonating the contention
+/// winner. Buffered candidate forwarders in its coverage treat the replay
+/// as a peer's re-broadcast and discard their copies. Later copies of the
+/// same packet are not replayed again: the paper's proof of concept
+/// replays each packet once.
 #[derive(Debug, Clone)]
 pub struct IntraAreaAttacker {
-    position: Position,
-    attack_range: Option<f64>,
-    mode: BlockageMode,
-    processing_delay: SimDuration,
-    replay_once: bool,
-    pseudonym: GnAddress,
+    pub(crate) mode: BlockageMode,
     seen: BTreeSet<PacketKey>,
-    packets_sniffed: u64,
     packets_replayed: u64,
-    tracer: Tracer,
 }
 
 impl IntraAreaAttacker {
-    /// The pseudonymous link-layer source replays are sent under unless
-    /// overridden with [`IntraAreaAttacker::with_pseudonym`].
-    pub const DEFAULT_PSEUDONYM: GnAddress = GnAddress::vehicle(0xFFFF_FFFF_0000);
-
-    /// Creates an attacker at `position` using the given mode.
-    #[must_use]
-    pub fn new(position: Position, mode: BlockageMode) -> Self {
-        IntraAreaAttacker {
-            position,
-            attack_range: None,
-            mode,
-            processing_delay: SimDuration::from_millis(1),
-            replay_once: true,
-            pseudonym: IntraAreaAttacker::DEFAULT_PSEUDONYM,
-            seen: BTreeSet::new(),
-            packets_sniffed: 0,
-            packets_replayed: 0,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Attaches a tracer; each replay emits an
-    /// [`TraceEvent::AttackAction`] through it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Overrides the capture-to-replay processing delay (default 1 ms).
-    #[must_use]
-    pub fn with_processing_delay(mut self, delay: SimDuration) -> Self {
-        self.processing_delay = delay;
-        self
-    }
-
-    /// Controls whether each packet is replayed only on its first sighting
-    /// (`true`, default — the paper's proof of concept) or on every
-    /// sighting (`false`, a more aggressive attacker).
-    #[must_use]
-    pub fn with_replay_once(mut self, once: bool) -> Self {
-        self.replay_once = once;
-        self
-    }
-
-    /// Sets the pseudonymous link-layer source used for replays. The
-    /// paper's threat model allows pseudonyms (they exist for privacy);
-    /// the network-layer content stays authentic either way.
-    #[must_use]
-    pub fn with_pseudonym(mut self, pseudonym: GnAddress) -> Self {
-        self.pseudonym = pseudonym;
-        self
-    }
-
     /// The pseudonymous link-layer source replays are sent under — what
     /// victims see in `CbfCancelled { by }` trace events, and what
-    /// forensic attribution matches against.
-    #[must_use]
-    pub fn pseudonym(&self) -> GnAddress {
-        self.pseudonym
+    /// forensic attribution matches against. The paper's threat model
+    /// allows pseudonyms (they exist for privacy); the network-layer
+    /// content stays authentic.
+    pub const DEFAULT_PSEUDONYM: GnAddress = GnAddress::vehicle(0xFFFF_FFFF_0000);
+
+    pub(crate) fn new(mode: BlockageMode) -> Self {
+        IntraAreaAttacker { mode, seen: BTreeSet::new(), packets_replayed: 0 }
     }
 
-    /// The attacker's position.
-    #[must_use]
-    pub fn position(&self) -> Position {
-        self.position
-    }
-
-    /// Declares the attacker's elevated sniff/TX range in metres, so
-    /// the attacker object is self-describing for observability layers
-    /// (blast-radius and coverage reports).
-    #[must_use]
-    pub fn with_attack_range(mut self, range: f64) -> Self {
-        assert!(range.is_finite() && range >= 0.0, "invalid attack range: {range}");
-        self.attack_range = Some(range);
-        self
-    }
-
-    /// The declared sniff/TX range, if the deployer set one.
-    #[must_use]
-    pub fn attack_range(&self) -> Option<f64> {
-        self.attack_range
-    }
-
-    /// The configured mode.
-    #[must_use]
-    pub fn mode(&self) -> BlockageMode {
-        self.mode
-    }
-
-    /// Moves the attacker (mobile-attacker extension).
-    pub fn set_position(&mut self, position: Position) {
-        self.position = position;
-    }
-
-    /// GeoBroadcast packets heard so far (first copies).
+    /// GeoBroadcast packets heard so far (first copies). Each is replayed
+    /// once, so this is [`IntraAreaAttacker::packets_replayed`].
     #[must_use]
     pub fn packets_sniffed(&self) -> u64 {
-        self.packets_sniffed
+        self.packets_replayed
     }
 
     /// Replays transmitted so far.
@@ -168,17 +76,21 @@ impl IntraAreaAttacker {
         self.packets_replayed
     }
 
-    /// Feeds one sniffed frame; returns a replay order for GeoBroadcast
-    /// packets.
-    pub fn on_sniff(&mut self, frame: &Frame, now: SimTime) -> Option<ReplayOrder> {
-        let key = PacketKey::of(&frame.msg)?; // beacons: None → ignore
-        let first_sighting = self.seen.insert(key);
-        self.packets_sniffed += u64::from(first_sighting);
-        if self.replay_once && !first_sighting {
+    /// Replays the first copy of each GeoBroadcast packet under the
+    /// pseudonym, RHL-clamped or power-capped as the mode says.
+    pub(crate) fn capture(
+        &mut self,
+        frame: &Frame,
+        now: SimTime,
+        tracer: &Tracer,
+    ) -> Option<Replay> {
+        let gbc = frame.msg.packet.gbc()?;
+        let key = PacketKey { source: gbc.so_pv.addr, sn: gbc.sn };
+        if !self.seen.insert(key) {
             return None;
         }
         self.packets_replayed += 1;
-        self.tracer.emit(now, || TraceEvent::AttackAction {
+        tracer.emit(now, || TraceEvent::AttackAction {
             kind: AttackKind::BlockageReplay,
             packet: Some(PacketRef::new(key.source.to_u64(), key.sn.0)),
         });
@@ -186,30 +98,17 @@ impl IntraAreaAttacker {
             BlockageMode::ClampRhl => (frame.msg.with_rhl(1), None),
             BlockageMode::PowerControlled { range } => (frame.msg.clone(), Some(range)),
         };
-        Some(ReplayOrder {
-            frame: Frame::broadcast(self.pseudonym, self.position, msg),
-            delay: self.processing_delay,
-            range_cap,
-        })
-    }
-}
-
-impl fmt::Display for IntraAreaAttacker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "intra-area attacker at {} mode {} ({} sniffed, {} replayed)",
-            self.position, self.mode, self.packets_sniffed, self.packets_replayed
-        )
+        Some(Replay { src: IntraAreaAttacker::DEFAULT_PSEUDONYM, msg, range_cap })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Attacker, Strategy};
     use geonet::{CertificateAuthority, GnConfig, GnRouter, RouterAction};
-    use geonet_geo::{Area, GeoReference, Heading};
-    use geonet_sim::SimTime;
+    use geonet_geo::{Area, GeoReference, Heading, Position};
+    use geonet_sim::{SimDuration, SimTime};
 
     fn router(ca: &CertificateAuthority, addr: u64) -> GnRouter {
         GnRouter::new(
@@ -218,6 +117,11 @@ mod tests {
             GnConfig::paper_default(1_283.0),
             GeoReference::default(),
         )
+    }
+
+    fn state(atk: &Attacker) -> &IntraAreaAttacker {
+        let Strategy::Blockage(s) = atk.strategy() else { panic!("blockage attacker") };
+        s
     }
 
     fn road_area() -> Area {
@@ -243,7 +147,7 @@ mod tests {
         let ca = CertificateAuthority::new(1);
         let (_, frame) = originate_frame(&ca, 1, 1_000.0);
         assert_eq!(frame.msg.rhl(), 10);
-        let mut atk = IntraAreaAttacker::new(Position::new(2_000.0, -10.0), BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::new(2_000.0, -10.0), BlockageMode::ClampRhl);
         let order = atk.on_sniff(&frame, SimTime::from_secs(1)).unwrap();
         assert_eq!(order.frame.msg.rhl(), 1);
         assert_eq!(order.range_cap, None);
@@ -256,7 +160,7 @@ mod tests {
     fn power_controlled_mode_keeps_rhl_and_caps_range() {
         let ca = CertificateAuthority::new(1);
         let (_, frame) = originate_frame(&ca, 1, 1_000.0);
-        let mut atk = IntraAreaAttacker::new(
+        let mut atk = Attacker::blockage(
             Position::new(2_000.0, -10.0),
             BlockageMode::PowerControlled { range: 120.0 },
         );
@@ -266,28 +170,17 @@ mod tests {
     }
 
     #[test]
-    fn replays_each_packet_once_by_default() {
+    fn replays_each_packet_once() {
         let ca = CertificateAuthority::new(1);
         let (_, frame) = originate_frame(&ca, 1, 1_000.0);
-        let mut atk = IntraAreaAttacker::new(Position::new(2_000.0, -10.0), BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::new(2_000.0, -10.0), BlockageMode::ClampRhl);
         assert!(atk.on_sniff(&frame, SimTime::from_secs(1)).is_some());
         assert!(atk.on_sniff(&frame, SimTime::from_secs(1)).is_none(), "same key ignored");
-        assert_eq!(atk.packets_sniffed(), 1);
-        assert_eq!(atk.packets_replayed(), 1);
+        assert_eq!(state(&atk).packets_sniffed(), 1);
+        assert_eq!(state(&atk).packets_replayed(), 1);
         // A different packet is replayed again.
         let (_, frame2) = originate_frame(&ca, 2, 1_500.0);
         assert!(atk.on_sniff(&frame2, SimTime::from_secs(1)).is_some());
-    }
-
-    #[test]
-    fn aggressive_attacker_replays_every_copy() {
-        let ca = CertificateAuthority::new(1);
-        let (_, frame) = originate_frame(&ca, 1, 1_000.0);
-        let mut atk = IntraAreaAttacker::new(Position::ORIGIN, BlockageMode::ClampRhl)
-            .with_replay_once(false);
-        assert!(atk.on_sniff(&frame, SimTime::from_secs(1)).is_some());
-        assert!(atk.on_sniff(&frame, SimTime::from_secs(1)).is_some());
-        assert_eq!(atk.packets_replayed(), 2);
     }
 
     #[test]
@@ -296,9 +189,9 @@ mod tests {
         let v = router(&ca, 1);
         let beacon =
             v.make_beacon(SimTime::from_secs(1), Position::new(10.0, 0.0), 30.0, Heading::EAST);
-        let mut atk = IntraAreaAttacker::new(Position::ORIGIN, BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::ORIGIN, BlockageMode::ClampRhl);
         assert!(atk.on_sniff(&beacon, SimTime::from_secs(1)).is_none());
-        assert_eq!(atk.packets_sniffed(), 0);
+        assert_eq!(state(&atk).packets_sniffed(), 0);
     }
 
     #[test]
@@ -310,7 +203,7 @@ mod tests {
         let (key, frame) = originate_frame(&ca, 1, 1_000.0);
         let mut v2 = router(&ca, 2);
         let mut v3 = router(&ca, 3);
-        let mut atk = IntraAreaAttacker::new(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
 
         let t0 = SimTime::from_secs(1);
         // V2 (in area, in V1's range) buffers and contends.
@@ -345,7 +238,7 @@ mod tests {
                 .with_mitigations(geonet::MitigationConfig::rhl_check(3)),
             GeoReference::default(),
         );
-        let mut atk = IntraAreaAttacker::new(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
         let t0 = SimTime::from_secs(1);
         let a2 = v2.handle_frame(&frame, Position::new(1_400.0, 2.5), t0);
         let RouterAction::CbfTimer { generation, delay, .. } = a2[1] else { panic!() };
@@ -362,7 +255,7 @@ mod tests {
         use geonet_sim::{shared, VecSink};
         let ca = CertificateAuthority::new(1);
         let (key, frame) = originate_frame(&ca, 1, 1_000.0);
-        let mut atk = IntraAreaAttacker::new(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
+        let mut atk = Attacker::blockage(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
         let sink = shared(VecSink::new());
         atk.set_tracer(Tracer::attached(sink.clone()).for_node(99));
         atk.on_sniff(&frame, SimTime::from_secs(1)).unwrap();
@@ -375,17 +268,15 @@ mod tests {
             }
             ref other => panic!("{other:?}"),
         }
-        // A suppressed duplicate (replay_once) emits nothing.
+        // A suppressed duplicate emits nothing.
         assert!(atk.on_sniff(&frame, SimTime::from_secs(2)).is_none());
         assert_eq!(sink.borrow().records().len(), 1);
     }
 
     #[test]
     fn display_reports_mode() {
-        let atk = IntraAreaAttacker::new(
-            Position::ORIGIN,
-            BlockageMode::PowerControlled { range: 120.0 },
-        );
+        let atk =
+            Attacker::blockage(Position::ORIGIN, BlockageMode::PowerControlled { range: 120.0 });
         let s = atk.to_string();
         assert!(s.contains("power-controlled"), "{s}");
         assert_eq!(BlockageMode::ClampRhl.to_string(), "clamp-RHL");

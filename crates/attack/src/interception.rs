@@ -1,93 +1,37 @@
 //! The inter-area interception attack (paper §III-B).
 
-use crate::ReplayOrder;
+use crate::Replay;
+use geonet::wire::Extended;
 use geonet::Frame;
-use geonet_geo::Position;
-use geonet_sim::{AttackKind, SimDuration, SimTime, TraceEvent, Tracer};
-use std::fmt;
+use geonet_sim::{AttackKind, SimTime, TraceEvent, Tracer};
 
-/// The beacon-replay attacker.
+/// The beacon-replay strategy's state.
 ///
-/// Deployed statically at the roadside, it sniffs the public channel and
-/// re-broadcasts **every beacon it hears** at its (larger) attack range —
-/// the strategy the paper's evaluation uses ("the attacker rebroadcasts
-/// all beacons that it hears to the vehicles within its communication
-/// coverage"). Vehicles that would never have heard each other directly
-/// thus poison each other's location tables with authentic but
-/// unreachable neighbours.
+/// Deployed statically at the roadside, the attacker sniffs the public
+/// channel and re-broadcasts **every beacon it hears** at its (larger)
+/// attack range — the strategy the paper's evaluation uses ("the attacker
+/// rebroadcasts all beacons that it hears to the vehicles within its
+/// communication coverage"). Vehicles that would never have heard each
+/// other directly thus poison each other's location tables with
+/// authentic but unreachable neighbours.
 ///
-/// The replayed frame is byte-identical to the captured one: signature,
-/// position vector and timestamp all verify, which is why certificate
-/// checks and integrity protection do not stop the attack.
-#[derive(Debug, Clone)]
+/// The replayed frame is byte-identical to the captured one at the
+/// network layer: signature, position vector and timestamp all verify,
+/// which is why certificate checks and integrity protection do not stop
+/// the attack. Data packets are ignored — this attack never touches
+/// them; it only corrupts the victims' view of the topology and lets
+/// greedy forwarding do the packet dropping itself.
+#[derive(Debug, Clone, Default)]
 pub struct InterAreaAttacker {
-    position: Position,
-    attack_range: Option<f64>,
-    processing_delay: SimDuration,
-    beacons_sniffed: u64,
     beacons_replayed: u64,
-    tracer: Tracer,
 }
 
 impl InterAreaAttacker {
-    /// Creates an attacker whose sniffer sits at `position`.
-    #[must_use]
-    pub fn new(position: Position) -> Self {
-        InterAreaAttacker {
-            position,
-            attack_range: None,
-            processing_delay: SimDuration::from_millis(1),
-            beacons_sniffed: 0,
-            beacons_replayed: 0,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Attaches a tracer; each capture and replay emits an
-    /// [`TraceEvent::AttackAction`] through it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Overrides the capture-to-replay processing delay (default 1 ms).
-    #[must_use]
-    pub fn with_processing_delay(mut self, delay: SimDuration) -> Self {
-        self.processing_delay = delay;
-        self
-    }
-
-    /// The attacker's position.
-    #[must_use]
-    pub fn position(&self) -> Position {
-        self.position
-    }
-
-    /// Declares the attacker's elevated sniff/TX range in metres, so
-    /// the attacker object is self-describing for observability layers
-    /// (blast-radius and coverage reports).
-    #[must_use]
-    pub fn with_attack_range(mut self, range: f64) -> Self {
-        assert!(range.is_finite() && range >= 0.0, "invalid attack range: {range}");
-        self.attack_range = Some(range);
-        self
-    }
-
-    /// The declared sniff/TX range, if the deployer set one.
-    #[must_use]
-    pub fn attack_range(&self) -> Option<f64> {
-        self.attack_range
-    }
-
-    /// Moves the attacker (the paper's discussion covers mobile
-    /// attackers; replayed frames carry the new transmitter position).
-    pub fn set_position(&mut self, position: Position) {
-        self.position = position;
-    }
-
-    /// Beacons heard so far.
+    /// Beacons heard so far. Every beacon heard is replayed, so this is
+    /// [`InterAreaAttacker::beacons_replayed`].
     #[must_use]
     pub fn beacons_sniffed(&self) -> u64 {
-        self.beacons_sniffed
+        self.beacons_replayed
     }
 
     /// Beacons replayed so far.
@@ -96,54 +40,35 @@ impl InterAreaAttacker {
         self.beacons_replayed
     }
 
-    /// Feeds one sniffed frame; returns a replay order for beacons.
-    ///
-    /// Data packets are ignored — this attack never touches them; it only
-    /// corrupts the victims' view of the topology and lets greedy
-    /// forwarding do the packet dropping itself.
-    pub fn on_sniff(&mut self, frame: &Frame, now: SimTime) -> Option<ReplayOrder> {
-        if frame.msg.packet.gbc().is_some() {
-            return None; // not a beacon
-        }
-        self.beacons_sniffed += 1;
+    /// Replays beacons verbatim under their original link-layer source.
+    pub(crate) fn capture(
+        &mut self,
+        frame: &Frame,
+        now: SimTime,
+        tracer: &Tracer,
+    ) -> Option<Replay> {
+        let Extended::Beacon { .. } = frame.msg.packet.extended else {
+            return None;
+        };
         self.beacons_replayed += 1;
-        self.tracer.emit(now, || TraceEvent::AttackAction {
+        tracer.emit(now, || TraceEvent::AttackAction {
             kind: AttackKind::InterceptionCapture,
             packet: None,
         });
-        self.tracer.emit(now, || TraceEvent::AttackAction {
+        tracer.emit(now, || TraceEvent::AttackAction {
             kind: AttackKind::InterceptionReplay,
             packet: None,
         });
-        Some(ReplayOrder {
-            frame: Frame {
-                // Replayed verbatim at the network layer; the physical
-                // transmitter is now the attacker.
-                sender_position: self.position,
-                ..frame.clone()
-            },
-            delay: self.processing_delay,
-            range_cap: None,
-        })
-    }
-}
-
-impl fmt::Display for InterAreaAttacker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "inter-area attacker at {} ({} sniffed, {} replayed)",
-            self.position, self.beacons_sniffed, self.beacons_replayed
-        )
+        Some(Replay { src: frame.src, msg: frame.msg.clone(), range_cap: None })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Attacker, Strategy};
     use geonet::{CertificateAuthority, GnAddress, GnConfig, GnRouter};
-    use geonet_geo::{Area, GeoReference, Heading};
-    use geonet_sim::SimTime;
+    use geonet_geo::{Area, GeoReference, Heading, Position};
+    use geonet_sim::{SimDuration, SimTime};
 
     fn router(ca: &CertificateAuthority, addr: u64) -> GnRouter {
         GnRouter::new(
@@ -154,11 +79,16 @@ mod tests {
         )
     }
 
+    fn replayed(atk: &Attacker) -> u64 {
+        let Strategy::Interception(s) = atk.strategy() else { panic!("interception attacker") };
+        s.beacons_replayed()
+    }
+
     #[test]
     fn replays_beacons_with_default_delay() {
         let ca = CertificateAuthority::new(1);
         let v3 = router(&ca, 3);
-        let mut atk = InterAreaAttacker::new(Position::new(500.0, -10.0));
+        let mut atk = Attacker::interception(Position::new(500.0, -10.0));
         let beacon =
             v3.make_beacon(SimTime::from_secs(1), Position::new(700.0, 0.0), 30.0, Heading::EAST);
         let order = atk.on_sniff(&beacon, SimTime::from_secs(1)).expect("beacons are replayed");
@@ -169,14 +99,14 @@ mod tests {
         assert_eq!(order.frame.src, beacon.src);
         // Physical transmitter moved to the attacker.
         assert_eq!(order.frame.sender_position, atk.position());
-        assert_eq!(atk.beacons_replayed(), 1);
+        assert_eq!(replayed(&atk), 1);
     }
 
     #[test]
     fn ignores_data_packets() {
         let ca = CertificateAuthority::new(1);
         let mut v1 = router(&ca, 1);
-        let mut atk = InterAreaAttacker::new(Position::new(500.0, -10.0));
+        let mut atk = Attacker::interception(Position::new(500.0, -10.0));
         let area = Area::circle(Position::new(4_020.0, 0.0), 50.0);
         let (_, actions) = v1.originate(
             &area,
@@ -188,7 +118,7 @@ mod tests {
         );
         let geonet::RouterAction::Transmit(frame) = &actions[0] else { panic!() };
         assert!(atk.on_sniff(frame, SimTime::from_secs(1)).is_none());
-        assert_eq!(atk.beacons_sniffed(), 0);
+        assert_eq!(replayed(&atk), 0);
     }
 
     #[test]
@@ -199,7 +129,7 @@ mod tests {
         let mut v1 = router(&ca, 1); // victim at x = 0
         let v2 = router(&ca, 2); // real neighbour at 300 m
         let v3 = router(&ca, 3); // out of range at 700 m
-        let mut atk = InterAreaAttacker::new(Position::new(400.0, -10.0));
+        let mut atk = Attacker::interception(Position::new(400.0, -10.0));
 
         let t0 = SimTime::from_secs(1);
         let v2_beacon = v2.make_beacon(t0, Position::new(300.0, 0.0), 30.0, Heading::EAST);
@@ -219,14 +149,18 @@ mod tests {
 
     #[test]
     fn custom_processing_delay() {
-        let atk = InterAreaAttacker::new(Position::ORIGIN)
+        let ca = CertificateAuthority::new(1);
+        let beacon =
+            router(&ca, 3).make_beacon(SimTime::ZERO, Position::ORIGIN, 30.0, Heading::EAST);
+        let mut atk = Attacker::interception(Position::ORIGIN)
             .with_processing_delay(SimDuration::from_micros(200));
-        assert_eq!(atk.processing_delay, SimDuration::from_micros(200));
+        let order = atk.on_sniff(&beacon, SimTime::ZERO).expect("beacons are replayed");
+        assert_eq!(order.delay, SimDuration::from_micros(200));
     }
 
     #[test]
     fn display_reports_counts() {
-        let atk = InterAreaAttacker::new(Position::ORIGIN);
+        let atk = Attacker::interception(Position::ORIGIN);
         assert!(atk.to_string().contains("inter-area attacker"));
     }
 }

@@ -331,7 +331,7 @@ fn blockage_with_attacker_delay(cfg: &ScenarioConfig, delay: SimDuration) -> f64
     let run = |attacked: bool| {
         let setup = attacked.then_some(AttackerSetup::IntraArea(BlockageMode::ClampRhl));
         let mut w = World::new(cfg, setup, 42);
-        w.set_intra_attacker_delay(delay);
+        w.set_attacker_delay(delay);
         w.run_until(SimTime::from_secs(4));
         let src = w.random_on_road_vehicle().expect("road populated");
         let snapshot = w.on_road_nodes();

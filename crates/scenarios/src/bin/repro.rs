@@ -58,7 +58,6 @@
 //! report (hot bins, partition time, greedy-local-maximum evidence,
 //! displaced articulation points).
 
-use geonet_attack::IntraAreaAttacker;
 use geonet_radio::RangeProfile;
 use geonet_scenarios::config::Scale;
 use geonet_scenarios::forensics::{top_nodes, AttributionReport};
@@ -112,18 +111,27 @@ impl Family {
     }
 
     /// One run of the family's workload with every trace event routed
-    /// to `sink`.
-    fn run_traced(self, cfg: &ScenarioConfig, attacked: bool, seed: u64, sink: SharedSink) {
+    /// to `sink`. Returns the world's `attacker_address`: the link-layer
+    /// address the attacker shows up under in the trace, if any.
+    fn run_traced(
+        self,
+        cfg: &ScenarioConfig,
+        attacked: bool,
+        seed: u64,
+        sink: SharedSink,
+    ) -> Option<u64> {
         match self {
             Family::Interception => {
                 let mut w = interarea::world(cfg, attacked, seed);
                 w.set_trace_sink(sink);
                 let _ = interarea::drive(cfg, &mut w, |_, _| {});
+                w.attacker_address()
             }
             Family::Blockage => {
                 let mut w = intraarea::world(cfg, attacked, seed);
                 w.set_trace_sink(sink);
                 let _ = intraarea::drive(cfg, &mut w, |_, _| {});
+                w.attacker_address()
             }
         }
     }
@@ -483,13 +491,8 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
 fn forensic_pass(opts: &Options) -> Result<(), String> {
     for family in Family::BOTH {
         let sink = shared(VecSink::new());
-        family.run_traced(&family.config(opts.scale.duration_s), true, opts.seed, sink.clone());
-        // The attacker's link-layer address, where one shows up in the
-        // evidence: the blockage attacker replays under its pseudonym;
-        // the interception attacker replays beacons verbatim and never
-        // transmits under a name of its own.
         let attacker =
-            (family == Family::Blockage).then(|| IntraAreaAttacker::DEFAULT_PSEUDONYM.to_u64());
+            family.run_traced(&family.config(opts.scale.duration_s), true, opts.seed, sink.clone());
         let records = sink.borrow().records().to_vec();
         let family = family.name();
         if let Some(prefix) = &opts.trace {

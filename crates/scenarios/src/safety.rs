@@ -22,7 +22,7 @@ use geonet::{
     CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, OnAir, PacketKey, RouterAction,
     Verifier,
 };
-use geonet_attack::{BlockageMode, IntraAreaAttacker};
+use geonet_attack::{Attacker, BlockageMode};
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_radio::{Medium, NodeId};
 use geonet_sim::{Kernel, SimTime};
@@ -155,10 +155,7 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
     let mut attacker = attacked.then(|| {
         // Spot 2: beside R1; replay at minimal power so only R1 hears.
         medium.register(Position::new(2.0, 40.0), cfg.radio_range);
-        IntraAreaAttacker::new(
-            Position::new(2.0, 40.0),
-            BlockageMode::PowerControlled { range: 5.0 },
-        )
+        Attacker::blockage(Position::new(2.0, 40.0), BlockageMode::PowerControlled { range: 5.0 })
     });
     let attacker_node = attacked.then_some(NodeId(3));
 

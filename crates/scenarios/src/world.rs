@@ -4,7 +4,7 @@ use crate::config::{AttackerSetup, ScenarioConfig};
 use geonet::{
     CertificateAuthority, Frame, GfDecision, GnAddress, GnRouter, OnAir, PacketKey, RouterAction,
 };
-use geonet_attack::{InterAreaAttacker, IntraAreaAttacker};
+use geonet_attack::{Attacker, Strategy};
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_radio::{Medium, NodeId};
 use geonet_sim::{
@@ -98,9 +98,8 @@ pub struct World {
     kinds: Vec<NodeKind>,
     rngs: Vec<SimRng>,
     vehicle_nodes: Vec<NodeId>,
-    inter_attacker: Option<InterAreaAttacker>,
-    intra_attacker: Option<IntraAreaAttacker>,
-    attacker_node: Option<NodeId>,
+    /// The attacker's radio node and the attacker itself, if mounted.
+    attacker: Option<(NodeId, Attacker)>,
     workload_rng: SimRng,
     loss_rng: SimRng,
     received: BTreeMap<PacketKey, BTreeSet<NodeId>>,
@@ -150,9 +149,7 @@ impl World {
             kinds: Vec::new(),
             rngs: Vec::new(),
             vehicle_nodes: Vec::new(),
-            inter_attacker: None,
-            intra_attacker: None,
-            attacker_node: None,
+            attacker: None,
             workload_rng: root_rng.split(0xAAAA),
             loss_rng: root_rng.split(0x1055),
             received: BTreeMap::new(),
@@ -184,16 +181,11 @@ impl World {
             world.routers.push(None);
             world.kinds.push(NodeKind::Attacker);
             world.rngs.push(world.root_rng.split(0xA77A));
-            world.attacker_node = Some(node);
-            match setup {
-                AttackerSetup::InterArea => {
-                    world.inter_attacker = Some(InterAreaAttacker::new(cfg.attacker_position));
-                }
-                AttackerSetup::IntraArea(mode) => {
-                    world.intra_attacker =
-                        Some(IntraAreaAttacker::new(cfg.attacker_position, mode));
-                }
-            }
+            let attacker = match setup {
+                AttackerSetup::InterArea => Attacker::interception(cfg.attacker_position),
+                AttackerSetup::IntraArea(mode) => Attacker::blockage(cfg.attacker_position, mode),
+            };
+            world.attacker = Some((node, attacker));
         }
         // Start the clocks.
         world.kernel.schedule_at(SimTime::from_secs_f64(cfg.traffic_dt), Ev::TrafficStep);
@@ -254,13 +246,8 @@ impl World {
                 r.set_tracer(self.tracer.for_node(i as u32));
             }
         }
-        if let Some(atk) = self.attacker_node {
-            if let Some(a) = &mut self.inter_attacker {
-                a.set_tracer(self.tracer.for_node(atk.0));
-            }
-            if let Some(a) = &mut self.intra_attacker {
-                a.set_tracer(self.tracer.for_node(atk.0));
-            }
+        if let Some((node, attacker)) = &mut self.attacker {
+            attacker.set_tracer(self.tracer.for_node(node.0));
         }
         self.traffic.set_tracer(self.tracer.clone());
     }
@@ -446,7 +433,7 @@ impl World {
     /// to attribute CBF cancellations to the attacker.
     #[must_use]
     pub fn attacker_address(&self) -> Option<u64> {
-        self.intra_attacker.as_ref().map(|a| a.pseudonym().to_u64())
+        self.attacker().and_then(Attacker::pseudonym).map(GnAddress::to_u64)
     }
 
     /// The scenario configuration.
@@ -505,23 +492,35 @@ impl World {
         self.routers[node.index()].as_ref().expect("attacker has no router")
     }
 
-    /// The inter-area attacker, if mounted.
+    /// The attacker, if mounted.
     #[must_use]
-    pub fn inter_attacker(&self) -> Option<&InterAreaAttacker> {
-        self.inter_attacker.as_ref()
+    pub fn attacker(&self) -> Option<&Attacker> {
+        self.attacker.as_ref().map(|(_, a)| a)
     }
 
-    /// The intra-area attacker, if mounted.
+    /// The interception attacker's state, if that attack is mounted.
     #[must_use]
-    pub fn intra_attacker(&self) -> Option<&IntraAreaAttacker> {
-        self.intra_attacker.as_ref()
+    pub fn inter_attacker(&self) -> Option<&geonet_attack::InterAreaAttacker> {
+        match self.attacker()?.strategy() {
+            Strategy::Interception(s) => Some(s),
+            Strategy::Blockage(_) => None,
+        }
     }
 
-    /// Overrides the intra-area attacker's capture-to-replay processing
-    /// delay (default 1 ms) — used by the attacker-latency ablation.
-    pub fn set_intra_attacker_delay(&mut self, delay: SimDuration) {
-        if let Some(a) = self.intra_attacker.take() {
-            self.intra_attacker = Some(a.with_processing_delay(delay));
+    /// The blockage attacker's state, if that attack is mounted.
+    #[must_use]
+    pub fn intra_attacker(&self) -> Option<&geonet_attack::IntraAreaAttacker> {
+        match self.attacker()?.strategy() {
+            Strategy::Blockage(s) => Some(s),
+            Strategy::Interception(_) => None,
+        }
+    }
+
+    /// Overrides the attacker's capture-to-replay processing delay
+    /// (default 1 ms) — used by the attacker-latency ablation.
+    pub fn set_attacker_delay(&mut self, delay: SimDuration) {
+        if let Some((node, attacker)) = self.attacker.take() {
+            self.attacker = Some((node, attacker.with_processing_delay(delay)));
         }
     }
 
@@ -699,7 +698,7 @@ impl World {
                 self.execute(node, actions);
             }
             Ev::AttackerTx { frame, cap } => {
-                if let Some(node) = self.attacker_node {
+                if let Some(&(node, _)) = self.attacker.as_ref() {
                     self.transmit(node, *frame, cap);
                 }
             }
@@ -746,16 +745,11 @@ impl World {
         }
         // Mobile-attacker extension: the attacker drives along the road.
         if self.cfg.attacker_velocity != 0.0 {
-            if let Some(atk) = self.attacker_node {
-                let mut pos = self.medium.position(atk);
+            if let Some((node, attacker)) = &mut self.attacker {
+                let mut pos = self.medium.position(*node);
                 pos.x += self.cfg.attacker_velocity * self.cfg.traffic_dt;
-                self.medium.set_position(atk, pos);
-                if let Some(a) = self.inter_attacker.as_mut() {
-                    a.set_position(pos);
-                }
-                if let Some(a) = self.intra_attacker.as_mut() {
-                    a.set_position(pos);
-                }
+                self.medium.set_position(*node, pos);
+                attacker.set_position(pos);
             }
         }
         self.kernel.schedule_in(SimDuration::from_secs_f64(self.cfg.traffic_dt), Ev::TrafficStep);
@@ -836,26 +830,7 @@ impl World {
     fn on_deliver(&mut self, to: NodeId, on_air: &OnAir) {
         let now = self.kernel.now();
         let frame = on_air.frame();
-        if Some(to) == self.attacker_node {
-            let key = PacketKey::of(&frame.msg);
-            self.tracer.for_node(to.0).emit(now, || TraceEvent::FrameRx {
-                packet: key.map(World::packet_ref),
-                from: frame.src.to_u64(),
-                beacon: key.is_none(),
-            });
-            let order = match (&mut self.inter_attacker, &mut self.intra_attacker) {
-                (Some(a), _) => a.on_sniff(frame, now),
-                (_, Some(a)) => a.on_sniff(frame, now),
-                (None, None) => None,
-            };
-            if let Some(order) = order {
-                self.kernel.schedule_in(
-                    order.delay,
-                    Ev::AttackerTx { frame: Box::new(order.frame), cap: order.range_cap },
-                );
-            }
-            return;
-        }
+        // Only exited vehicles go inactive, never the attacker.
         if !self.medium.is_active(to) {
             return;
         }
@@ -865,6 +840,15 @@ impl World {
             from: frame.src.to_u64(),
             beacon: key.is_none(),
         });
+        if let Some((_, attacker)) = self.attacker.as_mut().filter(|(node, _)| *node == to) {
+            if let Some(order) = attacker.on_sniff(frame, now) {
+                self.kernel.schedule_in(
+                    order.delay,
+                    Ev::AttackerTx { frame: Box::new(order.frame), cap: order.range_cap },
+                );
+            }
+            return;
+        }
         let position = self.medium.position(to);
         let router = self.routers[to.index()].as_mut().expect("legitimate node");
         let actions = router.receive(on_air, position, now);
@@ -909,7 +893,7 @@ impl World {
         let cap = cap.unwrap_or_else(|| self.medium.tx_range(from));
         let mut receivers = std::mem::take(&mut self.rx_buf);
         self.medium.receivers_into(from, cap, &mut receivers);
-        if let Some(atk) = self.attacker_node {
+        if let Some(&(atk, _)) = self.attacker.as_ref() {
             if from != atk {
                 // The LoS sniffer link replaces the unit-disk rule for
                 // frames arriving at the attacker.
@@ -1005,7 +989,7 @@ impl std::fmt::Debug for World {
             .field("nodes", &self.medium.len())
             .field("on_road", &self.traffic.count_on_road())
             .field("events", &self.events_processed())
-            .field("attacker", &self.attacker_node)
+            .field("attacker", &self.attacker.as_ref().map(|(node, _)| node))
             .finish()
     }
 }
@@ -1120,8 +1104,49 @@ mod tests {
     fn inter_area_attacker_replays_beacons() {
         let mut w = World::new(short_cfg(), Some(AttackerSetup::InterArea), 5);
         w.run_until(SimTime::from_secs(6));
-        let atk = w.inter_attacker().unwrap();
-        assert!(atk.beacons_replayed() > 10, "attacker idle: {atk}");
+        let replayed = w.inter_attacker().unwrap().beacons_replayed();
+        assert!(replayed > 10, "attacker idle: {}", w.attacker().unwrap());
+    }
+
+    #[test]
+    fn attacker_delay_applies_to_either_strategy() {
+        use geonet_sim::{AttackKind, TraceEvent};
+        let delay = SimDuration::from_millis(3);
+        let setups = [AttackerSetup::InterArea, AttackerSetup::IntraArea(BlockageMode::ClampRhl)];
+        for setup in setups {
+            let sink = geonet_sim::shared(geonet_sim::VecSink::new());
+            let mut w = World::new(short_cfg().with_attack_range(500.0), Some(setup), 14);
+            w.set_trace_sink(sink.clone());
+            w.set_attacker_delay(delay);
+            w.run_until(SimTime::from_secs(4));
+            let src = w.random_on_road_vehicle().unwrap();
+            w.originate_from(w.vehicle_node(src), &road_area(), vec![1]);
+            w.run_until(SimTime::from_secs(6));
+            let (node, _) = w.attacker.as_ref().unwrap();
+            let records = sink.borrow().records().to_vec();
+            let answered: Vec<SimTime> = records
+                .iter()
+                .filter(|r| {
+                    matches!(
+                        r.event,
+                        TraceEvent::AttackAction {
+                            kind: AttackKind::InterceptionCapture | AttackKind::BlockageReplay,
+                            ..
+                        }
+                    )
+                })
+                .map(|r| r.at + delay)
+                .collect();
+            let sent: Vec<SimTime> = records
+                .iter()
+                .filter(|r| r.node == node.0 && matches!(r.event, TraceEvent::FrameTx { .. }))
+                .map(|r| r.at)
+                .collect();
+            assert!(!sent.is_empty(), "{setup:?}: the attacker never replayed");
+            // Captures after the horizon minus the delay are still queued.
+            assert_eq!(sent, answered[..sent.len()], "{setup:?}");
+            assert!(answered[sent.len()..].iter().all(|&t| t > w.now()), "{setup:?}");
+        }
     }
 
     #[test]
@@ -1224,7 +1249,7 @@ mod tests {
         let cfg = short_cfg().with_attacker_velocity(30.0);
         let mut w = World::new(cfg, Some(AttackerSetup::InterArea), 8);
         w.run_until(SimTime::from_secs(10));
-        let atk = w.inter_attacker().unwrap();
+        let atk = w.attacker().unwrap();
         let expected_x = cfg.attacker_position.x + 30.0 * 10.0;
         assert!(
             (atk.position().x - expected_x).abs() < 5.0,

@@ -3,7 +3,7 @@
 //! back, reconstructed into hop traces and attributed.
 
 use geonet::{CertificateAuthority, GnAddress, GnConfig, GnRouter, RouterAction};
-use geonet_attack::{BlockageMode, IntraAreaAttacker};
+use geonet_attack::{Attacker, BlockageMode, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_scenarios::forensics::{hop_traces, AttributionReport, PacketFate};
 use geonet_scenarios::{interarea, ScenarioConfig};
@@ -39,7 +39,7 @@ fn blockage_run_traced_through_jsonl_attributes_the_suppression() {
     let t0 = SimTime::from_secs(1);
     let mut v1 = router(&ca, 1, root.for_node(1));
     let mut v2 = router(&ca, 2, root.for_node(2));
-    let mut atk = IntraAreaAttacker::new(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
+    let mut atk = Attacker::blockage(Position::new(1_400.0, -10.0), BlockageMode::ClampRhl);
     atk.set_tracer(root.for_node(99));
 
     let area = Area::rectangle(Position::new(2_000.0, 0.0), 2_050.0, 25.0, 90.0);

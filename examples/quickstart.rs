@@ -9,7 +9,7 @@
 //! ```
 
 use geonet::{CertificateAuthority, GnAddress, GnConfig, GnRouter, RouterAction};
-use geonet_attack::InterAreaAttacker;
+use geonet_attack::Attacker;
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_radio::RangeProfile;
 use geonet_sim::{SimDuration, SimTime};
@@ -50,7 +50,7 @@ fn main() {
     // The attack: a roadside sniffer captures V3's beacon and replays it
     // to V1 within a millisecond. The beacon is authentic — it verifies —
     // so V1 installs an unreachable neighbour and forwards into the void.
-    let mut attacker = InterAreaAttacker::new(Position::new(400.0, -10.0));
+    let mut attacker = Attacker::interception(Position::new(400.0, -10.0));
     let order = attacker.on_sniff(&v3_beacon, t0).expect("beacons are replayed");
     let t1 = t0 + order.delay;
     v1.handle_frame(&order.frame, v1_pos, t1);

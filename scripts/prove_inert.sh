@@ -10,7 +10,10 @@
 #      tree's perfbench/reference.txt;
 #   2. runs both sides' `repro` with the same flags (audit, topology for
 #      both scenarios, trace + forensics, and a two-run CSV campaign of
-#      fig7a fig9a fig12a) and `cmp`s every artifact.
+#      fig7a fig9a fig12a fig13 ext-mobile ext-ack) and `cmp`s every
+#      artifact. fig13 drives its own standalone attacker loop, ext-mobile
+#      moves the attacker and ext-ack runs link acknowledgements under
+#      attack; none of the other runs reach those paths.
 # Prints one line per check and exits 1 on any difference, 0 otherwise.
 # The temporary directory is removed on exit.
 set -euo pipefail
@@ -37,7 +40,8 @@ artifacts() {
         "$repro" --duration 30 --seed 42 --topology "$out/tb" --topology-scenario blockage \
             > "$out/topo-blockage.txt"
         "$repro" --duration 30 --seed 42 --trace "$out/tr" --forensics > "$out/forensics.txt"
-        "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig9a fig12a > "$out/campaign.csv"
+        "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig9a fig12a fig13 ext-mobile ext-ack \
+            > "$out/campaign.csv"
     } 2> "$out.stderr.log"
 }
 
