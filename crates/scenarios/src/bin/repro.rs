@@ -10,8 +10,10 @@
 //!
 //! Experiments: `table1 table2 fig7a fig7b fig7c fig7d fig7e fig8
 //! fig9a fig9b fig9c fig9d fig9e fig9src fig10 fig12a fig12b fig13
-//! fig14a fig14b all`, plus the beyond-the-paper extensions `ext-ack`,
-//! `ext-loss` and `ext-mobile`.
+//! fig14a fig14b all`, plus `analysis` (the closed-form model) and the
+//! beyond-the-paper extensions `ext-ack`, `ext-loss` and `ext-mobile`,
+//! which `all` leaves out. An unknown name is rejected before anything
+//! runs.
 //!
 //! Defaults to a reduced scale (5 runs × 100 s); pass `--runs 100
 //! --duration 200` for the paper's full scale. Every run prints one
@@ -59,6 +61,7 @@
 //! displaced articulation points).
 
 use geonet_radio::RangeProfile;
+use geonet_scenarios::campaign::outcomes_to_bins;
 use geonet_scenarios::config::Scale;
 use geonet_scenarios::forensics::{top_nodes, AttributionReport};
 use geonet_scenarios::report::{
@@ -66,7 +69,7 @@ use geonet_scenarios::report::{
 };
 use geonet_scenarios::{
     analysis, extensions, impact, interarea, intraarea, mitigation, parallel, progress, safety,
-    topology, AbResult, BlastRadiusReport, HeatmapDiff, RoadHeatmap, ScenarioConfig,
+    topology, AbResult, BlastRadiusReport, Family, HeatmapDiff, RoadHeatmap, ScenarioConfig,
 };
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, shared_registry, trace_window, AuditArtifact,
@@ -76,65 +79,35 @@ use geonet_sim::{
 use geonet_traffic::IdmParams;
 use std::process::ExitCode;
 
-/// The paper's two attack families, as the single-run passes
-/// (`--trace`, `--check-invariants`, `--topology`) exercise them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
-    /// Inter-area interception of greedy-forwarded packets.
-    Interception,
-    /// Intra-area blockage of CBF floods.
-    Blockage,
+/// The paper's experiments, in the order `all` expands to.
+const PAPER_EXPERIMENTS: &[&str] = &[
+    "table1", "table2", "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig8", "fig9a", "fig9b",
+    "fig9c", "fig9d", "fig9e", "fig9src", "fig10", "fig12a", "fig12b", "fig13", "fig14a", "fig14b",
+];
+
+/// The experiments beyond the paper's figures, which `all` leaves out.
+const EXTRA_EXPERIMENTS: &[&str] = &["analysis", "ext-ack", "ext-loss", "ext-mobile"];
+
+/// Every experiment name `repro` accepts, in the order the help lists
+/// them.
+fn experiment_names() -> impl Iterator<Item = &'static str> {
+    PAPER_EXPERIMENTS.iter().chain(&["all"]).chain(EXTRA_EXPERIMENTS).copied()
 }
 
-impl Family {
-    const BOTH: [Family; 2] = [Family::Interception, Family::Blockage];
-
-    /// The workload's name in file names and report lines.
-    fn name(self) -> &'static str {
-        match self {
-            Family::Interception => "interarea",
-            Family::Blockage => "intraarea",
-        }
-    }
-
-    /// The single-run scenario: the median-NLoS attacker (486 m) for
-    /// interception, the paper's most effective 500 m attacker for
-    /// blockage.
-    fn config(self, duration_s: u64) -> ScenarioConfig {
-        let range = match self {
-            Family::Interception => 486.0,
-            Family::Blockage => 500.0,
-        };
-        ScenarioConfig::paper_dsrc_default()
-            .with_attack_range(range)
-            .with_duration(SimDuration::from_secs(duration_s))
-    }
-
-    /// One run of the family's workload with every trace event routed
-    /// to `sink`. Returns the world's `attacker_address`: the link-layer
-    /// address the attacker shows up under in the trace, if any.
-    fn run_traced(
-        self,
-        cfg: &ScenarioConfig,
-        attacked: bool,
-        seed: u64,
-        sink: SharedSink,
-    ) -> Option<u64> {
-        match self {
-            Family::Interception => {
-                let mut w = interarea::world(cfg, attacked, seed);
-                w.set_trace_sink(sink);
-                let _ = interarea::drive(cfg, &mut w, |_, _| {});
-                w.attacker_address()
-            }
-            Family::Blockage => {
-                let mut w = intraarea::world(cfg, attacked, seed);
-                w.set_trace_sink(sink);
-                let _ = intraarea::drive(cfg, &mut w, |_, _| {});
-                w.attacker_address()
-            }
-        }
-    }
+/// One run of `family`'s workload with every trace event routed to
+/// `sink`. Returns the world's `attacker_address`: the link-layer
+/// address the attacker shows up under in the trace, if any.
+fn run_traced(
+    family: Family,
+    cfg: &ScenarioConfig,
+    attacked: bool,
+    seed: u64,
+    sink: SharedSink,
+) -> Option<u64> {
+    let mut w = family.world(cfg, attacked, seed);
+    w.set_trace_sink(sink);
+    let _ = family.drive(cfg, &mut w, |_, _| {});
+    w.attacker_address()
 }
 
 /// Writes `records` to `path`, one JSON object per line.
@@ -304,12 +277,12 @@ const FLAG_SPECS: &[FlagSpec] = &[
 /// Renders the full `--help` text from [`FLAG_SPECS`].
 fn help_text() -> String {
     use std::fmt::Write as _;
-    let mut out = String::from(
-        "usage: repro [flags] <experiment>...\n\
-         experiments: table1 table2 fig7a fig7b fig7c fig7d fig7e fig8 fig9a fig9b\n\
-         \x20   fig9c fig9d fig9e fig9src fig10 fig12a fig12b fig13 fig14a fig14b all\n\
-         \x20   analysis ext-ack ext-loss ext-mobile\n",
-    );
+    let mut out = String::from("usage: repro [flags] <experiment>...\nexperiments:");
+    for (i, name) in experiment_names().enumerate() {
+        let sep = if i > 0 && i % 10 == 0 { "\n   " } else { "" };
+        let _ = write!(out, "{sep} {name}");
+    }
+    out.push('\n');
     let mut group = "";
     for s in FLAG_SPECS {
         if s.group != group {
@@ -440,7 +413,8 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
                 std::process::exit(0);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => experiments.push(other.to_string()),
+            other if experiment_names().any(|e| e == other) => experiments.push(other.into()),
+            other => return Err(format!("unknown experiment {other}")),
         }
     }
     if experiments.is_empty()
@@ -457,14 +431,7 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
         return Err("no experiments given (try `repro --help`)".into());
     }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1", "table2", "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig8", "fig9a",
-            "fig9b", "fig9c", "fig9d", "fig9e", "fig9src", "fig10", "fig12a", "fig12b", "fig13",
-            "fig14a", "fig14b",
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
+        experiments = PAPER_EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
     }
     Ok(Options {
         scale,
@@ -491,8 +458,8 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
 fn forensic_pass(opts: &Options) -> Result<(), String> {
     for family in Family::BOTH {
         let sink = shared(VecSink::new());
-        let attacker =
-            family.run_traced(&family.config(opts.scale.duration_s), true, opts.seed, sink.clone());
+        let cfg = family.config(opts.scale.duration_s);
+        let attacker = run_traced(family, &cfg, true, opts.seed, sink.clone());
         let records = sink.borrow().records().to_vec();
         let family = family.name();
         if let Some(prefix) = &opts.trace {
@@ -528,13 +495,15 @@ fn forensic_pass(opts: &Options) -> Result<(), String> {
 /// attached, feeding `--metrics` exporters and the `--profile` table.
 fn telemetry_pass(opts: &Options) -> Result<(), String> {
     let registry = shared_registry();
-    let cfg = Family::Interception.config(opts.scale.duration_s);
+    let family = Family::Interception;
+    let cfg = family.config(opts.scale.duration_s);
     progress::begin_setting("telemetry", 1);
     let t0 = std::time::Instant::now();
-    let mut w = interarea::world(&cfg, true, opts.seed);
+    let mut w = family.world(&cfg, true, opts.seed);
     w.set_telemetry(registry.clone());
-    let sent = interarea::drive(&cfg, &mut w, |_, _| {});
-    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
+    let sent = family.drive(&cfg, &mut w, |_, _| {});
+    let outcomes: Vec<_> = sent.iter().map(|s| s.outcome(&w)).collect();
+    let bins = outcomes_to_bins(&outcomes, cfg.duration);
     let events = w.events_processed();
     let wall = t0.elapsed().as_secs_f64();
     {
@@ -609,15 +578,16 @@ fn telemetry_pass(opts: &Options) -> Result<(), String> {
 /// `PREFIX.<variant>.audit.json`, matching event traces to
 /// `PREFIX.<variant>.trace.jsonl` (what `--audit-diff` joins against).
 fn audit_pass(opts: &Options, prefix: &str) -> Result<(), String> {
-    let cfg = Family::Interception.config(opts.scale.duration_s);
+    let family = Family::Interception;
+    let cfg = family.config(opts.scale.duration_s);
     for (variant, attacked) in [("baseline", false), ("attacked", true)] {
         let sink = shared(VecSink::new());
         let auditor = shared_auditor(SimDuration::from_secs(1));
         interarea::stamp_audit_meta(&auditor, &cfg, attacked, opts.seed);
-        let mut w = interarea::world(&cfg, attacked, opts.seed);
+        let mut w = family.world(&cfg, attacked, opts.seed);
         w.set_trace_sink(sink.clone());
         w.set_auditor(auditor.clone());
-        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
+        let _ = family.drive(&cfg, &mut w, |_, _| {});
         let artifact = auditor.borrow();
         let audit_path = format!("{prefix}.{variant}.audit.json");
         std::fs::write(&audit_path, artifact.to_json())
@@ -698,10 +668,7 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
     };
     let interval = topology::DEFAULT_SNAPSHOT_INTERVAL;
     let cfg = opts.topology_scenario.config(opts.scale.duration_s);
-    let run = |attacked| match opts.topology_scenario {
-        Family::Interception => topology::run_interarea(&cfg, attacked, opts.seed, interval),
-        Family::Blockage => topology::run_blockage(&cfg, attacked, opts.seed, interval),
-    };
+    let run = |attacked| topology::run(opts.topology_scenario, &cfg, attacked, opts.seed, interval);
     let af = run(false);
     let mut atk = run(true);
     if opts.topology_scenario == Family::Interception {
@@ -786,7 +753,7 @@ fn check_invariants_pass(opts: &Options) -> Result<(), String> {
         };
         for attacked in [false, true] {
             let checker = shared(InvariantChecker::new(params));
-            family.run_traced(&cfg, attacked, opts.seed, checker.clone());
+            run_traced(family, &cfg, attacked, opts.seed, checker.clone());
             let c = checker.borrow();
             let variant = if attacked { "attacked" } else { "baseline" };
             println!("  {:<9} {variant:<8} {}", family.name(), c.summary());
@@ -1177,6 +1144,16 @@ mod tests {
     }
 
     #[test]
+    fn rejects_unknown_experiment_naming_it() {
+        let err = parse(&["fig7e", "fig7x"]).unwrap_err();
+        assert_eq!(err, "unknown experiment fig7x");
+        for name in experiment_names() {
+            assert!(parse(&[name]).is_ok(), "parser rejected experiment {name}");
+            assert!(help_text().contains(name), "help is missing experiment {name}");
+        }
+    }
+
+    #[test]
     fn rejects_missing_value() {
         let err = parse(&["fig7a", "--seed"]).unwrap_err();
         assert!(err.contains("--seed"), "got: {err}");
@@ -1314,8 +1291,6 @@ mod tests {
     #[test]
     fn all_expands_to_paper_experiments() {
         let o = parse(&["all"]).expect("valid");
-        assert_eq!(o.experiments.len(), 20);
-        assert!(o.experiments.iter().any(|e| e == "table1"));
-        assert!(o.experiments.iter().any(|e| e == "fig14b"));
+        assert_eq!(o.experiments, PAPER_EXPERIMENTS);
     }
 }

@@ -15,11 +15,9 @@
 //! * [`moving_attacker`] — the paper's threat model covers mobile
 //!   attackers "conceptually"; this sweeps the attacker's speed.
 
+use crate::campaign::Family;
 use crate::config::{Scale, ScenarioConfig};
-use crate::interarea;
-use crate::intraarea;
 use crate::mitigation::MitigationResult;
-use crate::parallel;
 use crate::report::AbResult;
 use geonet::config::LinkAckConfig;
 
@@ -30,16 +28,24 @@ use geonet::config::LinkAckConfig;
 /// against the median-NLoS attacker.
 #[must_use]
 pub fn ack_defense(scale: Scale, seed: u64) -> Vec<MitigationResult> {
-    let base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
-    let acked = ScenarioConfig { gn: base.gn.with_link_ack(LinkAckConfig::default()), ..base };
-    [0.0, 0.1, 0.3]
-        .into_iter()
-        .map(|loss| MitigationResult {
-            label: format!("loss={:.0}%", loss * 100.0),
-            unmitigated: interarea::merged_runs(&base.with_frame_loss(loss), true, scale, seed),
-            mitigated: interarea::merged_runs(&acked.with_frame_loss(loss), true, scale, seed),
+    let family = Family::Interception;
+    ack_settings(scale)
+        .map(|(label, plain, acked)| {
+            MitigationResult::measure(family, &label, &plain, &acked, true, scale, seed)
         })
         .collect()
+}
+
+/// The settings of both ACK experiments, against the mN attacker: per
+/// channel-loss rate, its label and the scenario without and with link
+/// acknowledgements.
+fn ack_settings(scale: Scale) -> impl Iterator<Item = (String, ScenarioConfig, ScenarioConfig)> {
+    let base = Family::Interception.config(scale.duration_s);
+    let acked = ScenarioConfig { gn: base.gn.with_link_ack(LinkAckConfig::default()), ..base };
+    [0.0, 0.1, 0.3].into_iter().map(move |loss| {
+        let label = format!("loss={:.0}%", loss * 100.0);
+        (label, base.with_frame_loss(loss), acked.with_frame_loss(loss))
+    })
 }
 
 /// Both attacks under per-frame channel loss.
@@ -48,31 +54,18 @@ pub fn ack_defense(scale: Scale, seed: u64) -> Vec<MitigationResult> {
 /// per loss rate.
 #[must_use]
 pub fn lossy_channel(scale: Scale, seed: u64) -> (Vec<AbResult>, Vec<AbResult>) {
-    let inter_base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
-    let intra_base = ScenarioConfig::paper_dsrc_default().with_attack_range(500.0);
-    let rates = [0.0, 0.05, 0.2];
-    let inter = rates
-        .iter()
-        .map(|&loss| {
-            interarea::run_ab(
-                &inter_base.with_frame_loss(loss),
-                &format!("loss={:.0}%", loss * 100.0),
-                scale,
-                seed,
-            )
-        })
-        .collect();
-    let intra = rates
-        .iter()
-        .map(|&loss| {
-            intraarea::run_ab(
-                &intra_base.with_frame_loss(loss),
-                &format!("loss={:.0}%", loss * 100.0),
-                scale,
-                seed,
-            )
-        })
-        .collect();
+    let [inter, intra] = Family::BOTH.map(|family| {
+        // The families' single-run attackers: mN interception, 500 m
+        // blockage.
+        let base = family.config(scale.duration_s);
+        [0.0, 0.05, 0.2]
+            .into_iter()
+            .map(|loss| {
+                let label = format!("loss={:.0}%", loss * 100.0);
+                family.run_ab(&base.with_frame_loss(loss), &label, scale, seed)
+            })
+            .collect()
+    });
     (inter, intra)
 }
 
@@ -84,29 +77,18 @@ pub fn lossy_channel(scale: Scale, seed: u64) -> (Vec<AbResult>, Vec<AbResult>) 
 /// efficiency" objection.
 #[must_use]
 pub fn ack_overhead(scale: Scale, seed: u64) -> Vec<(String, u64, u64)> {
-    let base = ScenarioConfig::paper_dsrc_default()
-        .with_attack_range(486.0)
-        .with_duration(scale.duration());
-    let acked = ScenarioConfig { gn: base.gn.with_link_ack(LinkAckConfig::default()), ..base };
-    [0.0, 0.1, 0.3]
-        .into_iter()
-        .map(|loss| {
-            let loads = parallel::run_indexed(scale.runs, |i| {
-                let s = seed.wrapping_add(u64::from(i) * 0x9E37);
-                let frames = |cfg: &ScenarioConfig| {
-                    let mut w = interarea::world(cfg, true, s);
-                    let _ = interarea::drive(cfg, &mut w, |_, _| {});
-                    w.frames_on_air()
-                };
-                (frames(&base.with_frame_loss(loss)), frames(&acked.with_frame_loss(loss)))
+    let family = Family::Interception;
+    let frames = |cfg: &ScenarioConfig, seed: u64| {
+        let mut w = family.world(cfg, true, seed);
+        let _ = family.drive(cfg, &mut w, |_, _| {});
+        w.frames_on_air()
+    };
+    ack_settings(scale)
+        .map(|(label, plain, acked)| {
+            let loads = family.seeded_runs(&format!("{label} frames"), 2, scale, seed, |s| {
+                (frames(&plain, s), frames(&acked, s))
             });
-            let mut plain = 0;
-            let mut with_ack = 0;
-            for &(p, a) in &loads {
-                plain += p;
-                with_ack += a;
-            }
-            (format!("loss={:.0}%", loss * 100.0), plain, with_ack)
+            (label, loads.iter().map(|l| l.0).sum(), loads.iter().map(|l| l.1).sum())
         })
         .collect()
 }
@@ -124,7 +106,7 @@ pub fn moving_attacker(scale: Scale, seed: u64) -> Vec<AbResult> {
     [0.0, 15.0, 30.0]
         .into_iter()
         .map(|v| {
-            interarea::run_ab(
+            Family::Interception.run_ab(
                 &base.with_attacker_velocity(v),
                 &format!("v={v:.0} m/s"),
                 scale,

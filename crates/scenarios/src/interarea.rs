@@ -8,47 +8,21 @@
 //! destination nodes per 5 s time bin; the interception rate γ is the
 //! average per-bin drop from the attacker-free to the attacked runs.
 
-use crate::config::{AttackerSetup, Scale, ScenarioConfig};
-use crate::parallel;
-use crate::progress;
-use crate::report::{paper_bins, AbResult};
+use crate::campaign::{outcomes_to_bins, Family, Sender, Sent};
+use crate::config::{Scale, ScenarioConfig};
+use crate::report::AbResult;
 use crate::world::World;
-use geonet::PacketKey;
 use geonet_geo::{Area, Position};
-use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SharedAuditor, SimDuration, SimTime, TimeBins};
+use geonet_radio::{AccessTechnology, RangeProfile};
+use geonet_sim::{SharedAuditor, SimDuration, TimeBins};
 
-/// One vulnerable packet the workload generated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sent {
-    /// The packet.
-    pub key: PacketKey,
-    /// Generation time.
-    pub at: SimTime,
-    /// The source's position at generation time.
-    pub origin: Position,
-    /// The static destination node it was sent towards.
-    pub dest: NodeId,
-}
+/// The family every figure of this module runs.
+const FAMILY: Family = Family::Interception;
 
-/// Builds the world for one run: the inter-area attacker mounted when
-/// `attacked`, absent otherwise.
-#[must_use]
-pub fn world(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> World {
-    World::new(*cfg, attacked.then_some(AttackerSetup::InterArea), seed)
-}
-
-/// Drives the workload on `w`, with whatever instruments the caller
-/// attached: adds the static destinations, then once per simulated
-/// second calls `each_second` with the packets sent so far and sends one
-/// vulnerable packet, and finally runs to the horizon. Returns every
-/// packet sent, in generation order.
-pub fn drive(
-    cfg: &ScenarioConfig,
-    w: &mut World,
-    mut each_second: impl FnMut(&World, &[Sent]),
-) -> Vec<Sent> {
-    let started = progress::run_started();
+/// The interception workload's packet source for [`Family::drive`]:
+/// adds the static destinations to `w`, then each second sends one
+/// vulnerable packet from a random vehicle towards one of them.
+pub(crate) fn sender<'a>(cfg: &'a ScenarioConfig, w: &mut World) -> Sender<'a> {
     let length = cfg.road.length;
     // Static destinations 20 m beyond each end (paper §IV-A), with small
     // circular destination areas around them.
@@ -56,11 +30,7 @@ pub fn drive(
     let west_node = w.add_static_node(Position::new(-20.0, 2.5), cfg.v2v_range);
     let east_area = Area::circle(Position::new(length + 20.0, 0.0), 40.0);
     let west_area = Area::circle(Position::new(-20.0, 0.0), 40.0);
-
-    let mut sent = Vec::new();
-    for t in 1..cfg.duration.as_secs() {
-        w.run_until(SimTime::from_secs(t));
-        each_second(w, &sent);
+    Box::new(move |w| {
         // Sample vehicles until one can emit a *vulnerable* packet (the
         // paper generates one vulnerable packet per second); in rare
         // configurations a sampled vehicle sits where neither direction
@@ -80,36 +50,21 @@ pub fn drive(
             chosen = Some((node, eastbound));
             break;
         }
-        let Some((node, eastbound)) = chosen else { continue };
+        let (node, eastbound) = chosen?;
         let (area, dest) =
             if eastbound { (&east_area, east_node) } else { (&west_area, west_node) };
         let origin = w.node_position(node);
         let key = w.originate_from(node, area, vec![0x5A]);
-        sent.push(Sent { key, at: w.now(), origin, dest });
-    }
-    w.run_to_end();
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    sent
-}
-
-/// Folds a driven run into per-bin reception counts of the vulnerable
-/// packets at their destinations.
-#[must_use]
-pub fn reception_bins(w: &World, sent: &[Sent], duration: SimDuration) -> TimeBins {
-    let mut bins = paper_bins(duration);
-    for s in sent {
-        bins.record(s.at, w.was_received(s.key, s.dest));
-    }
-    bins
+        Some(Sent { key, at: w.now(), origin, audience: vec![dest] })
+    })
 }
 
 /// Runs one seeded simulation and returns the per-bin reception counts of
-/// vulnerable packets at the destinations.
+/// vulnerable packets at the destinations: [`Family::run_one`] folded by
+/// [`outcomes_to_bins`].
 #[must_use]
 pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> TimeBins {
-    let mut w = world(cfg, attacked, seed);
-    let sent = drive(cfg, &mut w, |_, _| {});
-    reception_bins(&w, &sent, cfg.duration)
+    outcomes_to_bins(&FAMILY.run_one(cfg, attacked, seed), cfg.duration)
 }
 
 /// The run metadata an audit timeline of this workload is stamped with,
@@ -123,42 +78,11 @@ pub fn stamp_audit_meta(auditor: &SharedAuditor, cfg: &ScenarioConfig, attacked:
     rec.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
 }
 
-/// Folds seeded runs of one setting into one set of bins — the merged
-/// side of a mitigation or extension comparison.
-#[must_use]
-pub fn merged_runs(cfg: &ScenarioConfig, attacked: bool, scale: Scale, seed: u64) -> TimeBins {
-    let cfg = cfg.with_duration(scale.duration());
-    let mut bins = paper_bins(cfg.duration);
-    let runs = parallel::run_indexed(scale.runs, |i| {
-        let s = seed.wrapping_add(u64::from(i) * 0x9E37);
-        run_one(&cfg, attacked, s)
-    });
-    for r in &runs {
-        bins.merge(r);
-    }
-    bins
-}
-
-/// Runs the A/B pair for one setting at the given scale, merging bins over
-/// all seeded runs.
+/// Runs the A/B pair for one setting at the given scale:
+/// [`Family::run_ab`] of [`Family::Interception`].
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
-    let cfg = cfg.with_duration(scale.duration());
-    let mut baseline = paper_bins(cfg.duration);
-    let mut attacked = paper_bins(cfg.duration);
-    progress::begin_setting(label, scale.runs * 2);
-    // Independent seeded runs fan across the job pool; pairs come back in
-    // seed-index order, so the merge below is byte-identical to the
-    // sequential `for i in 0..runs` loop.
-    let pairs = parallel::run_indexed(scale.runs, |i| {
-        let seed = base_seed.wrapping_add(u64::from(i) * 0x9E37);
-        (run_one(&cfg, false, seed), run_one(&cfg, true, seed))
-    });
-    for (a, b) in &pairs {
-        baseline.merge(a);
-        attacked.merge(b);
-    }
-    AbResult { label: label.to_string(), baseline, attacked }
+    FAMILY.run_ab(cfg, label, scale, base_seed)
 }
 
 /// The attack-range labels used throughout the paper's figures.
@@ -182,7 +106,7 @@ fn fig7_ranges(tech: AccessTechnology, scale: Scale, seed: u64) -> Vec<AbResult>
     let base = ScenarioConfig::paper_default(tech);
     range_settings(base.profile())
         .into_iter()
-        .map(|(label, range)| run_ab(&base.with_attack_range(range), label, scale, seed))
+        .map(|(label, range)| FAMILY.run_ab(&base.with_attack_range(range), label, scale, seed))
         .collect()
 }
 
@@ -194,7 +118,7 @@ pub fn fig7c(scale: Scale, seed: u64) -> Vec<AbResult> {
     let mut out: Vec<AbResult> = [20u64, 10, 5]
         .into_iter()
         .map(|ttl| {
-            run_ab(
+            FAMILY.run_ab(
                 &base.with_loct_ttl(SimDuration::from_secs(ttl)),
                 &format!("wN ttl={ttl}s"),
                 scale,
@@ -205,7 +129,7 @@ pub fn fig7c(scale: Scale, seed: u64) -> Vec<AbResult> {
     let mn = base
         .with_attack_range(base.profile().nlos_median())
         .with_loct_ttl(SimDuration::from_secs(5));
-    out.push(run_ab(&mn, "mN ttl=5s", scale, seed));
+    out.push(FAMILY.run_ab(&mn, "mN ttl=5s", scale, seed));
     out
 }
 
@@ -216,7 +140,7 @@ pub fn fig7d(scale: Scale, seed: u64) -> Vec<AbResult> {
     let base = ScenarioConfig::paper_dsrc_default();
     [30.0, 100.0, 300.0]
         .into_iter()
-        .map(|s| run_ab(&base.with_spacing(s), &format!("i={s:.0}m"), scale, seed))
+        .map(|s| FAMILY.run_ab(&base.with_spacing(s), &format!("i={s:.0}m"), scale, seed))
         .collect()
 }
 
@@ -226,8 +150,8 @@ pub fn fig7d(scale: Scale, seed: u64) -> Vec<AbResult> {
 pub fn fig7e(scale: Scale, seed: u64) -> Vec<AbResult> {
     let base = ScenarioConfig::paper_dsrc_default();
     vec![
-        run_ab(&base, "1 direction", scale, seed),
-        run_ab(&base.with_two_way(true), "2 directions", scale, seed),
+        FAMILY.run_ab(&base, "1 direction", scale, seed),
+        FAMILY.run_ab(&base.with_two_way(true), "2 directions", scale, seed),
     ]
 }
 
@@ -248,7 +172,7 @@ pub fn fig8(scale: Scale, seed: u64) -> Vec<(String, Vec<Option<f64>>)> {
     settings
         .into_iter()
         .map(|(label, cfg)| {
-            let r = run_ab(&cfg, &label, scale, seed);
+            let r = FAMILY.run_ab(&cfg, &label, scale, seed);
             (label, r.accumulated_drop_series())
         })
         .collect()
@@ -309,7 +233,7 @@ mod tests {
         // Use the median-NLoS attacker (486 m > no gaps) for a strong,
         // fast signal even at tiny scale.
         let cfg = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
-        let r = run_ab(&cfg, "mN", tiny(), 21);
+        let r = FAMILY.run_ab(&cfg, "mN", tiny(), 21);
         let gamma = r.gamma().expect("bins populated");
         assert!(
             gamma > 0.2,

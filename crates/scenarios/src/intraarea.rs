@@ -7,16 +7,18 @@
 //! eventually deliver it; the blockage rate λ is the average per-bin drop
 //! from attacker-free to attacked runs.
 
-use crate::config::{AttackerSetup, Scale, ScenarioConfig};
-use crate::parallel;
-use crate::progress;
-use crate::report::{paper_bins, AbResult};
+use crate::campaign::{Family, Sender, Sent};
+use crate::config::{Scale, ScenarioConfig};
+use crate::report::AbResult;
 use crate::world::World;
-use geonet::PacketKey;
-use geonet_attack::BlockageMode;
 use geonet_geo::{Area, Position};
-use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SimDuration, SimTime, TimeBins};
+use geonet_radio::{AccessTechnology, RangeProfile};
+use geonet_sim::SimDuration;
+
+pub use crate::campaign::{outcomes_to_bins, PacketOutcome};
+
+/// The family every figure of this module runs.
+const FAMILY: Family = Family::Blockage;
 
 /// The GeoBroadcast destination area covering the whole road segment
 /// (both directions' lanes).
@@ -30,138 +32,33 @@ pub fn road_area(cfg: &ScenarioConfig) -> Area {
     )
 }
 
-/// Per-packet record from one run: when it was generated, where its
-/// source sat, and how it fared.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PacketOutcome {
-    /// Generation time.
-    pub generated_at: SimTime,
-    /// Longitudinal position of the source at generation time.
-    pub source_x: f64,
-    /// Vehicles on the road at generation time.
-    pub candidates: u64,
-    /// Of those, how many delivered the packet by the end of the run.
-    pub received: u64,
-}
-
-impl PacketOutcome {
-    /// The packet's reception rate.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.received as f64 / self.candidates as f64
-        }
-    }
-}
-
-/// One whole-road flood the workload generated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sent {
-    /// The packet.
-    pub key: PacketKey,
-    /// Generation time.
-    pub at: SimTime,
-    /// The source's position at generation time.
-    pub origin: Position,
-    /// The vehicles on the road at generation time — the flood's
-    /// intended audience.
-    pub audience: Vec<NodeId>,
-}
-
-impl Sent {
-    /// How the flood fared in the driven world `w`.
-    #[must_use]
-    pub fn outcome(&self, w: &World) -> PacketOutcome {
-        let received = self.audience.iter().filter(|n| w.was_received(self.key, **n)).count();
-        PacketOutcome {
-            generated_at: self.at,
-            source_x: self.origin.x,
-            candidates: self.audience.len() as u64,
-            received: received as u64,
-        }
-    }
-}
-
-/// Builds the world for one run: the RHL-clamping blockage attacker
-/// mounted when `attacked`, absent otherwise.
-#[must_use]
-pub fn world(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> World {
-    let setup = AttackerSetup::IntraArea(BlockageMode::ClampRhl);
-    World::new(*cfg, attacked.then_some(setup), seed)
-}
-
-/// Drives the workload on `w`, with whatever instruments the caller
-/// attached: once per simulated second calls `each_second` with the
-/// floods sent so far and has a random on-road vehicle GeoBroadcast to
-/// the whole road, then runs to the horizon. Returns every flood sent,
-/// in generation order.
-pub fn drive(
-    cfg: &ScenarioConfig,
-    w: &mut World,
-    mut each_second: impl FnMut(&World, &[Sent]),
-) -> Vec<Sent> {
-    let started = progress::run_started();
+/// The blockage workload's packet source for [`Family::drive`]: each
+/// second a random on-road vehicle GeoBroadcasts to the whole road, and
+/// the vehicles on the road at that moment are the flood's audience.
+pub(crate) fn sender(cfg: &ScenarioConfig) -> Sender<'static> {
     let area = road_area(cfg);
-    let mut sent = Vec::new();
-    for t in 1..cfg.duration.as_secs() {
-        w.run_until(SimTime::from_secs(t));
-        each_second(w, &sent);
-        let Some(vid) = w.random_on_road_vehicle() else { continue };
+    Box::new(move |w: &mut World| {
+        let vid = w.random_on_road_vehicle()?;
         let node = w.vehicle_node(vid);
         let audience = w.on_road_nodes();
         let origin = w.node_position(node);
         let key = w.originate_from(node, &area, vec![0xCB]);
-        sent.push(Sent { key, at: w.now(), origin, audience });
-    }
-    w.run_to_end();
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    sent
+        Some(Sent { key, at: w.now(), origin, audience })
+    })
 }
 
 /// Runs one seeded simulation, returning the outcome of every generated
-/// packet.
+/// packet: [`Family::run_one`] of [`Family::Blockage`].
 #[must_use]
 pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> Vec<PacketOutcome> {
-    let mut w = world(cfg, attacked, seed);
-    let sent = drive(cfg, &mut w, |_, _| {});
-    sent.iter().map(|s| s.outcome(&w)).collect()
+    FAMILY.run_one(cfg, attacked, seed)
 }
 
-/// Folds packet outcomes into 5 s time bins (weighted by the number of
-/// candidate receivers, as the paper's reception rate is per-vehicle).
-#[must_use]
-pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> TimeBins {
-    let mut bins = paper_bins(duration);
-    for o in outcomes {
-        bins.record_weighted(o.generated_at, o.received, o.candidates);
-    }
-    bins
-}
-
-/// Runs the A/B pair for one setting at the given scale.
+/// Runs the A/B pair for one setting at the given scale:
+/// [`Family::run_ab`] of [`Family::Blockage`].
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
-    let cfg = cfg.with_duration(scale.duration());
-    let mut baseline = paper_bins(cfg.duration);
-    let mut attacked = paper_bins(cfg.duration);
-    progress::begin_setting(label, scale.runs * 2);
-    // Runs are independent per seed; bins are folded inside each job and
-    // merged back in seed-index order — byte-identical to the sequential
-    // loop.
-    let pairs = parallel::run_indexed(scale.runs, |i| {
-        let seed = base_seed.wrapping_add(u64::from(i) * 0x517C);
-        (
-            outcomes_to_bins(&run_one(&cfg, false, seed), cfg.duration),
-            outcomes_to_bins(&run_one(&cfg, true, seed), cfg.duration),
-        )
-    });
-    for (a, b) in &pairs {
-        baseline.merge(a);
-        attacked.merge(b);
-    }
-    AbResult { label: label.to_string(), baseline, attacked }
+    FAMILY.run_ab(cfg, label, scale, base_seed)
 }
 
 /// Figure 9a: blockage vs attack range, DSRC (wN, mN, mL and the tuned
@@ -189,7 +86,7 @@ fn fig9_ranges(tech: AccessTechnology, scale: Scale, seed: u64) -> Vec<AbResult>
     ];
     settings
         .drain(..)
-        .map(|(label, range)| run_ab(&base.with_attack_range(range), &label, scale, seed))
+        .map(|(label, range)| FAMILY.run_ab(&base.with_attack_range(range), &label, scale, seed))
         .collect()
 }
 
@@ -201,7 +98,7 @@ pub fn fig9c(scale: Scale, seed: u64) -> Vec<AbResult> {
     [20u64, 10, 5]
         .into_iter()
         .map(|ttl| {
-            run_ab(
+            FAMILY.run_ab(
                 &base.with_loct_ttl(SimDuration::from_secs(ttl)),
                 &format!("ttl={ttl}s"),
                 scale,
@@ -218,7 +115,7 @@ pub fn fig9d(scale: Scale, seed: u64) -> Vec<AbResult> {
     let base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
     [30.0, 100.0, 300.0]
         .into_iter()
-        .map(|s| run_ab(&base.with_spacing(s), &format!("i={s:.0}m"), scale, seed))
+        .map(|s| FAMILY.run_ab(&base.with_spacing(s), &format!("i={s:.0}m"), scale, seed))
         .collect()
 }
 
@@ -227,8 +124,8 @@ pub fn fig9d(scale: Scale, seed: u64) -> Vec<AbResult> {
 pub fn fig9e(scale: Scale, seed: u64) -> Vec<AbResult> {
     let base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
     vec![
-        run_ab(&base, "1 direction", scale, seed),
-        run_ab(&base.with_two_way(true), "2 directions", scale, seed),
+        FAMILY.run_ab(&base, "1 direction", scale, seed),
+        FAMILY.run_ab(&base.with_two_way(true), "2 directions", scale, seed),
     ]
 }
 
@@ -245,36 +142,19 @@ pub fn fig9_source_split(scale: Scale, seed: u64) -> (AbResult, AbResult) {
     let half = cfg.attack_range - cfg.v2v_range; // 14 m ⇒ 28 m zone
     let lo = cfg.attacker_position.x - half;
     let hi = cfg.attacker_position.x + half;
-    // `run_one` is pure, so each seeded A/B pair is simulated once (the
-    // old loop re-ran it per `inside` value) and filtered twice below.
-    let runs = parallel::run_indexed(scale.runs, |i| {
-        let run_seed = seed.wrapping_add(u64::from(i) * 0x517C);
-        (run_one(&cfg, false, run_seed), run_one(&cfg, true, run_seed))
-    });
-    let mut result = Vec::new();
-    for inside in [true, false] {
-        let mut baseline = paper_bins(cfg.duration);
-        let mut attacked = paper_bins(cfg.duration);
-        for (base_outcomes, atk_outcomes) in &runs {
-            for (outcomes, bins) in [(base_outcomes, &mut baseline), (atk_outcomes, &mut attacked)]
-            {
-                let filtered: Vec<PacketOutcome> = outcomes
-                    .iter()
-                    .copied()
-                    .filter(|o| ((lo..=hi).contains(&o.source_x)) == inside)
-                    .collect();
-                bins.merge(&outcomes_to_bins(&filtered, cfg.duration));
-            }
-        }
-        result.push(AbResult {
-            label: if inside { "fully covered".into() } else { "elsewhere".into() },
-            baseline,
-            attacked,
-        });
-    }
-    let outside = result.pop().expect("two results");
-    let inside = result.pop().expect("two results");
-    (inside, outside)
+    let (baseline, attacked) = FAMILY.ab_outcomes(&cfg, "source split", scale, seed);
+    let split = |label: &str, inside: bool| {
+        let fold = |outcomes: &[PacketOutcome]| {
+            let kept: Vec<PacketOutcome> = outcomes
+                .iter()
+                .copied()
+                .filter(|o| ((lo..=hi).contains(&o.source_x)) == inside)
+                .collect();
+            outcomes_to_bins(&kept, cfg.duration)
+        };
+        AbResult { label: label.into(), baseline: fold(&baseline), attacked: fold(&attacked) }
+    };
+    (split("fully covered", true), split("elsewhere", false))
 }
 
 /// Figure 10: accumulated blockage-rate series for the DSRC scenarios.
@@ -294,7 +174,7 @@ pub fn fig10(scale: Scale, seed: u64) -> Vec<(String, Vec<Option<f64>>)> {
     settings
         .into_iter()
         .map(|(label, cfg)| {
-            let r = run_ab(&cfg, &label, scale, seed);
+            let r = FAMILY.run_ab(&cfg, &label, scale, seed);
             (label, r.accumulated_drop_series())
         })
         .collect()
@@ -319,7 +199,7 @@ mod tests {
         let cfg = ScenarioConfig::paper_dsrc_default()
             .with_attack_range(500.0)
             .with_duration(SimDuration::from_secs(30));
-        let r = run_ab(&cfg, "500m", Scale { runs: 1, duration_s: 30 }, 17);
+        let r = FAMILY.run_ab(&cfg, "500m", Scale { runs: 1, duration_s: 30 }, 17);
         let lambda = r.gamma().unwrap();
         assert!(
             (0.1..0.8).contains(&lambda),
@@ -327,19 +207,6 @@ mod tests {
             r.baseline_rate(),
             r.attacked_rate()
         );
-    }
-
-    #[test]
-    fn packet_outcome_rate() {
-        let o = PacketOutcome {
-            generated_at: SimTime::from_secs(1),
-            source_x: 100.0,
-            candidates: 100,
-            received: 65,
-        };
-        assert!((o.rate() - 0.65).abs() < 1e-12);
-        let z = PacketOutcome { candidates: 0, received: 0, ..o };
-        assert_eq!(z.rate(), 0.0);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 //! | [`extensions`] | beyond the paper: ACK defense, lossy channels, mobile attacker |
 //! | [`analysis`] | closed-form γ/λ predictions from the attack geometry |
 //!
-//! Each workload family has exactly one per-second loop:
-//! [`interarea::drive`] and [`intraarea::drive`] run on a [`World`] the
-//! caller built, with whatever instruments it attached through the
-//! `World::set_*` setters, and return per-packet records that `run_one`,
-//! the [`topology`] runners and the `repro` passes fold as they need.
+//! [`Family`] (in [`campaign`]) is the one switch between the two
+//! attack workloads: the attacker its [`Family::world`] mounts, the
+//! packets its [`Family::drive`] sends each second and its seed stride.
+//! The driver runs on a [`World`] the caller built, with whatever
+//! instruments it attached through the `World::set_*` setters, and
+//! returns per-packet [`Sent`] records that [`campaign::outcomes_to_bins`],
+//! [`topology::run`] and the `repro` passes fold as they need.
 //!
-//! Campaign loops fan their independent seeded runs across worker
-//! threads via [`parallel`] (seed-indexed job pool; results merge in
-//! index order so reports stay byte-identical to the sequential path).
+//! Every campaign goes through the one seeded runner,
+//! [`Family::seeded_runs`]: it announces the setting to [`progress`] and
+//! fans the independent seeded runs across the [`parallel`] job pool
+//! (results merge in index order, so reports stay byte-identical to the
+//! sequential path).
 //! Long campaigns can report progress and performance telemetry: see
 //! [`progress`] (per-run throughput/ETA lines) and
 //! [`geonet_sim::telemetry`] (hot-path histograms and state-depth gauges,
@@ -43,11 +47,11 @@
 //!
 //! ```no_run
 //! use geonet_scenarios::config::Scale;
-//! use geonet_scenarios::{interarea, ScenarioConfig};
+//! use geonet_scenarios::{Family, ScenarioConfig};
 //!
 //! // One reduced-scale point of Figure 7a: DSRC, worst-NLoS attacker.
 //! let cfg = ScenarioConfig::paper_dsrc_default(); // attack range = wN (327 m)
-//! let result = interarea::run_ab(&cfg, "wN", Scale::quick(), 42);
+//! let result = Family::Interception.run_ab(&cfg, "wN", Scale::quick(), 42);
 //! println!("γ = {:.3}", result.gamma().unwrap());
 //! ```
 
@@ -55,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod campaign;
 pub mod config;
 pub mod extensions;
 pub mod forensics;
@@ -70,6 +75,7 @@ pub mod safety;
 pub mod topology;
 pub mod world;
 
+pub use campaign::{Family, Sent};
 pub use config::{AttackerSetup, ScenarioConfig};
 pub use heatmap::{BlastRadiusReport, HeatCell, HeatmapDiff, HeatmapDiffRow, RoadHeatmap};
 pub use report::{AbResult, ExperimentRow};

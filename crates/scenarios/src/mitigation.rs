@@ -9,10 +9,8 @@
 //! * **Figure 14b** — the CBF RHL-drop check (threshold = 3): intra-area
 //!   reception with and without the check against wN and mN attackers.
 
+use crate::campaign::Family;
 use crate::config::{Scale, ScenarioConfig};
-use crate::parallel;
-use crate::report::{paper_bins, AbResult};
-use crate::{interarea, intraarea};
 use geonet::MitigationConfig;
 use geonet_sim::TimeBins;
 use serde::{Deserialize, Serialize};
@@ -30,6 +28,29 @@ pub struct MitigationResult {
 }
 
 impl MitigationResult {
+    /// Runs one comparison: `family`'s merged seeded runs of `without`
+    /// and of `with` (the same setting with the mitigation switched on),
+    /// each announced to the progress reporter as its own setting.
+    #[must_use]
+    pub(crate) fn measure(
+        family: Family,
+        label: &str,
+        without: &ScenarioConfig,
+        with: &ScenarioConfig,
+        attacked: bool,
+        scale: Scale,
+        seed: u64,
+    ) -> Self {
+        let side = |cfg, side: &str| {
+            family.merged_runs(cfg, &format!("{label} {side}"), attacked, scale, seed)
+        };
+        MitigationResult {
+            label: label.to_string(),
+            unmitigated: side(without, "without"),
+            mitigated: side(with, "with"),
+        }
+    }
+
     /// Reception rate without the mitigation.
     #[must_use]
     pub fn unmitigated_rate(&self) -> Option<f64> {
@@ -69,74 +90,42 @@ pub fn fig14a(scale: Scale, seed: u64) -> Vec<MitigationResult> {
     let base = ScenarioConfig::paper_dsrc_default();
     let profile = base.profile();
     let checked = base.with_mitigations(MitigationConfig::plausibility(base.v2v_range));
-    let mut out = Vec::new();
-    for (label, range) in
-        [("wN", profile.nlos_worst()), ("mN", profile.nlos_median()), ("mL", profile.los_median())]
-    {
-        out.push(MitigationResult {
-            label: label.to_string(),
-            unmitigated: interarea::merged_runs(&base.with_attack_range(range), true, scale, seed),
-            mitigated: interarea::merged_runs(&checked.with_attack_range(range), true, scale, seed),
-        });
-    }
-    // Attacker-free with and without the check: the check also cleans up
-    // natural staleness losses.
-    out.push(MitigationResult {
-        label: "af".to_string(),
-        unmitigated: interarea::merged_runs(&base, false, scale, seed),
-        mitigated: interarea::merged_runs(&checked, false, scale, seed),
-    });
-    out
+    let ranges =
+        [("wN", profile.nlos_worst()), ("mN", profile.nlos_median()), ("mL", profile.los_median())];
+    compare(Family::Interception, &base, &checked, &ranges, scale, seed)
 }
 
 /// Figure 14b: the RHL-drop check (threshold 3) under wN and mN
-/// intra-area attackers, DSRC. Also returns the attacker-free reference
-/// as an [`AbResult`]-style pair via the unmitigated baseline.
+/// intra-area attackers, DSRC.
 #[must_use]
 pub fn fig14b(scale: Scale, seed: u64) -> Vec<MitigationResult> {
     let base = ScenarioConfig::paper_dsrc_default();
     let profile = base.profile();
     let checked = base.with_mitigations(MitigationConfig::rhl_check(3));
-    let run = |cfg: &ScenarioConfig, attacked: bool| {
-        let cfg = cfg.with_duration(scale.duration());
-        let mut bins = paper_bins(cfg.duration);
-        let runs = parallel::run_indexed(scale.runs, |i| {
-            let s = seed.wrapping_add(u64::from(i) * 0x517C);
-            intraarea::outcomes_to_bins(&intraarea::run_one(&cfg, attacked, s), cfg.duration)
-        });
-        for r in &runs {
-            bins.merge(r);
-        }
-        bins
-    };
-    let mut out = Vec::new();
-    for (label, range) in [("wN", profile.nlos_worst()), ("mN", profile.nlos_median())] {
-        out.push(MitigationResult {
-            label: label.to_string(),
-            unmitigated: run(&base.with_attack_range(range), true),
-            mitigated: run(&checked.with_attack_range(range), true),
-        });
-    }
-    // Attacker-free reference (the mitigated attacked rates should align
-    // with this).
-    out.push(MitigationResult {
-        label: "af".to_string(),
-        unmitigated: run(&base, false),
-        mitigated: run(&checked, false),
-    });
-    out
+    let ranges = [("wN", profile.nlos_worst()), ("mN", profile.nlos_median())];
+    compare(Family::Blockage, &base, &checked, &ranges, scale, seed)
 }
 
-/// Convenience: converts a [`MitigationResult`] of attacked runs into an
-/// [`AbResult`] whose "baseline" is the mitigated run — for reuse of the
-/// drop-rate plumbing.
-#[must_use]
-pub fn as_ab(result: &MitigationResult) -> AbResult {
-    AbResult {
-        label: result.label.clone(),
-        baseline: result.mitigated.clone(),
-        attacked: result.unmitigated.clone(),
-    }
+/// One attacked comparison per labelled attack range, then the
+/// attacker-free pair `af`: the check also cleans up natural staleness
+/// losses, and mitigated attacked rates should align with it.
+fn compare(
+    family: Family,
+    base: &ScenarioConfig,
+    checked: &ScenarioConfig,
+    ranges: &[(&str, f64)],
+    scale: Scale,
+    seed: u64,
+) -> Vec<MitigationResult> {
+    let mut out: Vec<MitigationResult> = ranges
+        .iter()
+        .map(|&(label, range)| {
+            let (without, with) = (base.with_attack_range(range), checked.with_attack_range(range));
+            MitigationResult::measure(family, label, &without, &with, true, scale, seed)
+        })
+        .collect();
+    out.push(MitigationResult::measure(family, "af", base, checked, false, scale, seed));
+    out
 }
 
 #[cfg(test)]
@@ -151,11 +140,8 @@ mod tests {
         let scale = Scale { runs: 1, duration_s: 40 };
         let base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
         let checked = base.with_mitigations(MitigationConfig::plausibility(base.v2v_range));
-        let r = MitigationResult {
-            label: "mN".into(),
-            unmitigated: interarea::merged_runs(&base, true, scale, 31),
-            mitigated: interarea::merged_runs(&checked, true, scale, 31),
-        };
+        let r =
+            MitigationResult::measure(Family::Interception, "mN", &base, &checked, true, scale, 31);
         let delta = r.improvement().expect("rates available");
         assert!(delta > 0.2, "plausibility check ineffective: {r}");
     }
@@ -165,15 +151,7 @@ mod tests {
         let scale = Scale { runs: 1, duration_s: 30 };
         let base = ScenarioConfig::paper_dsrc_default().with_attack_range(486.0);
         let checked = base.with_mitigations(MitigationConfig::rhl_check(3));
-        let run = |cfg: &ScenarioConfig| {
-            let cfg = cfg.with_duration(scale.duration());
-            intraarea::outcomes_to_bins(&intraarea::run_one(&cfg, true, 77), cfg.duration)
-        };
-        let r = MitigationResult {
-            label: "mN".into(),
-            unmitigated: run(&base),
-            mitigated: run(&checked),
-        };
+        let r = MitigationResult::measure(Family::Blockage, "mN", &base, &checked, true, scale, 77);
         assert!(r.mitigated_rate().unwrap() > 0.9, "RHL check did not restore the flood: {r}");
         assert!(r.improvement().unwrap() > 0.1, "{r}");
     }
@@ -187,7 +165,5 @@ mod tests {
         let r = MitigationResult { label: "x".into(), unmitigated: a, mitigated: b };
         assert!((r.improvement().unwrap() - 0.4).abs() < 1e-9);
         assert!(r.to_string().contains("+40.0 pts"), "{r}");
-        let ab = as_ab(&r);
-        assert_eq!(ab.baseline.overall_rate(), Some(0.9));
     }
 }

@@ -104,7 +104,8 @@ pub fn summary() -> Option<CampaignSummary> {
 }
 
 /// Announces a new experiment setting of `planned_runs` upcoming runs
-/// (used for the ETA). Called by the `run_ab` loops.
+/// (used for the ETA). Called by the seeded campaign runner,
+/// [`Family::seeded_runs`](crate::Family::seeded_runs).
 pub fn begin_setting(label: &str, planned_runs: u32) {
     if let Some(s) = lock().as_mut() {
         s.setting = label.to_string();

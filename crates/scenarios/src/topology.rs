@@ -1,7 +1,7 @@
 //! Topology-instrumented scenario runners.
 //!
-//! These wrap the [`crate::interarea`] and [`crate::intraarea`]
-//! workloads with the full spatial observability stack: a
+//! [`run`] wraps either family's workload ([`Family::drive`]) with the
+//! full spatial observability stack: a
 //! [`geonet_sim::topo`] recorder snapshotting the connectivity graph at
 //! a fixed interval, a [`RoadHeatmap`] fed from the run's trace stream,
 //! and per-packet fate tracking (origin, delivery, last forwarding
@@ -15,11 +15,10 @@
 //! position is at most one second of vehicle movement (≈ 30 m) stale —
 //! well inside the default 100 m bin.
 
+use crate::campaign::{outcomes_to_bins, Family, PacketOutcome, Sent};
 use crate::config::ScenarioConfig;
 use crate::heatmap::RoadHeatmap;
-use crate::intraarea::PacketOutcome;
 use crate::world::World;
-use crate::{interarea, intraarea};
 use geonet::PacketKey;
 use geonet_geo::Position;
 use geonet_radio::NodeId;
@@ -35,9 +34,10 @@ use std::rc::Rc;
 /// time bin.
 pub const DEFAULT_SNAPSHOT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
-/// A blockage flood counts as delivered when it reached at least this
-/// fraction of the vehicles that were on the road at generation time.
-const FLOOD_DELIVERED_THRESHOLD: f64 = 0.95;
+/// A packet counts as delivered when it reached at least this fraction
+/// of its audience: for an interception packet, its one destination; for
+/// a blockage flood, the vehicles on the road at generation time.
+const DELIVERED_THRESHOLD: f64 = 0.95;
 
 /// One packet's spatial fate within a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,8 +48,8 @@ pub struct PacketFate {
     pub generated_at: SimTime,
     /// Longitudinal position of the source at generation time.
     pub origin_x: f64,
-    /// Whether the packet counts as delivered (destination reception
-    /// for interception runs; a ≥ 95% flood for blockage runs).
+    /// Whether the packet reached at least 95 % of its audience
+    /// (destination reception for interception runs).
     pub delivered: bool,
     /// Longitudinal position of the last node that made a forwarding
     /// decision for this packet (the origin, until someone forwards).
@@ -137,13 +137,8 @@ impl Instrument {
     /// Starts tracking the packets sent since the last drain, then
     /// drains the trace stream: forwarding decisions move a packet's
     /// last hop, drops and CBF cancellations land in the heatmap.
-    fn drain(
-        &mut self,
-        cfg: &ScenarioConfig,
-        w: &World,
-        sent: impl Iterator<Item = (PacketKey, SimTime, Position)>,
-    ) {
-        for (key, at, origin) in sent.skip(self.packets.len()) {
+    fn drain(&mut self, cfg: &ScenarioConfig, w: &World, sent: &[Sent]) {
+        for &Sent { key, at, origin, .. } in &sent[self.packets.len()..] {
             self.index.insert((key.source.to_u64(), key.sn.0), self.packets.len());
             self.packets.push(PacketFate {
                 key,
@@ -193,49 +188,29 @@ impl Instrument {
     }
 }
 
-/// Runs the inter-area interception workload ([`interarea::drive`]) with
-/// full topology instrumentation. Snapshot gradients are graded toward
+/// Runs one family's workload ([`Family::drive`]) with full topology
+/// instrumentation. Interception snapshot gradients are graded toward
 /// the east destination — the direction the paper's Figure 6 analysis
-/// follows.
+/// follows; a flood has no destination, so blockage snapshots carry
+/// connectivity and coverage analytics only.
 #[must_use]
-pub fn run_interarea(
+pub fn run(
+    family: Family,
     cfg: &ScenarioConfig,
     attacked: bool,
     seed: u64,
     interval: SimDuration,
 ) -> TopologyRun {
-    let mut w = interarea::world(cfg, attacked, seed);
-    let mut inst = Instrument::attach(cfg, &mut w, "interarea", attacked, seed, interval);
-    w.set_topo_destination(Position::new(cfg.road.length + 20.0, 0.0));
-    let sent = interarea::drive(cfg, &mut w, |w, sent| {
-        inst.drain(cfg, w, sent.iter().map(|s| (s.key, s.at, s.origin)));
-    });
-    inst.drain(cfg, &w, sent.iter().map(|s| (s.key, s.at, s.origin)));
-    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
-    inst.finish(bins, sent.iter().map(|s| w.was_received(s.key, s.dest)))
-}
-
-/// Runs the intra-area blockage workload ([`intraarea::drive`]) with full
-/// topology instrumentation. A packet counts as *delivered* when its
-/// flood reached at least 95% of the vehicles on the road at generation
-/// time; no gradient destination is set (a flood has none), so snapshots
-/// carry connectivity and coverage analytics only.
-#[must_use]
-pub fn run_blockage(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    interval: SimDuration,
-) -> TopologyRun {
-    let mut w = intraarea::world(cfg, attacked, seed);
-    let mut inst = Instrument::attach(cfg, &mut w, "intraarea", attacked, seed, interval);
-    let sent = intraarea::drive(cfg, &mut w, |w, sent| {
-        inst.drain(cfg, w, sent.iter().map(|s| (s.key, s.at, s.origin)));
-    });
-    inst.drain(cfg, &w, sent.iter().map(|s| (s.key, s.at, s.origin)));
+    let mut w = family.world(cfg, attacked, seed);
+    let mut inst = Instrument::attach(cfg, &mut w, family.name(), attacked, seed, interval);
+    if family == Family::Interception {
+        w.set_topo_destination(Position::new(cfg.road.length + 20.0, 0.0));
+    }
+    let sent = family.drive(cfg, &mut w, |w, sent| inst.drain(cfg, w, sent));
+    inst.drain(cfg, &w, &sent);
     let outcomes: Vec<PacketOutcome> = sent.iter().map(|s| s.outcome(&w)).collect();
-    let bins = intraarea::outcomes_to_bins(&outcomes, cfg.duration);
-    inst.finish(bins, outcomes.iter().map(|o| o.rate() >= FLOOD_DELIVERED_THRESHOLD))
+    let bins = outcomes_to_bins(&outcomes, cfg.duration);
+    inst.finish(bins, outcomes.iter().map(|o| o.rate() >= DELIVERED_THRESHOLD))
 }
 
 /// Correlates an attacker-free/attacked pair of same-seed runs into
@@ -285,7 +260,7 @@ mod tests {
     #[test]
     fn interarea_run_collects_all_artifacts() {
         let cfg = short(486.0);
-        let run = run_interarea(&cfg, true, 31, SimDuration::from_secs(5));
+        let run = run(Family::Interception, &cfg, true, 31, SimDuration::from_secs(5));
         assert!(!run.packets.is_empty());
         assert!(run.topo.samples().len() >= 5, "{} snapshots", run.topo.samples().len());
         assert_eq!(run.topo.meta().get("scenario").unwrap(), "interarea");
@@ -301,8 +276,8 @@ mod tests {
     #[test]
     fn correlate_attributes_interception_to_coverage() {
         let cfg = short(486.0);
-        let af = run_interarea(&cfg, false, 33, SimDuration::from_secs(5));
-        let mut atk = run_interarea(&cfg, true, 33, SimDuration::from_secs(5));
+        let af = run(Family::Interception, &cfg, false, 33, SimDuration::from_secs(5));
+        let mut atk = run(Family::Interception, &cfg, true, 33, SimDuration::from_secs(5));
         let (intercepted, in_cov) = correlate_interception(&af, &mut atk);
         assert!(intercepted > 0, "attack intercepted nothing");
         assert!(in_cov as f64 >= 0.9 * intercepted as f64, "{in_cov}/{intercepted} in coverage");
@@ -313,7 +288,7 @@ mod tests {
     #[test]
     fn blockage_run_localizes_suppression_at_the_attacker() {
         let cfg = short(500.0);
-        let run = run_blockage(&cfg, true, 35, SimDuration::from_secs(5));
+        let run = run(Family::Blockage, &cfg, true, 35, SimDuration::from_secs(5));
         assert!(!run.packets.is_empty());
         // The attacker-attributed CBF suppressions concentrate inside
         // its coverage around x = 2000.

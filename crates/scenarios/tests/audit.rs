@@ -3,7 +3,7 @@
 //! online invariant checker over real traces.
 
 use geonet_geo::{Area, Position};
-use geonet_scenarios::{interarea, intraarea, ScenarioConfig};
+use geonet_scenarios::{interarea, Family, ScenarioConfig};
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, AuditArtifact, InvariantChecker, InvariantParams,
     SimDuration, SimTime, TraceEvent, TraceSink, VecSink,
@@ -22,9 +22,9 @@ fn params(cfg: &ScenarioConfig) -> InvariantParams {
 fn audited_artifact(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> AuditArtifact {
     let auditor = shared_auditor(SimDuration::from_secs(1));
     interarea::stamp_audit_meta(&auditor, cfg, attacked, seed);
-    let mut w = interarea::world(cfg, attacked, seed);
+    let mut w = Family::Interception.world(cfg, attacked, seed);
     w.set_auditor(auditor.clone());
-    let _ = interarea::drive(cfg, &mut w, |_, _| {});
+    let _ = Family::Interception.drive(cfg, &mut w, |_, _| {});
     let artifact = auditor.borrow().clone();
     assert!(!artifact.samples().is_empty(), "a 5 s run must produce checkpoints");
     artifact
@@ -87,26 +87,17 @@ fn artifact_round_trips_through_json() {
 /// — satisfies the forwarding invariants.
 #[test]
 fn invariant_checker_passes_on_shipped_scenarios() {
-    let cfg = short_cfg();
-    for attacked in [false, true] {
-        let checker = shared(InvariantChecker::new(params(&cfg)));
-        let cfg = cfg.with_attack_range(486.0);
-        let mut w = interarea::world(&cfg, attacked, 42);
-        w.set_trace_sink(checker.clone());
-        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
-        let c = checker.borrow();
-        assert!(c.ok(), "interarea attacked={attacked}: {}", c.summary());
-        assert!(c.events_checked() > 0);
-    }
-    for attacked in [false, true] {
-        let checker = shared(InvariantChecker::new(params(&cfg)));
-        let cfg = cfg.with_attack_range(500.0);
-        let mut w = intraarea::world(&cfg, attacked, 42);
-        w.set_trace_sink(checker.clone());
-        let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
-        let c = checker.borrow();
-        assert!(c.ok(), "intraarea attacked={attacked}: {}", c.summary());
-        assert!(c.events_checked() > 0);
+    for family in Family::BOTH {
+        let cfg = family.config(5);
+        for attacked in [false, true] {
+            let checker = shared(InvariantChecker::new(params(&cfg)));
+            let mut w = family.world(&cfg, attacked, 42);
+            w.set_trace_sink(checker.clone());
+            let _ = family.drive(&cfg, &mut w, |_, _| {});
+            let c = checker.borrow();
+            assert!(c.ok(), "{} attacked={attacked}: {}", family.name(), c.summary());
+            assert!(c.events_checked() > 0);
+        }
     }
 }
 
@@ -115,11 +106,11 @@ fn invariant_checker_passes_on_shipped_scenarios() {
 /// caught with the offending event's index cited.
 #[test]
 fn injected_duplicate_forward_is_caught() {
-    let cfg = short_cfg().with_attack_range(500.0);
+    let cfg = Family::Blockage.config(5);
     let sink = shared(VecSink::new());
-    let mut w = intraarea::world(&cfg, true, 42);
+    let mut w = Family::Blockage.world(&cfg, true, 42);
     w.set_trace_sink(sink.clone());
-    let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
+    let _ = Family::Blockage.drive(&cfg, &mut w, |_, _| {});
     let records = sink.borrow().records().to_vec();
     let fired = records
         .iter()
@@ -143,20 +134,10 @@ fn injected_duplicate_forward_is_caught() {
 
 /// Runs one attacked 20 s world of a family and returns its event count
 /// and final combined audit digest.
-fn golden_run(intra: bool) -> (u64, u64) {
-    let cfg = ScenarioConfig::paper_dsrc_default().with_duration(SimDuration::from_secs(20));
-    let seed = 7;
-    let w = if intra {
-        let cfg = cfg.with_attack_range(500.0);
-        let mut w = intraarea::world(&cfg, true, seed);
-        let _ = intraarea::drive(&cfg, &mut w, |_, _| {});
-        w
-    } else {
-        let cfg = cfg.with_attack_range(486.0);
-        let mut w = interarea::world(&cfg, true, seed);
-        let _ = interarea::drive(&cfg, &mut w, |_, _| {});
-        w
-    };
+fn golden_run(family: Family) -> (u64, u64) {
+    let cfg = family.config(20);
+    let mut w = family.world(&cfg, true, 7);
+    let _ = family.drive(&cfg, &mut w, |_, _| {});
     (w.events_processed(), w.audit_checkpoint().combined)
 }
 
@@ -170,7 +151,7 @@ fn golden_run(intra: bool) -> (u64, u64) {
 /// `got` array from the failure message.
 #[test]
 fn golden_histories_are_pinned() {
-    let got = [golden_run(false), golden_run(true)];
+    let got = Family::BOTH.map(golden_run);
     assert_eq!(
         got,
         [(34730, 16215225509723573459), (33589, 3030571092036486867)],
@@ -184,7 +165,7 @@ fn golden_histories_are_pinned() {
 /// broadcast's deliveries are still queued, which the traffic-step
 /// checkpoints of the golden runs almost never see.
 fn mid_flight(cfg: &ScenarioConfig, seed: u64) -> [(u64, u64); 2] {
-    let mut w = interarea::world(cfg, true, seed);
+    let mut w = Family::Interception.world(cfg, true, seed);
     w.run_until(SimTime::from_secs(3));
     let src = w.random_on_road_vehicle().expect("vehicles on the road");
     let half = cfg.road.length / 2.0;

@@ -5,11 +5,10 @@
 use geonet::{CertificateAuthority, GnAddress, GnConfig, GnRouter, RouterAction};
 use geonet_attack::{Attacker, BlockageMode, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
+use geonet_scenarios::campaign::outcomes_to_bins;
 use geonet_scenarios::forensics::{hop_traces, AttributionReport, PacketFate};
-use geonet_scenarios::{interarea, ScenarioConfig};
-use geonet_sim::{
-    shared, JsonlSink, PacketRef, SimDuration, SimTime, TraceEvent, TraceRecord, Tracer, VecSink,
-};
+use geonet_scenarios::Family;
+use geonet_sim::{shared, JsonlSink, PacketRef, SimTime, TraceEvent, TraceRecord, Tracer, VecSink};
 
 fn router(ca: &CertificateAuthority, addr: u64, tracer: Tracer) -> GnRouter {
     let mut r = GnRouter::new(
@@ -92,14 +91,13 @@ fn blockage_run_traced_through_jsonl_attributes_the_suppression() {
 /// losses on greedy forwards into phantom next hops, not on the radio.
 #[test]
 fn interception_world_run_attributes_losses_to_phantom_next_hops() {
-    let cfg = ScenarioConfig::paper_dsrc_default()
-        .with_attack_range(486.0)
-        .with_duration(SimDuration::from_secs(20));
+    let cfg = Family::Interception.config(20);
     let sink = shared(VecSink::new());
-    let mut w = interarea::world(&cfg, true, 42);
+    let mut w = Family::Interception.world(&cfg, true, 42);
     w.set_trace_sink(sink.clone());
-    let sent = interarea::drive(&cfg, &mut w, |_, _| {});
-    let bins = interarea::reception_bins(&w, &sent, cfg.duration);
+    let sent = Family::Interception.drive(&cfg, &mut w, |_, _| {});
+    let outcomes: Vec<_> = sent.iter().map(|s| s.outcome(&w)).collect();
+    let bins = outcomes_to_bins(&outcomes, cfg.duration);
     let records = sink.borrow().records().to_vec();
     assert!(!records.is_empty());
 

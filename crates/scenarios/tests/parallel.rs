@@ -8,7 +8,7 @@
 //! byte comparisons (every counter, every bin).
 
 use geonet_scenarios::config::Scale;
-use geonet_scenarios::{interarea, intraarea, mitigation, parallel, ScenarioConfig};
+use geonet_scenarios::{interarea, intraarea, mitigation, parallel, Family, ScenarioConfig};
 use geonet_sim::{shared_auditor, SimDuration};
 
 /// Runs `f` under `jobs` workers, restoring the sequential default so a
@@ -31,18 +31,14 @@ const SCALE: Scale = Scale { runs: 3, duration_s: 30 };
 // concurrently, so the whole matrix lives in one test body.
 #[test]
 fn campaigns_and_audits_are_byte_identical_across_jobs() {
-    // interarea: report equality and bytes.
+    // Both families' A/B campaigns: report equality and bytes.
     let cfg = ScenarioConfig::paper_dsrc_default();
-    let seq = with_jobs(1, || interarea::run_ab(&cfg, "jobs-test", SCALE, 42));
-    let par = with_jobs(4, || interarea::run_ab(&cfg, "jobs-test", SCALE, 42));
-    assert_eq!(seq, par);
-    assert_eq!(format!("{seq:?}"), format!("{par:?}"));
-
-    // intraarea: bins are folded inside the jobs; still identical.
-    let seq = with_jobs(1, || intraarea::run_ab(&cfg, "jobs-test", SCALE, 42));
-    let par = with_jobs(4, || intraarea::run_ab(&cfg, "jobs-test", SCALE, 42));
-    assert_eq!(seq, par);
-    assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+    for family in Family::BOTH {
+        let seq = with_jobs(1, || family.run_ab(&cfg, "jobs-test", SCALE, 42));
+        let par = with_jobs(4, || family.run_ab(&cfg, "jobs-test", SCALE, 42));
+        assert_eq!(seq, par);
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+    }
 
     // intraarea source split: one simulation per seeded pair, filtered
     // per region — the restructured driver must match itself across
@@ -73,9 +69,9 @@ fn campaigns_and_audits_are_byte_identical_across_jobs() {
                 let seed = 42 + u64::from(i);
                 let auditor = shared_auditor(SimDuration::from_secs(5));
                 interarea::stamp_audit_meta(&auditor, &cfg, true, seed);
-                let mut w = interarea::world(&cfg, true, seed);
+                let mut w = Family::Interception.world(&cfg, true, seed);
                 w.set_auditor(auditor.clone());
-                let _ = interarea::drive(&cfg, &mut w, |_, _| {});
+                let _ = Family::Interception.drive(&cfg, &mut w, |_, _| {});
                 let json = auditor.borrow().to_json();
                 json
             })

@@ -3,10 +3,10 @@
 //! round-trips, same-seed determinism, and the blast-radius report's
 //! acceptance claims for both paper attacks.
 
-use geonet_scenarios::topology::{
-    correlate_interception, run_blockage, run_interarea, DEFAULT_SNAPSHOT_INTERVAL,
+use geonet_scenarios::topology::{correlate_interception, run, DEFAULT_SNAPSHOT_INTERVAL};
+use geonet_scenarios::{
+    BlastRadiusReport, Family, HeatmapDiff, RoadHeatmap, ScenarioConfig, TopologyRun,
 };
-use geonet_scenarios::{BlastRadiusReport, HeatmapDiff, RoadHeatmap, ScenarioConfig, TopologyRun};
 use geonet_sim::{SimDuration, TopoArtifact};
 
 /// Long enough for forwarding chains, interception and CBF suppression
@@ -39,8 +39,8 @@ fn round_trip(run: &TopologyRun) -> (TopoArtifact, RoadHeatmap) {
 #[test]
 fn interception_blast_radius_pins_the_attacker() {
     let cfg = cfg(486.0);
-    let af = run_interarea(&cfg, false, 42, DEFAULT_SNAPSHOT_INTERVAL);
-    let mut atk = run_interarea(&cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let af = run(Family::Interception, &cfg, false, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let mut atk = run(Family::Interception, &cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
     let (intercepted, _) = correlate_interception(&af, &mut atk);
     assert!(intercepted > 0, "the mN attacker must intercept something in 40 s");
 
@@ -74,8 +74,8 @@ fn interception_blast_radius_pins_the_attacker() {
 #[test]
 fn blockage_diff_localizes_the_suppression_hot_bin() {
     let cfg = cfg(500.0);
-    let af = run_blockage(&cfg, false, 42, DEFAULT_SNAPSHOT_INTERVAL);
-    let atk = run_blockage(&cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let af = run(Family::Blockage, &cfg, false, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let atk = run(Family::Blockage, &cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
     let (_, af_heat) = round_trip(&af);
     let (_, atk_heat) = round_trip(&atk);
     let diff = HeatmapDiff::build(&af_heat, &atk_heat).expect("same geometry");
@@ -98,8 +98,8 @@ fn blockage_diff_localizes_the_suppression_hot_bin() {
 #[test]
 fn same_seed_topology_runs_are_byte_identical() {
     let cfg = cfg(486.0);
-    let a = run_interarea(&cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
-    let b = run_interarea(&cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let a = run(Family::Interception, &cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
+    let b = run(Family::Interception, &cfg, true, 42, DEFAULT_SNAPSHOT_INTERVAL);
     assert_eq!(a.topo.to_json(), b.topo.to_json(), "same seed, same snapshots");
     assert_eq!(a.heatmap.to_json(), b.heatmap.to_json(), "same seed, same heatmap");
     let a_dot: String = a.topo.samples().iter().map(|s| s.to_dot()).collect();

@@ -10,10 +10,15 @@
 #      tree's perfbench/reference.txt;
 #   2. runs both sides' `repro` with the same flags (audit, topology for
 #      both scenarios, trace + forensics, and a two-run CSV campaign of
-#      fig7a fig9a fig12a fig13 ext-mobile ext-ack) and `cmp`s every
-#      artifact. fig13 drives its own standalone attacker loop, ext-mobile
-#      moves the attacker and ext-ack runs link acknowledgements under
-#      attack; none of the other runs reach those paths.
+#      fig7a fig8 fig9a fig9src fig10 fig12a fig13 fig14a fig14b ext-loss
+#      ext-mobile ext-ack) and `cmp`s every artifact. The campaign covers
+#      every entry point of the seeded campaign runner: A/B pairs of both
+#      families (fig7a, fig8, fig9a, fig10, ext-loss), the source split
+#      (fig9src), merged single-side runs (fig14a, fig14b) and the channel
+#      load count (ext-ack). fig13 drives its own standalone attacker
+#      loop, ext-mobile moves the attacker and ext-ack runs link
+#      acknowledgements under attack; none of the other runs reach those
+#      paths.
 # Prints one line per check and exits 1 on any difference, 0 otherwise.
 # The temporary directory is removed on exit.
 set -euo pipefail
@@ -40,8 +45,8 @@ artifacts() {
         "$repro" --duration 30 --seed 42 --topology "$out/tb" --topology-scenario blockage \
             > "$out/topo-blockage.txt"
         "$repro" --duration 30 --seed 42 --trace "$out/tr" --forensics > "$out/forensics.txt"
-        "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig9a fig12a fig13 ext-mobile ext-ack \
-            > "$out/campaign.csv"
+        "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig8 fig9a fig9src fig10 fig12a \
+            fig13 fig14a fig14b ext-loss ext-mobile ext-ack > "$out/campaign.csv"
     } 2> "$out.stderr.log"
 }
 
