@@ -130,6 +130,31 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
             black_box(sim.count_on_road())
         });
     });
+
+    // The `sparse-highway` benchmark road: 40 km, two-way, 300 m spacing.
+    c.bench_function("traffic_step_266_vehicles_sparse_40km", |b| {
+        let road =
+            RoadConfig { length: 40_000.0, ..RoadConfig::paper_two_way().with_spacing(300.0) };
+        let mut sim = TrafficSim::new(road);
+        b.iter(|| {
+            sim.step(0.1);
+            black_box(sim.count_on_road())
+        });
+    });
+
+    // The paper road after 600 simulated seconds: most vehicles ever
+    // spawned have exited, so a step costing O(vehicles on the road)
+    // matches `traffic_step_133_vehicles` here.
+    c.bench_function("traffic_step_paper_road_after_600s", |b| {
+        let mut sim = TrafficSim::new(RoadConfig::paper_default());
+        for _ in 0..6_000 {
+            sim.step(0.1);
+        }
+        b.iter(|| {
+            sim.step(0.1);
+            black_box(sim.count_on_road())
+        });
+    });
 }
 
 fn bench_handle_frame(c: &mut Criterion) {

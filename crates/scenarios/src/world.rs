@@ -584,12 +584,12 @@ impl World {
 
     /// Picks a uniformly random on-road vehicle (workload generation).
     pub fn random_on_road_vehicle(&mut self) -> Option<VehicleId> {
-        let ids: Vec<VehicleId> = self.traffic.on_segment_vehicles().map(|v| v.id).collect();
-        if ids.is_empty() {
-            None
-        } else {
-            Some(ids[self.workload_rng.below(ids.len())])
+        let n = self.traffic.on_segment_vehicles().count();
+        if n == 0 {
+            return None;
         }
+        let pick = self.workload_rng.below(n);
+        self.traffic.on_segment_vehicles().nth(pick).map(|v| v.id)
     }
 
     /// The set of nodes that received (delivered) packet `key` so far.
@@ -732,16 +732,14 @@ impl World {
             let vid = VehicleId(self.vehicle_nodes.len() as u32);
             self.register_vehicle(vid);
         }
-        // Sync positions; deactivate exited vehicles.
-        for v in self.traffic.all_vehicles() {
+        // Deactivate the vehicles that exited in this step (their last
+        // position stays on record); sync the rest.
+        for vid in self.traffic.exited_last_step() {
+            self.medium.set_active(self.vehicle_nodes[vid.index()], false);
+        }
+        for v in self.traffic.active_vehicles() {
             let node = self.vehicle_nodes[v.id.index()];
-            if v.exited {
-                if self.medium.is_active(node) {
-                    self.medium.set_active(node, false);
-                }
-            } else {
-                self.medium.set_position(node, v.position(self.traffic.road()));
-            }
+            self.medium.set_position(node, v.position(self.traffic.road()));
         }
         // Mobile-attacker extension: the attacker drives along the road.
         if self.cfg.attacker_velocity != 0.0 {

@@ -3,11 +3,12 @@
 //! online invariant checker over real traces.
 
 use geonet_geo::{Area, Position};
-use geonet_scenarios::{interarea, Family, ScenarioConfig};
+use geonet_scenarios::{interarea, Family, ScenarioConfig, World};
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, AuditArtifact, InvariantChecker, InvariantParams,
     SimDuration, SimTime, TraceEvent, TraceSink, VecSink,
 };
+use geonet_traffic::Direction;
 
 /// A short but non-trivial scenario: long enough for beacons, GF
 /// forwarding and CBF contention to all fire.
@@ -193,5 +194,38 @@ fn mid_flight_checkpoints_are_pinned() {
             [(20838, 4660602643668805181), (20876, 15265055670987371687)],
         ],
         "mid-flight pins changed: got {got:?}"
+    );
+}
+
+/// Runs an attacker-free 400 s paper-road world: a hazard blocks the
+/// eastbound lanes at 3 600 m from t = 100 s and the east entry gate
+/// closes at t = 150 s. Vehicles leave past the off-road margin from
+/// t ≈ 20 s on and new ones enter behind them until the gate closes, so
+/// the traffic step's exit and spawn-after-exit paths both run many
+/// times. Returns the event count, the combined audit digest and the
+/// `traffic` component.
+fn long_run() -> (u64, u64, u64) {
+    let cfg = ScenarioConfig::paper_dsrc_default().with_duration(SimDuration::from_secs(400));
+    let mut w = World::new(cfg, None, 5);
+    w.run_until(SimTime::from_secs(100));
+    w.add_hazard(Direction::East, 3_600.0);
+    w.run_until(SimTime::from_secs(150));
+    w.set_entry_open(Direction::East, false);
+    w.run_to_end();
+    let checkpoint = w.audit_checkpoint();
+    let traffic = checkpoint.component("traffic").expect("traffic digest");
+    (w.events_processed(), checkpoint.combined, traffic)
+}
+
+/// Pins a long run, where the golden runs above (20 s) end before any
+/// vehicle spawned during the run reaches the exit. Regenerate like the
+/// golden pins above.
+#[test]
+fn long_run_with_exits_is_pinned() {
+    let got = long_run();
+    assert_eq!(
+        got,
+        (1898993, 17839842752294791349, 1604200878598800971),
+        "long-run pins changed: got {got:?}"
     );
 }

@@ -76,8 +76,21 @@ impl IdmParams {
     /// speed (positive when approaching the leader).
     #[must_use]
     pub fn desired_gap(&self, v: f64, dv: f64) -> f64 {
-        let dynamic = v * self.safe_time_headway
-            + v * dv / (2.0 * (self.max_acceleration * self.comfortable_deceleration).sqrt());
+        self.desired_gap_with(v, dv, self.braking_divisor())
+    }
+
+    /// `2·√(a_max·b)`, the divisor of the desired gap's braking term. It
+    /// depends on the parameters alone, so a caller evaluating many
+    /// vehicles computes it once and passes it to
+    /// [`IdmParams::acceleration_with`]; the result is the same bits as
+    /// computing it per call.
+    pub(crate) fn braking_divisor(&self) -> f64 {
+        2.0 * (self.max_acceleration * self.comfortable_deceleration).sqrt()
+    }
+
+    /// [`IdmParams::desired_gap`] given [`IdmParams::braking_divisor`].
+    fn desired_gap_with(&self, v: f64, dv: f64, braking_divisor: f64) -> f64 {
+        let dynamic = v * self.safe_time_headway + v * dv / braking_divisor;
         // s* is floored at s0: the stationary term never shrinks below the
         // minimum distance even when the leader is pulling away fast.
         self.minimum_distance + dynamic.max(0.0)
@@ -97,9 +110,14 @@ impl IdmParams {
     /// before invoking the model.
     #[must_use]
     pub fn acceleration(&self, v: f64, gap: f64, dv: f64) -> f64 {
+        self.acceleration_with(v, gap, dv, self.braking_divisor())
+    }
+
+    /// [`IdmParams::acceleration`] given [`IdmParams::braking_divisor`].
+    pub(crate) fn acceleration_with(&self, v: f64, gap: f64, dv: f64, braking_divisor: f64) -> f64 {
         assert!(gap > 0.0, "IDM undefined for non-positive gap: {gap}");
         let free = 1.0 - (v / self.desired_velocity).powf(self.acceleration_exponent);
-        let interaction = (self.desired_gap(v, dv) / gap).powi(2);
+        let interaction = (self.desired_gap_with(v, dv, braking_divisor) / gap).powi(2);
         let a = self.max_acceleration * (free - interaction);
         a.max(-2.0 * self.comfortable_deceleration)
     }

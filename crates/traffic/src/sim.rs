@@ -4,7 +4,6 @@ use crate::road::{Direction, RoadConfig};
 use crate::vehicle::{Vehicle, VehicleId};
 use geonet_geo::Position;
 use geonet_sim::{SimTime, StateHasher, Telemetry, TraceEvent, Tracer};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Stable wire code for a direction, for audit digests.
@@ -15,6 +14,17 @@ fn direction_code(d: Direction) -> u8 {
     }
 }
 
+/// Index of a direction into the per-direction arrays.
+fn dir_index(d: Direction) -> usize {
+    usize::from(direction_code(d))
+}
+
+/// Index of a lane's buffer: East lanes first, then West, each in
+/// ascending lane order.
+fn lane_slot(d: Direction, lane: u8, lanes_per_direction: u8) -> usize {
+    dir_index(d) * usize::from(lanes_per_direction) + usize::from(lane)
+}
+
 /// A hazard blocking all lanes of one direction at a longitudinal
 /// position (the paper's Figure 11a event blocks both eastbound lanes at
 /// 3 600 m).
@@ -22,6 +32,16 @@ fn direction_code(d: Direction) -> u8 {
 struct Hazard {
     direction: Direction,
     s: f64,
+}
+
+/// The nearest of `hazards` ahead of longitudinal position `s` in
+/// `direction`, if any.
+fn hazard_ahead(hazards: &[Hazard], direction: Direction, s: f64) -> Option<f64> {
+    hazards
+        .iter()
+        .filter(|h| h.direction == direction && h.s > s)
+        .map(|h| h.s)
+        .min_by(|a, b| a.partial_cmp(b).expect("hazard positions are finite"))
 }
 
 /// The traffic microsimulation.
@@ -48,13 +68,26 @@ struct Hazard {
 /// sim.set_entry_open(Direction::East, false); // entrance informed
 /// for _ in 0..100 { sim.step(0.1); }
 /// ```
+///
+/// A step costs O(vehicles on the road), not O(vehicles ever spawned),
+/// and allocates nothing once its buffers have grown to the traffic.
 pub struct TrafficSim {
     road: RoadConfig,
     vehicles: Vec<Vehicle>,
+    /// Ids of the vehicles not yet exited, ascending.
+    active: Vec<VehicleId>,
+    /// One buffer per lane, indexed by [`lane_slot`]: the lane's active
+    /// vehicles, leader first. Refilled every step.
+    lanes: Vec<Vec<VehicleId>>,
+    /// One lane's accelerations, reused across lanes and steps.
+    accels: Vec<f64>,
+    /// Ids of the vehicles that exited in the last step, ascending.
+    exits: Vec<VehicleId>,
     hazards: Vec<Hazard>,
-    entry_open: HashMap<Direction, bool>,
-    next_lane: HashMap<Direction, u8>,
-    last_entered: HashMap<Direction, VehicleId>,
+    /// Per-direction state, indexed by [`dir_index`].
+    entry_open: [bool; 2],
+    next_lane: [u8; 2],
+    last_entered: [Option<VehicleId>; 2],
     collisions: u64,
     elapsed: f64,
     tracer: Tracer,
@@ -70,13 +103,22 @@ impl TrafficSim {
     #[must_use]
     pub fn new(road: RoadConfig) -> Self {
         road.validate().unwrap_or_else(|e| panic!("invalid road config: {e}"));
+        let mut entry_open = [false; 2];
+        for &d in road.directions() {
+            entry_open[dir_index(d)] = true;
+        }
+        let lanes = road.directions().len() * usize::from(road.lanes_per_direction);
         let mut sim = TrafficSim {
             road,
             vehicles: Vec::new(),
+            active: Vec::new(),
+            lanes: vec![Vec::new(); lanes],
+            accels: Vec::new(),
+            exits: Vec::new(),
             hazards: Vec::new(),
-            entry_open: road.directions().iter().map(|&d| (d, true)).collect(),
-            next_lane: road.directions().iter().map(|&d| (d, 0)).collect(),
-            last_entered: HashMap::new(),
+            entry_open,
+            next_lane: [0; 2],
+            last_entered: [None; 2],
             collisions: 0,
             elapsed: 0.0,
             tracer: Tracer::disabled(),
@@ -94,17 +136,18 @@ impl TrafficSim {
             let mut s = self.road.length;
             while s >= self.road.spacing {
                 let id = self.push_vehicle(direction, lane, s, self.road.entry_speed);
-                self.last_entered.insert(direction, id);
+                self.last_entered[dir_index(direction)] = Some(id);
                 lane = (lane + 1) % self.road.lanes_per_direction;
                 s -= self.road.spacing;
             }
-            self.next_lane.insert(direction, lane);
+            self.next_lane[dir_index(direction)] = lane;
         }
     }
 
     fn push_vehicle(&mut self, direction: Direction, lane: u8, s: f64, v: f64) -> VehicleId {
         let id = VehicleId(u32::try_from(self.vehicles.len()).expect("too many vehicles"));
         self.vehicles.push(Vehicle { id, direction, lane, s, v, exited: false });
+        self.active.push(id);
         id
     }
 
@@ -127,9 +170,16 @@ impl TrafficSim {
         &self.vehicles
     }
 
-    /// The vehicles currently on the road.
+    /// The vehicles currently on the road, in ascending id order.
     pub fn active_vehicles(&self) -> impl Iterator<Item = &Vehicle> {
-        self.vehicles.iter().filter(|v| !v.exited)
+        self.active.iter().map(|id| &self.vehicles[id.index()])
+    }
+
+    /// The vehicles that exited in the last [`TrafficSim::step`], in
+    /// ascending id order (empty before the first step).
+    #[must_use]
+    pub fn exited_last_step(&self) -> &[VehicleId] {
+        &self.exits
     }
 
     /// Looks up a vehicle by id.
@@ -175,20 +225,19 @@ impl TrafficSim {
     /// enter (the entrance has been informed of a hazard and traffic
     /// diverts).
     pub fn set_entry_open(&mut self, direction: Direction, open: bool) {
-        self.entry_open.insert(direction, open);
+        self.entry_open[dir_index(direction)] = open;
     }
 
     /// Whether a direction's entry gate is open.
     #[must_use]
     pub fn entry_open(&self, direction: Direction) -> bool {
-        self.entry_open.get(&direction).copied().unwrap_or(false)
+        self.entry_open[dir_index(direction)]
     }
 
     /// Folds the simulation's canonical state — clock, collision count,
     /// every vehicle's kinematics, hazards and per-direction entry
-    /// bookkeeping — into an audit digest. The hash-map state is walked
-    /// via [`RoadConfig::directions`] so the digest never depends on
-    /// `HashMap` iteration order.
+    /// bookkeeping — into an audit digest. The per-direction state is
+    /// walked via [`RoadConfig::directions`].
     pub fn digest_into(&self, h: &mut StateHasher) {
         h.write_f64(self.elapsed);
         h.write_u64(self.collisions);
@@ -209,8 +258,8 @@ impl TrafficSim {
         for &d in self.road.directions() {
             h.write_u8(direction_code(d));
             h.write_bool(self.entry_open(d));
-            h.write_u8(self.next_lane.get(&d).copied().unwrap_or(0));
-            match self.last_entered.get(&d) {
+            h.write_u8(self.next_lane[dir_index(d)]);
+            match self.last_entered[dir_index(d)] {
                 Some(id) => h.write_u64(u64::from(id.0) + 1),
                 None => h.write_u64(0),
             }
@@ -251,16 +300,6 @@ impl TrafficSim {
         self.hazards.retain(|h| h.direction != direction);
     }
 
-    /// The nearest hazard ahead of longitudinal position `s` in
-    /// `direction`, if any.
-    fn hazard_ahead(&self, direction: Direction, s: f64) -> Option<f64> {
-        self.hazards
-            .iter()
-            .filter(|h| h.direction == direction && h.s > s)
-            .map(|h| h.s)
-            .min_by(|a, b| a.partial_cmp(b).expect("hazard positions are finite"))
-    }
-
     /// Advances the simulation by `dt` seconds (the paper uses 0.1 s).
     ///
     /// # Panics
@@ -270,37 +309,53 @@ impl TrafficSim {
         assert!(dt.is_finite() && dt > 0.0, "invalid timestep: {dt}");
         let _span = self.telemetry.time("traffic_step_ns");
         self.elapsed += dt;
+        let TrafficSim {
+            road,
+            vehicles,
+            active,
+            lanes,
+            accels,
+            exits,
+            hazards,
+            collisions,
+            elapsed,
+            tracer,
+            ..
+        } = self;
 
-        // Group active vehicle indices per (direction, lane), sorted by
-        // longitudinal position descending (leader first).
-        let mut lanes: HashMap<(Direction, u8), Vec<usize>> = HashMap::new();
-        for (i, v) in self.vehicles.iter().enumerate() {
-            if !v.exited {
-                lanes.entry((v.direction, v.lane)).or_default().push(i);
-            }
+        // Group active vehicles per lane in id order, then sort each lane
+        // by longitudinal position descending (leader first). The sort is
+        // stable, so vehicles level with each other stay in id order.
+        for lane in lanes.iter_mut() {
+            lane.clear();
         }
-        // Deterministic iteration: sort the lane keys.
-        let mut keys: Vec<(Direction, u8)> = lanes.keys().copied().collect();
-        keys.sort_by_key(|&(d, l)| (d == Direction::West, l));
+        for &id in active.iter() {
+            let v = &vehicles[id.index()];
+            lanes[lane_slot(v.direction, v.lane, road.lanes_per_direction)].push(id);
+        }
+        let braking_divisor = road.idm.braking_divisor();
 
-        for key in keys {
-            let mut idxs = lanes.remove(&key).expect("key from map");
-            idxs.sort_by(|&a, &b| {
-                self.vehicles[b].s.partial_cmp(&self.vehicles[a].s).expect("positions are finite")
+        for ids in lanes.iter_mut() {
+            ids.sort_by(|a, b| {
+                vehicles[b.index()]
+                    .s
+                    .partial_cmp(&vehicles[a.index()].s)
+                    .expect("positions are finite")
             });
             // Compute accelerations against the current (pre-update) state,
             // then integrate — a synchronous update, standard for IDM.
-            let mut accels = Vec::with_capacity(idxs.len());
-            for (rank, &i) in idxs.iter().enumerate() {
-                let v = &self.vehicles[i];
+            accels.clear();
+            for (rank, id) in ids.iter().enumerate() {
+                let v = &vehicles[id.index()];
                 let leader_gap = if rank == 0 {
                     None
                 } else {
-                    let lead = &self.vehicles[idxs[rank - 1]];
-                    Some((lead.s - self.road.vehicle_length - v.s, lead.v))
+                    let lead = &vehicles[ids[rank - 1].index()];
+                    Some((lead.s - road.vehicle_length - v.s, lead.v))
                 };
                 // A hazard acts as a stopped, zero-length leader.
-                let hazard_gap = self.hazard_ahead(v.direction, v.s).map(|hs| (hs - v.s, 0.0f64));
+                let hazard_gap =
+                    hazard_ahead(hazards, v.direction, v.s).map(|hs| (hs - v.s, 0.0f64));
                 let binding = match (leader_gap, hazard_gap) {
                     (Some(l), Some(h)) => Some(if l.0 <= h.0 { l } else { h }),
                     (l, h) => l.or(h),
@@ -310,22 +365,22 @@ impl TrafficSim {
                         if gap <= 0.0 {
                             // Gap collapse: scripted interference (never
                             // produced by IDM itself). Record and stop dead.
-                            self.collisions += 1;
+                            *collisions += 1;
                             let x = v.s;
-                            self.tracer.emit(SimTime::from_secs_f64(self.elapsed), || {
+                            tracer.emit(SimTime::from_secs_f64(*elapsed), || {
                                 TraceEvent::Collision { x }
                             });
                             -f64::INFINITY // sentinel: stop below
                         } else {
-                            self.road.idm.acceleration(v.v, gap, v.v - lead_v)
+                            road.idm.acceleration_with(v.v, gap, v.v - lead_v, braking_divisor)
                         }
                     }
-                    None => self.road.idm.free_road_acceleration(v.v),
+                    None => road.idm.free_road_acceleration(v.v),
                 };
                 accels.push(a);
             }
-            for (&i, &a) in idxs.iter().zip(&accels) {
-                let veh = &mut self.vehicles[i];
+            for (id, &a) in ids.iter().zip(accels.iter()) {
+                let veh = &mut vehicles[id.index()];
                 if a == -f64::INFINITY {
                     veh.v = 0.0;
                     continue;
@@ -338,16 +393,19 @@ impl TrafficSim {
 
         // Exits: the vehicle has driven past the off-road margin and can
         // no longer matter to anything on the segment.
-        let cutoff = self.road.length + self.road.offroad_margin;
-        for v in &mut self.vehicles {
-            if !v.exited && v.s > cutoff {
+        let cutoff = road.length + road.offroad_margin;
+        exits.clear();
+        active.retain(|&id| {
+            let v = &mut vehicles[id.index()];
+            if v.s > cutoff {
                 v.exited = true;
+                exits.push(id);
             }
-        }
+            !v.exited
+        });
 
         // Entries.
-        let directions: Vec<Direction> = self.road.directions().to_vec();
-        for direction in directions {
+        for &direction in self.road.directions() {
             self.try_spawn(direction);
         }
     }
@@ -355,30 +413,36 @@ impl TrafficSim {
     /// Entry rule: a vehicle enters at the configured speed when the last
     /// vehicle that entered this direction is more than `spacing` metres
     /// from the entrance (and the gate is open). Lanes are used round-robin.
+    ///
+    /// Runs at the end of a step: the target lane's buffer still lists
+    /// every vehicle the lane held when the step began, so this step's
+    /// exits are skipped. Each direction spawns into its own lanes, so no
+    /// buffer misses a vehicle spawned in the same step.
     fn try_spawn(&mut self, direction: Direction) {
-        if !self.entry_open(direction) {
+        let d = dir_index(direction);
+        if !self.entry_open[d] {
             return;
         }
-        if let Some(&last) = self.last_entered.get(&direction) {
+        if let Some(last) = self.last_entered[d] {
             let lv = &self.vehicles[last.index()];
             if !lv.exited && lv.s <= self.road.spacing {
                 return;
             }
         }
-        let lane = *self.next_lane.get(&direction).unwrap_or(&0);
+        let lane = self.next_lane[d];
         // Lane safety: the rearmost vehicle in the target lane must also be
         // clear of the entrance.
-        let lane_clear = self
-            .vehicles
+        let lane_clear = self.lanes[lane_slot(direction, lane, self.road.lanes_per_direction)]
             .iter()
-            .filter(|v| !v.exited && v.direction == direction && v.lane == lane)
+            .map(|id| &self.vehicles[id.index()])
+            .filter(|v| !v.exited)
             .all(|v| v.s > self.road.spacing);
         if !lane_clear {
             return;
         }
         let id = self.push_vehicle(direction, lane, 0.0, self.road.entry_speed);
-        self.last_entered.insert(direction, id);
-        self.next_lane.insert(direction, (lane + 1) % self.road.lanes_per_direction);
+        self.last_entered[d] = Some(id);
+        self.next_lane[d] = (lane + 1) % self.road.lanes_per_direction;
     }
 }
 
@@ -571,6 +635,396 @@ mod tests {
         if !v.exited {
             let after = sim.position(id);
             assert!(after.x > before.x, "eastbound vehicle must move east");
+        }
+    }
+}
+
+/// Model test of the buffered step against the implementation it
+/// replaced: a `HashMap` of freshly allocated lane vectors, rebuilt every
+/// step from a scan of every vehicle ever spawned. The oracle below keeps
+/// that step, its spawn rule and the pre-fill verbatim; only the type
+/// name differs.
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use geonet_sim::{shared, TraceRecord, VecSink};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+    use std::rc::Rc;
+
+    struct Oracle {
+        road: RoadConfig,
+        vehicles: Vec<Vehicle>,
+        hazards: Vec<Hazard>,
+        entry_open: HashMap<Direction, bool>,
+        next_lane: HashMap<Direction, u8>,
+        last_entered: HashMap<Direction, VehicleId>,
+        collisions: u64,
+        elapsed: f64,
+        tracer: Tracer,
+        telemetry: Telemetry,
+    }
+
+    impl Oracle {
+        fn new(road: RoadConfig) -> Self {
+            road.validate().unwrap_or_else(|e| panic!("invalid road config: {e}"));
+            let mut sim = Oracle {
+                road,
+                vehicles: Vec::new(),
+                hazards: Vec::new(),
+                entry_open: road.directions().iter().map(|&d| (d, true)).collect(),
+                next_lane: road.directions().iter().map(|&d| (d, 0)).collect(),
+                last_entered: HashMap::new(),
+                collisions: 0,
+                elapsed: 0.0,
+                tracer: Tracer::disabled(),
+                telemetry: Telemetry::disabled(),
+            };
+            sim.prefill();
+            sim
+        }
+
+        fn prefill(&mut self) {
+            for &direction in self.road.directions() {
+                let mut lane = 0u8;
+                let mut s = self.road.length;
+                while s >= self.road.spacing {
+                    let id = self.push_vehicle(direction, lane, s, self.road.entry_speed);
+                    self.last_entered.insert(direction, id);
+                    lane = (lane + 1) % self.road.lanes_per_direction;
+                    s -= self.road.spacing;
+                }
+                self.next_lane.insert(direction, lane);
+            }
+        }
+
+        fn push_vehicle(&mut self, direction: Direction, lane: u8, s: f64, v: f64) -> VehicleId {
+            let id = VehicleId(u32::try_from(self.vehicles.len()).expect("too many vehicles"));
+            self.vehicles.push(Vehicle { id, direction, lane, s, v, exited: false });
+            id
+        }
+
+        fn set_entry_open(&mut self, direction: Direction, open: bool) {
+            self.entry_open.insert(direction, open);
+        }
+
+        fn entry_open(&self, direction: Direction) -> bool {
+            self.entry_open.get(&direction).copied().unwrap_or(false)
+        }
+
+        fn add_hazard(&mut self, direction: Direction, s: f64) {
+            self.hazards.push(Hazard { direction, s });
+            self.tracer
+                .emit(SimTime::from_secs_f64(self.elapsed), || TraceEvent::HazardOnset { x: s });
+        }
+
+        fn hazard_ahead(&self, direction: Direction, s: f64) -> Option<f64> {
+            self.hazards
+                .iter()
+                .filter(|h| h.direction == direction && h.s > s)
+                .map(|h| h.s)
+                .min_by(|a, b| a.partial_cmp(b).expect("hazard positions are finite"))
+        }
+
+        pub fn step(&mut self, dt: f64) {
+            assert!(dt.is_finite() && dt > 0.0, "invalid timestep: {dt}");
+            let _span = self.telemetry.time("traffic_step_ns");
+            self.elapsed += dt;
+
+            // Group active vehicle indices per (direction, lane), sorted by
+            // longitudinal position descending (leader first).
+            let mut lanes: HashMap<(Direction, u8), Vec<usize>> = HashMap::new();
+            for (i, v) in self.vehicles.iter().enumerate() {
+                if !v.exited {
+                    lanes.entry((v.direction, v.lane)).or_default().push(i);
+                }
+            }
+            // Deterministic iteration: sort the lane keys.
+            let mut keys: Vec<(Direction, u8)> = lanes.keys().copied().collect();
+            keys.sort_by_key(|&(d, l)| (d == Direction::West, l));
+
+            for key in keys {
+                let mut idxs = lanes.remove(&key).expect("key from map");
+                idxs.sort_by(|&a, &b| {
+                    self.vehicles[b]
+                        .s
+                        .partial_cmp(&self.vehicles[a].s)
+                        .expect("positions are finite")
+                });
+                // Compute accelerations against the current (pre-update) state,
+                // then integrate — a synchronous update, standard for IDM.
+                let mut accels = Vec::with_capacity(idxs.len());
+                for (rank, &i) in idxs.iter().enumerate() {
+                    let v = &self.vehicles[i];
+                    let leader_gap = if rank == 0 {
+                        None
+                    } else {
+                        let lead = &self.vehicles[idxs[rank - 1]];
+                        Some((lead.s - self.road.vehicle_length - v.s, lead.v))
+                    };
+                    // A hazard acts as a stopped, zero-length leader.
+                    let hazard_gap =
+                        self.hazard_ahead(v.direction, v.s).map(|hs| (hs - v.s, 0.0f64));
+                    let binding = match (leader_gap, hazard_gap) {
+                        (Some(l), Some(h)) => Some(if l.0 <= h.0 { l } else { h }),
+                        (l, h) => l.or(h),
+                    };
+                    let a = match binding {
+                        Some((gap, lead_v)) => {
+                            if gap <= 0.0 {
+                                // Gap collapse: scripted interference (never
+                                // produced by IDM itself). Record and stop dead.
+                                self.collisions += 1;
+                                let x = v.s;
+                                self.tracer.emit(SimTime::from_secs_f64(self.elapsed), || {
+                                    TraceEvent::Collision { x }
+                                });
+                                -f64::INFINITY // sentinel: stop below
+                            } else {
+                                self.road.idm.acceleration(v.v, gap, v.v - lead_v)
+                            }
+                        }
+                        None => self.road.idm.free_road_acceleration(v.v),
+                    };
+                    accels.push(a);
+                }
+                for (&i, &a) in idxs.iter().zip(&accels) {
+                    let veh = &mut self.vehicles[i];
+                    if a == -f64::INFINITY {
+                        veh.v = 0.0;
+                        continue;
+                    }
+                    let v_new = (veh.v + a * dt).max(0.0);
+                    veh.s += (veh.v + v_new) / 2.0 * dt;
+                    veh.v = v_new;
+                }
+            }
+
+            // Exits: the vehicle has driven past the off-road margin and can
+            // no longer matter to anything on the segment.
+            let cutoff = self.road.length + self.road.offroad_margin;
+            for v in &mut self.vehicles {
+                if !v.exited && v.s > cutoff {
+                    v.exited = true;
+                }
+            }
+
+            // Entries.
+            let directions: Vec<Direction> = self.road.directions().to_vec();
+            for direction in directions {
+                self.try_spawn(direction);
+            }
+        }
+
+        fn try_spawn(&mut self, direction: Direction) {
+            if !self.entry_open(direction) {
+                return;
+            }
+            if let Some(&last) = self.last_entered.get(&direction) {
+                let lv = &self.vehicles[last.index()];
+                if !lv.exited && lv.s <= self.road.spacing {
+                    return;
+                }
+            }
+            let lane = *self.next_lane.get(&direction).unwrap_or(&0);
+            // Lane safety: the rearmost vehicle in the target lane must also be
+            // clear of the entrance.
+            let lane_clear = self
+                .vehicles
+                .iter()
+                .filter(|v| !v.exited && v.direction == direction && v.lane == lane)
+                .all(|v| v.s > self.road.spacing);
+            if !lane_clear {
+                return;
+            }
+            let id = self.push_vehicle(direction, lane, 0.0, self.road.entry_speed);
+            self.last_entered.insert(direction, id);
+            self.next_lane.insert(direction, (lane + 1) % self.road.lanes_per_direction);
+        }
+    }
+
+    /// One scripted intervention, applied to both simulations before the
+    /// step it names.
+    #[derive(Debug, Clone, Copy)]
+    enum Script {
+        /// A hazard in the direction `west`, at `frac` of the road, or
+        /// `near` metres ahead of the `pick`-th active vehicle of that
+        /// direction (hard braking, and gap collapse behind it).
+        Hazard { west: bool, frac: f64, near: Option<(usize, f64)> },
+        /// Opens or closes an entry gate.
+        Gate { west: bool, open: bool },
+        /// Moves the `pick`-th active vehicle level with the vehicle ahead
+        /// of it in its lane: a gap collapse whose outcome depends on how
+        /// the stable lane sort orders vehicles at equal positions.
+        PileUp { pick: usize },
+    }
+
+    fn hazard() -> impl Strategy<Value = (usize, Script)> {
+        let near = prop::option::of((0usize..1_000, 0.0f64..5.0));
+        (0usize..3_000, any::<bool>(), 0.0f64..1.0, near)
+            .prop_map(|(at, west, frac, near)| (at, Script::Hazard { west, frac, near }))
+    }
+
+    fn gate() -> impl Strategy<Value = (usize, Script)> {
+        (0usize..3_000, any::<bool>(), any::<bool>())
+            .prop_map(|(at, west, open)| (at, Script::Gate { west, open }))
+    }
+
+    fn pile_up() -> impl Strategy<Value = (usize, Script)> {
+        (0usize..3_000, 0usize..1_000).prop_map(|(at, pick)| (at, Script::PileUp { pick }))
+    }
+
+    fn direction(road: &RoadConfig, west: bool) -> Direction {
+        if west && road.two_way {
+            Direction::West
+        } else {
+            Direction::East
+        }
+    }
+
+    /// Applies `script` to both simulations; they hold the same state.
+    fn apply(sim: &mut TrafficSim, oracle: &mut Oracle, script: Script) {
+        let road = sim.road;
+        match script {
+            Script::Hazard { west, frac, near } => {
+                let d = direction(&road, west);
+                let mut s = frac * road.length;
+                if let Some((pick, ahead)) = near {
+                    let ss: Vec<f64> =
+                        sim.active_vehicles().filter(|v| v.direction == d).map(|v| v.s).collect();
+                    if !ss.is_empty() {
+                        s = (ss[pick % ss.len()] + ahead).min(road.length);
+                    }
+                }
+                sim.add_hazard(d, s);
+                oracle.add_hazard(d, s);
+            }
+            Script::Gate { west, open } => {
+                let d = direction(&road, west);
+                sim.set_entry_open(d, open);
+                oracle.set_entry_open(d, open);
+            }
+            Script::PileUp { pick } => {
+                let active: Vec<Vehicle> = sim.active_vehicles().copied().collect();
+                if active.is_empty() {
+                    return;
+                }
+                let v = active[pick % active.len()];
+                let leader = active
+                    .iter()
+                    .filter(|l| l.direction == v.direction && l.lane == v.lane && l.s > v.s)
+                    .min_by(|a, b| a.s.partial_cmp(&b.s).expect("finite"));
+                if let Some(l) = leader {
+                    sim.vehicles[v.id.index()].s = l.s;
+                    oracle.vehicles[v.id.index()].s = l.s;
+                }
+            }
+        }
+    }
+
+    fn traced() -> (Tracer, Rc<RefCell<VecSink>>) {
+        let sink = shared(VecSink::new());
+        (Tracer::attached(sink.clone()), sink)
+    }
+
+    /// Steps both simulations `steps` times and compares them bit for bit
+    /// after every step.
+    fn check(road: RoadConfig, steps: usize, scripts: &[(usize, Script)]) -> Result<(), String> {
+        let mut sim = TrafficSim::new(road);
+        let mut oracle = Oracle::new(road);
+        let (tracer, sim_sink) = traced();
+        sim.set_tracer(tracer);
+        let (tracer, oracle_sink) = traced();
+        oracle.tracer = tracer;
+        for step in 0..steps {
+            for &(_, s) in scripts.iter().filter(|(at, _)| *at == step) {
+                apply(&mut sim, &mut oracle, s);
+            }
+            let active_before: Vec<VehicleId> = sim.active_vehicles().map(|v| v.id).collect();
+            sim.step(0.1);
+            oracle.step(0.1);
+
+            let fail = |what: String| Err(format!("step {step}: {what}"));
+            if sim.all_vehicles().len() != oracle.vehicles.len() {
+                return fail(format!(
+                    "{} vehicles, oracle {}",
+                    sim.all_vehicles().len(),
+                    oracle.vehicles.len()
+                ));
+            }
+            for (a, b) in sim.all_vehicles().iter().zip(&oracle.vehicles) {
+                let same = a.id == b.id
+                    && a.direction == b.direction
+                    && a.lane == b.lane
+                    && a.s.to_bits() == b.s.to_bits()
+                    && a.v.to_bits() == b.v.to_bits()
+                    && a.exited == b.exited;
+                if !same {
+                    return fail(format!("{a} differs from oracle {b}"));
+                }
+            }
+            if sim.collisions() != oracle.collisions {
+                return fail(format!(
+                    "{} collisions, oracle {}",
+                    sim.collisions(),
+                    oracle.collisions
+                ));
+            }
+            let events: Vec<TraceRecord> = sim_sink.borrow_mut().drain();
+            let oracle_events: Vec<TraceRecord> = oracle_sink.borrow_mut().drain();
+            if events != oracle_events {
+                return fail(format!("trace {events:?}, oracle {oracle_events:?}"));
+            }
+            // The active list is the non-exited vehicles in id order, and
+            // the step's exits are the ones it just marked.
+            let active: Vec<VehicleId> = sim.active_vehicles().map(|v| v.id).collect();
+            let expected: Vec<VehicleId> =
+                oracle.vehicles.iter().filter(|v| !v.exited).map(|v| v.id).collect();
+            if active != expected {
+                return fail(format!("active list {active:?}, expected {expected:?}"));
+            }
+            let exits: Vec<VehicleId> =
+                active_before.into_iter().filter(|id| oracle.vehicles[id.index()].exited).collect();
+            if sim.exited_last_step() != exits {
+                return fail(format!("exits {:?}, expected {exits:?}", sim.exited_last_step()));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_step_matches_oracle_bit_for_bit(
+            two_way in any::<bool>(),
+            lanes in 1u8..=3,
+            spacing in 10.0f64..300.0,
+            // Half the roads are so short that the entry headway can
+            // exceed length + off-road margin: a vehicle that exits then
+            // still lies within `spacing` of the entrance.
+            extent in prop_oneof![
+                (50.0f64..300.0, 10.0f64..100.0),
+                (400.0f64..4_000.0, 600.0f64..601.0),
+            ],
+            steps in 1usize..=3_000,
+            hazards in prop::collection::vec(hazard(), 0..4),
+            gates in prop::collection::vec(gate(), 0..6),
+            pile_ups in prop::collection::vec(pile_up(), 0..3))
+        {
+            let (length, offroad_margin) = extent;
+            let road = RoadConfig {
+                length,
+                lanes_per_direction: lanes,
+                two_way,
+                spacing,
+                offroad_margin,
+                ..RoadConfig::paper_default()
+            };
+            let scripts: Vec<(usize, Script)> = [hazards, gates, pile_ups].concat();
+            let result = check(road, steps, &scripts);
+            prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }
 }

@@ -2,11 +2,11 @@
 # Measures the working tree against a base revision on one perfbench
 # workload, in alternating pairs of runs.
 #
-#   scripts/paired_bench.sh <base-rev> <workload> [pairs] [seconds]
+#   scripts/paired_bench.sh <base-rev> <workload> [pairs] [seconds] [seed]
 #
 # Exports and builds <base-rev> as prove_inert.sh does, builds the working
-# tree, then runs `perfbench --workload W --seconds S --trace 0` once per
-# side per pair (default 5 pairs of 30 s runs). Odd pairs run the base
+# tree, then runs `perfbench --workload W --seconds S --seed N --trace 0`
+# once per side per pair (default 5 pairs of 30 s runs, seed 1). Odd pairs run the base
 # first, even pairs the change first, so drift on a shared host does not
 # favour one side. Prints each pair's end-to-end metrics (base -> change)
 # and, per metric, the median change/base ratio and how many pairs the
@@ -14,11 +14,11 @@
 # The temporary directory is removed on exit.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <base-rev> <workload> [pairs] [seconds]" >&2
+if [ $# -lt 2 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 <base-rev> <workload> [pairs] [seconds] [seed]" >&2
     exit 2
 fi
-base_rev=$1 workload=$2 pairs=${3:-5} seconds=${4:-30}
+base_rev=$1 workload=$2 pairs=${3:-5} seconds=${4:-30} seed=${5:-1}
 root=$(git rev-parse --show-toplevel)
 # shellcheck source=scripts/base_checkout.sh
 . "$root/scripts/base_checkout.sh"
@@ -32,14 +32,14 @@ base_sha=$(checkout_base "$root" "$base_rev" "$work/base")
 echo "base:   $base_rev ($base_sha)"
 echo "change: working tree of $root"
 build_side "$root"
-echo "workload $workload, $pairs pairs of $seconds s runs"
+echo "workload $workload, seed $seed, $pairs pairs of $seconds s runs"
 
 # run SIDE PAIR: one perfbench run; keeps its JSON line as $work/SIDE.PAIR.
 run() {
     local dir
     if [ "$1" = base ]; then dir=$work/base; else dir=$root; fi
     "$dir/perfbench/target/release/perfbench" --workload "$workload" --seconds "$seconds" \
-        --trace 0 2> /dev/null | tail -n 1 > "$work/$1.$2" || true
+        --seed "$seed" --trace 0 2> /dev/null | tail -n 1 > "$work/$1.$2" || true
 }
 
 # field FILE METRIC: the metric's value in a perfbench JSON line.

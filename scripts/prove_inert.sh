@@ -18,7 +18,9 @@
 #      load count (ext-ack). fig13 drives its own standalone attacker
 #      loop, ext-mobile moves the attacker and ext-ack runs link
 #      acknowledgements under attack; none of the other runs reach those
-#      paths.
+#      paths. A third, 400 s campaign (fig7a fig12a) runs long enough for
+#      vehicles spawned during the run to reach the exit and for new ones
+#      to enter behind them; the 30 s runs end before either happens.
 # Prints one line per check and exits 1 on any difference, 0 otherwise.
 # The temporary directory is removed on exit.
 set -euo pipefail
@@ -47,6 +49,7 @@ artifacts() {
         "$repro" --duration 30 --seed 42 --trace "$out/tr" --forensics > "$out/forensics.txt"
         "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig8 fig9a fig9src fig10 fig12a \
             fig13 fig14a fig14b ext-loss ext-mobile ext-ack > "$out/campaign.csv"
+        "$repro" --runs 1 --duration 400 --seed 42 --csv fig7a fig12a > "$out/long-campaign.csv"
     } 2> "$out.stderr.log"
 }
 
