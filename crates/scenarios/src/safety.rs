@@ -12,22 +12,21 @@
 //! buffered copy as a duplicate, V2 is never warned, and the late
 //! emergency braking cannot prevent the head-on collision.
 //!
-//! This module uses the protocol stack directly (routers + medium +
-//! attacker, no road traffic model) with scripted longitudinal kinematics
-//! matching the paper's speed profiles: V1 at 27 m/s and V2 at 14 m/s,
-//! both comfort-braking at 2 m/s², warned deceleration 4 m/s², emergency
-//! braking 6 m/s² once the drivers see each other across the curve.
+//! The scenario is a driver on [`World`], like Figure 12's: an empty
+//! road, V1, V2 and R1 as static nodes, and the world's blockage
+//! attacker. Each 0.1 s step runs the world up to the step, then applies
+//! scripted kinematics matching the paper's speed profiles (V1 at 27 m/s
+//! and V2 at 14 m/s, comfort-braking at 2 m/s², warned 4 m/s², emergency
+//! 6 m/s² once the drivers see each other) and moves V1 and V2.
 
-use geonet::{
-    CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, OnAir, PacketKey, RouterAction,
-    Verifier,
-};
-use geonet_attack::{Attacker, BlockageMode};
-use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::{Medium, NodeId};
-use geonet_sim::{Kernel, SimTime};
+use crate::config::{AttackerSetup, ScenarioConfig};
+use crate::world::World;
+use geonet_attack::BlockageMode;
+use geonet_geo::{Area, Position};
+use geonet_radio::NodeId;
+use geonet_sim::SimTime;
+use geonet_traffic::Direction;
 use serde::{Deserialize, Serialize};
-use std::rc::Rc;
 
 /// Scenario geometry and kinematics (all tunable for ablations).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,6 +50,12 @@ pub struct SafetyConfig {
     /// Radio range of the vehicles and R1 (short: the curve is NLoS).
     pub radio_range: f64,
     /// Time at which V1 detects the hazard, swerves and warns, seconds.
+    ///
+    /// It is compared with the driver's step time, a sum of 0.1 s steps.
+    /// Ten of them add up to 0.9999999999999999, so at the default 1.0 V1
+    /// swerves and warns at the 1.1 s step, one step late: the Figure 13
+    /// CSV row `1.0` still shows V1 comfort-braking at 2 m/s². Mending it
+    /// changes the Figure 13 report.
     pub warn_time: f64,
     /// V1 occupies the oncoming lane while its position is below this
     /// (end of the blocked stretch).
@@ -100,68 +105,34 @@ pub struct SafetyOutcome {
     pub min_gap: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum V2Mode {
-    Cruising,
-    Warned,
+/// World seed of the case study. The outcome does not depend on it: the
+/// only draws are beacon offsets, and CBF contention follows geometry.
+const SEED: u64 = 0x5AFE;
+
+/// Builds the curve world on `seed`: an empty road (pre-fill spacing
+/// beyond the road length, entry gate shut before the first step), and
+/// V1, V2 and R1 as static nodes, returned in that order. Attacked, the
+/// Spot-2 attacker sits beside R1; it sniffs within the nodes' radio
+/// range, as a unit-disk node there would, and replays within 5 m.
+fn world(cfg: &SafetyConfig, attacked: bool, seed: u64) -> (World, [NodeId; 3]) {
+    let base = ScenarioConfig::paper_dsrc_default();
+    let scenario = ScenarioConfig {
+        attacker_position: Position::new(2.0, 40.0),
+        attack_range: cfg.radio_range,
+        ..base.with_spacing(2.0 * base.road.length)
+    };
+    let setup = AttackerSetup::IntraArea(BlockageMode::PowerControlled { range: 5.0 });
+    let mut w = World::new(scenario, attacked.then_some(setup), seed);
+    w.set_entry_open(Direction::East, false);
+    let nodes = [(cfg.v1_start_x, 0.0), (cfg.v2_start_x, 0.0), (0.0, 40.0)]
+        .map(|(x, y)| w.add_static_node(Position::new(x, y), cfg.radio_range));
+    (w, nodes)
 }
 
-/// Protocol events of the case study.
-#[derive(Debug)]
-enum Ev {
-    Deliver { to: NodeId, frame: Rc<OnAir> },
-    CbfTimer { node: NodeId, key: PacketKey, generation: u64 },
-    AttackerTx { frame: Frame, cap: Option<f64> },
-}
-
-/// Puts `frame` on the air from `from` at time `at`: one shared [`OnAir`]
-/// delivered to every node within the sender's range (optionally
-/// power-capped) after the propagation delay.
-fn transmit(
-    kernel: &mut Kernel<Ev>,
-    medium: &Medium,
-    verifier: &Verifier,
-    from: NodeId,
-    frame: Frame,
-    cap: Option<f64>,
-    at: SimTime,
-) {
-    let on_air = Rc::new(OnAir::new(frame, verifier));
-    let cap = cap.unwrap_or_else(|| medium.tx_range(from));
-    for rx in medium.receivers_within(from, cap) {
-        let d = medium.propagation_delay(from, rx);
-        kernel.schedule_at(at + d, Ev::Deliver { to: rx, frame: Rc::clone(&on_air) });
-    }
-}
-
-/// Runs the case study once.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
-    let reference = GeoReference::default();
-    let ca = CertificateAuthority::new(0x5AFE);
-    let verifier = ca.verifier();
-    let gn = GnConfig::paper_default(1_283.0);
-
-    let mut medium = Medium::new();
-    let v1_node = medium.register(Position::new(cfg.v1_start_x, 0.0), cfg.radio_range);
-    let v2_node = medium.register(Position::new(cfg.v2_start_x, 0.0), cfg.radio_range);
-    let _r1_node = medium.register(Position::new(0.0, 40.0), cfg.radio_range);
-    let mut routers = [
-        GnRouter::new(ca.enroll(GnAddress::vehicle(1)), ca.verifier(), gn, reference),
-        GnRouter::new(ca.enroll(GnAddress::vehicle(2)), ca.verifier(), gn, reference),
-        GnRouter::new(ca.enroll(GnAddress::roadside(1)), ca.verifier(), gn, reference),
-    ];
-    let mut attacker = attacked.then(|| {
-        // Spot 2: beside R1; replay at minimal power so only R1 hears.
-        medium.register(Position::new(2.0, 40.0), cfg.radio_range);
-        Attacker::blockage(Position::new(2.0, 40.0), BlockageMode::PowerControlled { range: 5.0 })
-    });
-    let attacker_node = attacked.then_some(NodeId(3));
-
-    // Event loop: deliveries, CBF timers and attacker replays.
-    let mut kernel: Kernel<Ev> = Kernel::new();
-
+/// Drives the case study on a world from [`world`] at 10 Hz: runs the
+/// protocol up to each step, sends V1's warning once, then applies the
+/// scripted kinematics and moves V1 and V2.
+fn drive(cfg: &SafetyConfig, w: &mut World, [v1_node, v2_node, _]: [NodeId; 3]) -> SafetyOutcome {
     let dt = 0.1_f64;
     let mut t = 0.0_f64;
     let mut x1 = cfg.v1_start_x;
@@ -169,8 +140,7 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
     let mut x2 = cfg.v2_start_x;
     let mut v2 = cfg.v2_speed;
     let mut v1_in_oncoming = false;
-    let mut warned_sent = false;
-    let mut v2_mode = V2Mode::Cruising;
+    let mut warning = None;
     let mut v2_warned = false;
     let mut emergency = false;
     let mut collision_time = None;
@@ -182,89 +152,17 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
 
     let steps = (40.0 / dt) as usize;
     for _ in 0..steps {
-        let now = SimTime::from_secs_f64(t);
-        // --- Protocol events due by `now`. ---
-        while kernel.peek_time().map(|pt| pt <= now).unwrap_or(false) {
-            let (_, ev) = kernel.pop().expect("peeked");
-            match ev {
-                Ev::Deliver { to, frame } => {
-                    if Some(to) == attacker_node {
-                        if let Some(atk) = attacker.as_mut() {
-                            if let Some(order) = atk.on_sniff(frame.frame(), now) {
-                                kernel.schedule_in(
-                                    order.delay,
-                                    Ev::AttackerTx { frame: order.frame, cap: order.range_cap },
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    let pos = medium.position(to);
-                    let rt = kernel.now();
-                    let actions = routers[to.index()].receive(&frame, pos, rt);
-                    for a in actions {
-                        match a {
-                            RouterAction::Transmit(f) => {
-                                transmit(&mut kernel, &medium, &verifier, to, f, None, rt);
-                            }
-                            RouterAction::Deliver { .. } => {
-                                if to == v2_node {
-                                    v2_warned = true;
-                                    v2_mode = V2Mode::Warned;
-                                }
-                            }
-                            RouterAction::CbfTimer { key, generation, delay } => {
-                                kernel
-                                    .schedule_in(delay, Ev::CbfTimer { node: to, key, generation });
-                            }
-                            RouterAction::GfRetry { .. } => {
-                                // The curve scenario broadcasts within the
-                                // area; GF never buffers here.
-                            }
-                        }
-                    }
-                }
-                Ev::CbfTimer { node, key, generation } => {
-                    let pos = medium.position(node);
-                    let rt = kernel.now();
-                    let actions = routers[node.index()].handle_cbf_timer(key, generation, pos, rt);
-                    for a in actions {
-                        if let RouterAction::Transmit(f) = a {
-                            transmit(&mut kernel, &medium, &verifier, node, f, None, rt);
-                        }
-                    }
-                }
-                Ev::AttackerTx { frame, cap } => {
-                    if let Some(an) = attacker_node {
-                        let rt = kernel.now();
-                        transmit(&mut kernel, &medium, &verifier, an, frame, cap, rt);
-                    }
-                }
-            }
-        }
+        // --- Protocol events due by now. A traffic step lands on every
+        // 100 ms, so the world's clock stops exactly at the step. ---
+        w.run_until(SimTime::from_secs_f64(t));
+        debug_assert_eq!(w.now(), SimTime::from_secs_f64(t));
 
         // --- The warning broadcast. ---
-        if !warned_sent && t >= cfg.warn_time {
-            warned_sent = true;
+        if warning.is_none() && t >= cfg.warn_time {
             v1_in_oncoming = true;
-            let pos = Position::new(x1, 0.0);
-            let rt = SimTime::from_secs_f64(t);
-            // Scheduling into the kernel requires now >= kernel.now; feed
-            // the kernel a no-op time advance by scheduling at `rt`.
-            let (_, actions) = routers[v1_node.index()].originate(
-                &warn_area,
-                vec![0x7A],
-                rt,
-                pos,
-                v1,
-                Heading::EAST,
-            );
-            for a in actions {
-                if let RouterAction::Transmit(f) = a {
-                    transmit(&mut kernel, &medium, &verifier, v1_node, f, None, rt);
-                }
-            }
+            warning = Some(w.originate_from(v1_node, &warn_area, vec![0x7A]));
         }
+        v2_warned = warning.is_some_and(|key| w.was_received(key, v2_node));
 
         // --- Kinematics. ---
         let gap = x2 - x1;
@@ -293,23 +191,16 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
         };
         let a2 = if emergency {
             -cfg.emergency_decel
-        } else {
-            match v2_mode {
-                V2Mode::Cruising => {
-                    if v2 > cfg.v2_floor_speed + 6.0 {
-                        -cfg.comfort_decel
-                    } else {
-                        0.0
-                    }
-                }
-                V2Mode::Warned => {
-                    if v2 > cfg.v2_floor_speed {
-                        -cfg.warned_decel
-                    } else {
-                        0.0
-                    }
-                }
+        } else if v2_warned {
+            if v2 > cfg.v2_floor_speed {
+                -cfg.warned_decel
+            } else {
+                0.0
             }
+        } else if v2 > cfg.v2_floor_speed + 6.0 {
+            -cfg.comfort_decel
+        } else {
+            0.0
         };
         let v1_new = (v1 + a1 * dt).max(0.0);
         let v2_new = (v2 + a2 * dt).max(0.0);
@@ -317,8 +208,8 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
         x2 -= (v2 + v2_new) / 2.0 * dt;
         v1 = v1_new;
         v2 = v2_new;
-        medium.set_position(v1_node, Position::new(x1, 0.0));
-        medium.set_position(v2_node, Position::new(x2, 0.0));
+        w.set_node_position(v1_node, Position::new(x1, 0.0));
+        w.set_node_position(v2_node, Position::new(x2, 0.0));
         v1_profile.push((t, v1));
         v2_profile.push((t, v2));
         t += dt;
@@ -329,7 +220,7 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
     }
 
     SafetyOutcome {
-        attacked,
+        attacked: w.attacker().is_some(),
         v2_warned,
         collision: collision_time.is_some(),
         collision_time,
@@ -337,6 +228,13 @@ pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
         v2_profile,
         min_gap,
     }
+}
+
+/// Runs the case study once.
+#[must_use]
+pub fn run(cfg: &SafetyConfig, attacked: bool) -> SafetyOutcome {
+    let (mut w, nodes) = world(cfg, attacked, SEED);
+    drive(cfg, &mut w, nodes)
 }
 
 /// Figure 13: `(attacker-free, attacked)` outcomes with the default
@@ -364,6 +262,67 @@ pub fn sight_distance_sweep(distances: &[f64]) -> Vec<(f64, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geonet_sim::{shared, TraceEvent, TraceRecord, VecSink};
+    use std::collections::BTreeSet;
+
+    /// Runs the default case study on a traced world built from `seed`.
+    fn traced(attacked: bool, seed: u64) -> (World, [NodeId; 3], Vec<TraceRecord>) {
+        let cfg = SafetyConfig::default();
+        let (mut w, nodes) = world(&cfg, attacked, seed);
+        let sink = shared(VecSink::new());
+        w.set_trace_sink(sink.clone());
+        let _ = drive(&cfg, &mut w, nodes);
+        let records = sink.borrow_mut().drain();
+        (w, nodes, records)
+    }
+
+    /// The events `node` logged, in order.
+    fn events_of(records: &[TraceRecord], node: NodeId) -> Vec<&TraceEvent> {
+        records.iter().filter(|r| r.node == node.0).map(|r| &r.event).collect()
+    }
+
+    #[test]
+    fn attacker_free_relay_fires_and_v2_delivers() {
+        let (_, [_, v2, r1], records) = traced(false, SEED);
+        let r1_events = events_of(&records, r1);
+        let armed = r1_events.iter().position(|e| matches!(e, TraceEvent::CbfArmed { .. }));
+        let fired = r1_events.iter().position(|e| matches!(e, TraceEvent::CbfFired { .. }));
+        assert!(armed.is_some() && armed < fired, "R1 armed at {armed:?}, fired at {fired:?}");
+        let delivered =
+            events_of(&records, v2).iter().any(|e| matches!(e, TraceEvent::Delivered { .. }));
+        assert!(delivered, "V2 never delivered the warning");
+    }
+
+    #[test]
+    fn attacked_relay_is_cancelled_by_a_replay_only_r1_hears() {
+        let (w, [_, _, r1], records) = traced(true, SEED);
+        let attacker = w.attacker_address().expect("the blockage attacker has a pseudonym");
+        let cancelled = events_of(&records, r1)
+            .iter()
+            .any(|e| matches!(e, TraceEvent::CbfCancelled { by, .. } if *by == attacker));
+        assert!(cancelled, "R1's timer was not cancelled by the attacker");
+        let hearers: BTreeSet<u32> = records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::FrameRx { from, .. } if from == attacker))
+            .map(|r| r.node)
+            .collect();
+        assert_eq!(hearers, BTreeSet::from([r1.0]));
+    }
+
+    #[test]
+    fn outcome_does_not_depend_on_the_world_seed() {
+        let cfg = SafetyConfig::default();
+        for attacked in [false, true] {
+            let outcome = |seed| {
+                let (mut w, nodes) = world(&cfg, attacked, seed);
+                drive(&cfg, &mut w, nodes)
+            };
+            let reference = outcome(SEED);
+            for seed in [1, 2] {
+                assert_eq!(outcome(seed), reference, "seed {seed}, attacked {attacked}");
+            }
+        }
+    }
 
     #[test]
     fn attacker_free_warning_arrives_and_no_collision() {

@@ -22,8 +22,9 @@ use std::rc::Rc;
 pub enum NodeKind {
     /// A vehicle driven by the traffic simulation.
     Vehicle(VehicleId),
-    /// A stationary legitimate node (destination receiver or roadside
-    /// unit).
+    /// A legitimate node outside the traffic simulation (destination
+    /// receiver, roadside unit): it stays where it was added unless the
+    /// driver moves it with [`World::set_node_position`].
     Static,
     /// The attacker's sniffer/transmitter.
     Attacker,
@@ -233,6 +234,17 @@ impl World {
         self.rngs.push(rng);
         self.kernel.schedule_in(offset, Ev::Beacon(node));
         node
+    }
+
+    /// Moves a static node. A driver that scripts its own motion calls
+    /// this each step; vehicles follow the traffic simulation instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a static node.
+    pub fn set_node_position(&mut self, node: NodeId, position: Position) {
+        assert_eq!(self.kinds[node.index()], NodeKind::Static, "moving non-static node {node}");
+        self.medium.set_position(node, position);
     }
 
     /// Attaches a trace sink; every node (router, attacker, traffic
@@ -935,7 +947,7 @@ impl World {
             // greedy unicast got through (the MAC ACK), so it can retry
             // towards another neighbour.
             if let Some(ack) = self.cfg.gn.link_ack {
-                if let Some(key) = PacketKey::of(&frame.msg) {
+                if let Some(key) = key {
                     if let Some(router) = self.routers[from.index()].as_mut() {
                         if reached {
                             router.handle_ack_success(key);

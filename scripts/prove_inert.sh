@@ -15,10 +15,11 @@
 #      every entry point of the seeded campaign runner: A/B pairs of both
 #      families (fig7a, fig8, fig9a, fig10, ext-loss), the source split
 #      (fig9src), merged single-side runs (fig14a, fig14b) and the channel
-#      load count (ext-ack). fig13 drives its own standalone attacker
-#      loop, ext-mobile moves the attacker and ext-ack runs link
-#      acknowledgements under attack; none of the other runs reach those
-#      paths. A third, 400 s campaign (fig7a fig12a) runs long enough for
+#      load count (ext-ack). fig13 moves static nodes from its own
+#      driver on `World` (`World::set_node_position`) with a
+#      power-capped blockage replay, ext-mobile moves the attacker and
+#      ext-ack runs link acknowledgements under attack; none of the
+#      other runs reach those paths. A third, 400 s campaign (fig7a fig12a) runs long enough for
 #      vehicles spawned during the run to reach the exit and for new ones
 #      to enter behind them; the 30 s runs end before either happens.
 # Prints one line per check and exits 1 on any difference, 0 otherwise.
