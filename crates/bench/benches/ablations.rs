@@ -8,10 +8,11 @@
 //!   lower bound, and on a delivery-shaped schedule vs a plain
 //!   `BinaryHeap` queue.
 //! * `ablation_location_table` — one beacon applied to the 64 receivers
-//!   of a delivery batch across 1,500 location tables: the shipped
-//!   24-byte-value table vs the unpacked 64-byte-value layout it
-//!   replaced, each with and without the warm pass that probes every
-//!   receiver's table before the writes.
+//!   of a delivery batch across 1,500 location tables, with the shipped
+//!   24-byte-value table and the unpacked 64-byte-value layout it
+//!   replaced; against it, the beacon log's two halves: appending one
+//!   beacon to the 64 receivers' inboxes, and folding one 512-entry
+//!   inbox into a table the previous fold left cold.
 //! * `ablation_cbf_to` — blockage window sensitivity to `TO_MAX`.
 //! * `ablation_attacker_latency` — attack success vs the attacker's
 //!   processing delay, validating the paper's ≤ 1 ms feasibility claim.
@@ -136,16 +137,12 @@ fn ablation_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The location-table operations a beacon delivery performs.
+/// The location-table operation a beacon delivery performs.
 trait BeaconTable {
-    fn contains(&self, addr: GnAddress) -> bool;
     fn update(&mut self, pv: LongPositionVector, now: SimTime);
 }
 
 impl BeaconTable for LocationTable {
-    fn contains(&self, addr: GnAddress) -> bool {
-        LocationTable::contains(self, addr)
-    }
     fn update(&mut self, pv: LongPositionVector, now: SimTime) {
         LocationTable::update(self, pv, now);
     }
@@ -161,9 +158,6 @@ struct UnpackedTable {
 }
 
 impl BeaconTable for UnpackedTable {
-    fn contains(&self, addr: GnAddress) -> bool {
-        self.entries.contains_key(&addr.to_u64())
-    }
     fn update(&mut self, pv: LongPositionVector, now: SimTime) {
         let position = pv.position(&self.reference);
         self.entries.insert(pv.addr.to_u64(), LocTEntry { pv, position, expires: now + self.ttl });
@@ -204,30 +198,68 @@ fn beacon_road<T: BeaconTable>(
     (tables, pvs)
 }
 
-/// Delivers `src`'s beacon to the `BATCH` tables around it, optionally
-/// probing every receiver's table first, as `World` dispatch does.
-///
-/// Nothing else runs between two writes here, so the CPU already overlaps
-/// their cache misses and the warm pass can only add its probes. In
-/// `World` dispatch the rest of a reception separates two writes and the
-/// pass pays for itself; DESIGN.md §8 has both measurements.
+/// The receivers of `src`'s beacon: the `BATCH` nodes around it.
+fn receivers_of(src: usize) -> impl Iterator<Item = usize> {
+    let lo = src.saturating_sub(BATCH / 2).min(TABLES - BATCH - 1);
+    (lo..=lo + BATCH).filter(move |&r| r != src).take(BATCH)
+}
+
+/// Delivers `src`'s beacon to the `BATCH` tables around it, one table
+/// write per receiver, as the event-per-delivery path does.
 fn deliver_beacon<T: BeaconTable>(
     tables: &mut [T],
     pvs: &[LongPositionVector],
     src: usize,
-    warm: bool,
     now: SimTime,
 ) {
-    let lo = src.saturating_sub(BATCH / 2).min(TABLES - BATCH - 1);
-    let receivers = (lo..=lo + BATCH).filter(|&r| r != src).take(BATCH);
     let pv = pvs[src];
-    if warm {
-        for r in receivers.clone() {
-            black_box(tables[r].contains(pv.addr));
+    for r in receivers_of(src) {
+        tables[r].update(pv, now);
+    }
+}
+
+/// Entries an inbox holds before the fold arm applies it.
+const INBOX: usize = 512;
+
+/// The beacon log's shapes: one record per transmission (the sender's
+/// position vector and the send time) and, per receiver, 4-byte entries
+/// holding a record index and an arrival offset in µs.
+struct Log {
+    records: Vec<(LongPositionVector, SimTime)>,
+    inboxes: Vec<Vec<u32>>,
+}
+
+impl Log {
+    /// Logs `src`'s beacon: one record, one entry per receiver. An inbox
+    /// that reaches `INBOX` entries starts over, standing in for its fold.
+    fn append(&mut self, pv: LongPositionVector, src: usize, now: SimTime) {
+        let id = self.records.len() as u32;
+        self.records.push((pv, now));
+        for r in receivers_of(src) {
+            let inbox = &mut self.inboxes[r];
+            if inbox.len() == INBOX {
+                inbox.clear();
+            }
+            inbox.push(id & 0x0FFF_FFFF | 1 << 28);
         }
     }
-    for r in receivers {
-        tables[r].update(pv, now);
+
+    /// Applies receiver `r`'s inbox to its table in arrival order, as a
+    /// fold does, without consuming it (so every iteration folds the
+    /// same 512 entries).
+    fn fold(&self, r: usize, table: &mut LocationTable, scratch: &mut Vec<(SimTime, u32)>) {
+        scratch.clear();
+        for &e in &self.inboxes[r] {
+            let i = e & 0x0FFF_FFFF;
+            let at = self.records[i as usize].1 + SimDuration::from_micros(u64::from(e >> 28));
+            scratch.push((at, i));
+        }
+        if !scratch.is_sorted() {
+            scratch.sort_unstable();
+        }
+        for &(at, i) in scratch.iter() {
+            table.update(self.records[i as usize].0, at);
+        }
     }
 }
 
@@ -239,18 +271,15 @@ fn ablation_location_table(c: &mut Criterion) {
     ) {
         let now = SimTime::from_secs(5);
         let (mut tables, pvs) = beacon_road(empty, now);
-        for warm in [false, true] {
-            let label = if warm { format!("{name}_warm") } else { name.to_string() };
-            // Successive beacons come from far-apart sources, so each
-            // batch starts on tables the previous one left cold.
-            let mut src = 0;
-            group.bench_function(label, |b| {
-                b.iter(|| {
-                    src = (src + 617) % TABLES;
-                    deliver_beacon(&mut tables, &pvs, src, warm, now);
-                });
+        // Successive beacons come from far-apart sources, so each batch
+        // starts on tables the previous one left cold.
+        let mut src = 0;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                src = (src + 617) % TABLES;
+                deliver_beacon(&mut tables, &pvs, src, now);
             });
-        }
+        });
     }
     let ttl = SimDuration::from_secs(20);
     let reference = GeoReference::default();
@@ -261,6 +290,41 @@ fn ablation_location_table(c: &mut Criterion) {
         entries: U64Map::default(),
     });
     run(&mut group, "packed_24b_value", || LocationTable::new(ttl, reference));
+
+    let now = SimTime::from_secs(5);
+    let (mut tables, pvs) = beacon_road(|| LocationTable::new(ttl, reference), now);
+    let inboxes = (0..TABLES).map(|_| Vec::with_capacity(INBOX)).collect();
+    let mut log = Log { records: Vec::new(), inboxes };
+    let mut src = 0;
+    group.bench_function("inbox_append_64", |b| {
+        b.iter(|| {
+            src = (src + 617) % TABLES;
+            log.append(pvs[src], src, now);
+        });
+    });
+    // Fill every inbox with `INBOX` entries from its neighbours' beacons.
+    log.records.clear();
+    log.inboxes.iter_mut().for_each(Vec::clear);
+    let mut at = now;
+    while log.inboxes.iter().any(|i| i.len() < INBOX) {
+        src = (src + 617) % TABLES;
+        at += SimDuration::from_micros(40);
+        let id = log.records.len() as u32;
+        log.records.push((pvs[src], at));
+        for r in receivers_of(src) {
+            if log.inboxes[r].len() < INBOX {
+                log.inboxes[r].push(id | 1 << 28);
+            }
+        }
+    }
+    let mut scratch = Vec::new();
+    let mut r = 0;
+    group.bench_function("inbox_fold_512_cold", |b| {
+        b.iter(|| {
+            r = (r + 617) % TABLES;
+            log.fold(r, &mut tables[r], &mut scratch);
+        });
+    });
     group.finish();
 }
 

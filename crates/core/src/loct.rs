@@ -159,14 +159,6 @@ impl LocationTable {
         self.entries.insert(pv.addr.to_u64(), Stored::pack(pv, now + self.ttl));
     }
 
-    /// Whether an entry for `addr` is stored, live or expired. One probe,
-    /// no projection: a cheap read that also pulls the entry's bucket into
-    /// cache ahead of an [`update`](Self::update).
-    #[must_use]
-    pub fn contains(&self, addr: GnAddress) -> bool {
-        self.entries.contains_key(&addr.to_u64())
-    }
-
     /// The live (unexpired) entry for `addr`, if any.
     #[must_use]
     pub fn get(&self, addr: GnAddress, now: SimTime) -> Option<LocTEntry> {
@@ -289,10 +281,8 @@ mod tests {
         assert!(t.get(GnAddress::vehicle(1), SimTime::from_secs(20)).is_none());
         assert_eq!(t.live_count(SimTime::from_secs(20)), 0);
         assert_eq!(t.stored_count(), 1, "not yet purged");
-        assert!(t.contains(GnAddress::vehicle(1)), "stored until purged");
         t.purge(SimTime::from_secs(20));
         assert_eq!(t.stored_count(), 0);
-        assert!(!t.contains(GnAddress::vehicle(1)));
     }
 
     #[test]
@@ -489,7 +479,7 @@ mod tests {
                     Op::Get(addr, now) => {
                         let want = m.entries.get(&addr.to_u64()).filter(|e| e.expires > now);
                         prop_assert_eq!(t.get(addr, now), want.copied());
-                        prop_assert_eq!(t.contains(addr), m.entries.contains_key(&addr.to_u64()));
+                        prop_assert_eq!(t.stored_count(), m.entries.len());
                     }
                     Op::Live(now) => {
                         let mut got: Vec<(GnAddress, LocTEntry)> = t.live_entries(now).collect();

@@ -539,30 +539,9 @@ impl GnRouter {
         if !frame.addressed_to(self.addr()) {
             return Vec::new();
         }
-        // Security: certificate + signature over the protected bytes.
-        if !authentic(&self.verifier) {
-            self.note(
-                now,
-                TraceEvent::Dropped {
-                    packet: packet_ref_of(&frame.msg),
-                    reason: DropReason::AuthFailure,
-                },
-            );
-            return Vec::new();
-        }
-        // Freshness: the source PV's timestamp must be recent. A replayed
-        // beacon relayed within the attacker's ~1 ms processing delay
-        // passes; a recording replayed much later does not.
         let pv = *frame.msg.packet.so_pv();
-        let age_ms = (crate::types::Timestamp::from_sim(now).0).wrapping_sub(pv.timestamp.0);
-        if u64::from(age_ms) > self.config.max_pv_age.as_millis() {
-            self.note(
-                now,
-                TraceEvent::Dropped {
-                    packet: packet_ref_of(&frame.msg),
-                    reason: DropReason::StaleTimestamp,
-                },
-            );
+        if let Err(reason) = self.admit(authentic(&self.verifier), &pv, now) {
+            self.note(now, TraceEvent::Dropped { packet: packet_ref_of(&frame.msg), reason });
             return Vec::new();
         }
         match &frame.msg.packet.extended {
@@ -584,6 +563,63 @@ impl GnRouter {
             crate::wire::Extended::Guc(_) => self.handle_guc(frame, position, now),
             _ => self.handle_beacon_or_gbc(frame, position, now),
         }
+    }
+
+    /// The screen every received frame passes after the address filter.
+    /// Security: `authentic` is the verdict on the certificate and the
+    /// signature over the protected bytes. Freshness: the source PV's
+    /// timestamp must be recent. A replayed beacon relayed within the
+    /// attacker's ~1 ms processing delay passes; a recording replayed
+    /// much later does not.
+    fn admit(
+        &self,
+        authentic: bool,
+        pv: &LongPositionVector,
+        now: SimTime,
+    ) -> Result<(), DropReason> {
+        if !authentic {
+            return Err(DropReason::AuthFailure);
+        }
+        let age_ms = (crate::types::Timestamp::from_sim(now).0).wrapping_sub(pv.timestamp.0);
+        if u64::from(age_ms) > self.config.max_pv_age.as_millis() {
+            return Err(DropReason::StaleTimestamp);
+        }
+        Ok(())
+    }
+
+    /// The decision [`GnRouter::receive`] would record for a beacon
+    /// advertising `pv` that arrives at `now`, without applying it:
+    /// [`TraceEvent::BeaconAccepted`], or the [`TraceEvent::Dropped`] of
+    /// the failed check. `authentic` is the frame's signature verdict
+    /// under this router's trust domain ([`OnAir::authentic_under`]).
+    #[must_use]
+    pub fn beacon_outcome(
+        &self,
+        pv: &LongPositionVector,
+        authentic: bool,
+        now: SimTime,
+    ) -> TraceEvent {
+        match self.admit(authentic, pv, now) {
+            Ok(()) => TraceEvent::BeaconAccepted { from: pv.addr.to_u64() },
+            Err(reason) => {
+                TraceEvent::Dropped { packet: PacketRef::new(pv.addr.to_u64(), 0), reason }
+            }
+        }
+    }
+
+    /// Applies a beacon advertising `pv` that arrived at `now`, leaving
+    /// the location table and the counters exactly as
+    /// [`GnRouter::receive`] of that broadcast beacon would. Nothing is
+    /// traced or timed: a host hands beacons over this way only while no
+    /// per-delivery observer is attached, and may do so late, as long as
+    /// it applies them in arrival order before anything reads this
+    /// router's table.
+    pub fn apply_beacon(&mut self, pv: &LongPositionVector, authentic: bool, now: SimTime) {
+        let outcome = self.beacon_outcome(pv, authentic, now);
+        if matches!(outcome, TraceEvent::BeaconAccepted { .. }) {
+            self.loct.update(*pv, now);
+        }
+        self.stats.record(&outcome);
     }
 
     fn handle_beacon_or_gbc(
@@ -1142,6 +1178,58 @@ mod tests {
         receiver.handle_frame(&beacon, Position::ORIGIN, later);
         assert_eq!(receiver.stats().freshness_failures, 1);
         assert!(receiver.loct().get(GnAddress::vehicle(1), later).is_none());
+    }
+
+    #[test]
+    fn apply_beacon_matches_receive() {
+        // Accepted, tampered and stale beacons, and a refresh: applying
+        // each logged beacon leaves the same table and counters as
+        // receiving its frame, and `beacon_outcome` names the decision.
+        let h = Harness::new();
+        let verifier = h.ca.verifier();
+        let sender = h.router(1);
+        let other = h.router(3);
+        let mut tampered = sender.make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST);
+        match &mut tampered.msg.packet.extended {
+            crate::wire::Extended::Beacon { so_pv } => so_pv.coord.lon += 10_000,
+            _ => unreachable!(),
+        }
+        let later = NOW + SimDuration::from_millis(400);
+        let arrivals = [
+            (sender.make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST), NOW),
+            (tampered, NOW),
+            (other.make_beacon(NOW, Position::new(500.0, 0.0), 20.0, Heading::WEST), later),
+            (sender.make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST), later),
+            (
+                sender.make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST),
+                NOW + SimDuration::from_secs(5),
+            ),
+        ];
+        let mut received = h.router(2);
+        let mut applied = h.router(2);
+        let mut outcomes = vec![];
+        for (frame, at) in &arrivals {
+            received.receive(&OnAir::new(frame.clone(), &verifier), Position::ORIGIN, *at);
+            let pv = frame.msg.packet.so_pv();
+            let authentic = verifier.verify(&frame.msg);
+            outcomes.push(applied.beacon_outcome(pv, authentic, *at));
+            applied.apply_beacon(pv, authentic, *at);
+        }
+        assert_eq!(applied.stats(), received.stats());
+        let digest = |r: &GnRouter| {
+            let mut d = StateHasher::new();
+            r.digest_into(&mut d);
+            d.finish()
+        };
+        assert_eq!(digest(&applied), digest(&received));
+        let accepted = |o: &TraceEvent| matches!(o, TraceEvent::BeaconAccepted { .. });
+        let dropped =
+            |o: &TraceEvent, why| matches!(o, TraceEvent::Dropped { reason, .. } if *reason == why);
+        assert!(accepted(&outcomes[0]) && accepted(&outcomes[2]) && accepted(&outcomes[3]));
+        assert!(dropped(&outcomes[1], DropReason::AuthFailure));
+        assert!(dropped(&outcomes[4], DropReason::StaleTimestamp));
+        let e = applied.loct().get(GnAddress::vehicle(1), later).unwrap();
+        assert_eq!(e.expires, later + applied.config().loct_ttl, "the refresh set the expiry");
     }
 
     #[test]

@@ -1,0 +1,434 @@
+//! The beacon log: how [`World`](crate::World) delivers beacons while no
+//! per-delivery observer is attached.
+//!
+//! An accepted beacon only overwrites one location-table entry of its
+//! receiver, and almost nothing reads those tables: a run makes hundreds of
+//! thousands of beacon deliveries for a few dozen greedy-forwarding
+//! decisions. Writing each delivery into its receiver's table at arrival
+//! time costs one cache miss per receiver, scattered over every table of
+//! the world. So the world instead appends one [`Record`] per beacon
+//! transmission to this log and one 4-byte [`Entry`] per legitimate
+//! receiver to that receiver's inbox ([`LazyRouter`]), and applies an
+//! inbox to its router only when something is about to read the router:
+//! a *fold*. The fold applies the entries that arrived before the current
+//! event's `(time, sequence)` key — the *barrier* — in arrival order,
+//! through [`GnRouter::apply_beacon`], which makes the same checks and
+//! the same table update as [`GnRouter::receive`]. Entries past the
+//! barrier are still on the air and stay in the inbox.
+//!
+//! Records are retired by age, a chunk of 1,024 at a time: once the
+//! newest record of the oldest chunk is a location-table TTL old, the
+//! world folds every inbox whose oldest entry is a TTL old, after which
+//! no inbox references the chunk ([`BeaconLog::retire_before`]).
+//!
+//! The log also keeps the per-receiver arrival offsets and sequence
+//! numbers of the transmissions still on the air ([`InFlight`]), so that
+//! event counts, audit digests of the pending events and the clock come
+//! out exactly as if every delivery had been an event of its own.
+
+use geonet::{GnRouter, LongPositionVector, RouterStats};
+use geonet_sim::{SimDuration, SimTime};
+use std::cell::Cell;
+use std::collections::VecDeque;
+
+/// A point in the event order: `(time, kernel sequence number)`. A
+/// delivery whose key is below the barrier has happened.
+pub(crate) type Key = (SimTime, u64);
+
+/// Record ids live in the low 28 bits of an [`Entry`].
+const ID_BITS: u32 = 28;
+const ID_MASK: u32 = (1 << ID_BITS) - 1;
+
+/// The largest arrival offset an [`Entry`] holds, in µs: 4 bits, 4.5 km
+/// of propagation. A transmission reaching further is delivered eagerly.
+pub(crate) const MAX_OFFSET_US: u64 = (1 << (32 - ID_BITS)) - 1;
+
+/// Inbox length at which an inbox is folded on append, so that a router
+/// nothing reads holds a bounded backlog.
+pub(crate) const INBOX_CAP: usize = 256;
+
+/// One logged beacon transmission: what its receivers' routers need to
+/// apply it, and where its deliveries sit in the event order.
+#[derive(Debug)]
+struct Record {
+    pv: LongPositionVector,
+    /// The frame's signature verdict, shared by every receiver.
+    authentic: bool,
+    sent: SimTime,
+    /// The kernel sequence number of receiver 0; receiver `i` holds
+    /// `first_seq + i`.
+    first_seq: u64,
+}
+
+/// Records per chunk of [`Records`].
+const CHUNK_BITS: u32 = 10;
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The records in fixed-size chunks: an append never moves the records
+/// already held, so the log never holds two copies while it grows, and
+/// retirement frees whole chunks. Only the last chunk is partly filled.
+#[derive(Debug, Default)]
+struct Records {
+    chunks: VecDeque<Vec<Record>>,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.chunks.len().saturating_sub(1) * CHUNK + self.chunks.back().map_or(0, Vec::len)
+    }
+
+    fn push(&mut self, r: Record) {
+        match self.chunks.back_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(r),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(r);
+                self.chunks.push_back(chunk);
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> &Record {
+        &self.chunks[i >> CHUNK_BITS][i & (CHUNK - 1)]
+    }
+
+    /// The send time of the last record of the oldest full chunk.
+    fn oldest_chunk_end(&self) -> Option<SimTime> {
+        self.chunks.front().filter(|_| self.chunks.len() > 1).and_then(|c| c.last()).map(|r| r.sent)
+    }
+
+    /// Drops the full chunks whose records were all sent before `t` and
+    /// returns how many records went.
+    fn retire_before(&mut self, t: SimTime) -> usize {
+        let mut n = 0;
+        while self.oldest_chunk_end().is_some_and(|end| end < t) {
+            self.chunks.pop_front();
+            n += CHUNK;
+        }
+        n
+    }
+}
+
+/// One receiver's pending delivery: the record id modulo 2²⁸ and the
+/// arrival offset from the send time in µs (1–15).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Entry(u32);
+
+impl Entry {
+    /// The entry of a receiver of record `id` arriving `offset_us` after
+    /// the send.
+    pub(crate) fn new(id: u64, offset_us: u64) -> Self {
+        debug_assert!((1..=MAX_OFFSET_US).contains(&offset_us));
+        Entry((id as u32 & ID_MASK) | ((offset_us as u32) << ID_BITS))
+    }
+
+    fn offset(self) -> SimDuration {
+        SimDuration::from_micros(u64::from(self.0 >> ID_BITS))
+    }
+}
+
+/// A logged transmission whose deliveries are not all behind the barrier
+/// yet: receiver `i` arrives at `sent + offsets[i]` under `first_seq + i`.
+#[derive(Debug)]
+struct InFlight {
+    sent: SimTime,
+    first_seq: u64,
+    offsets: Vec<u8>,
+    last: SimTime,
+}
+
+impl InFlight {
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        (self.first_seq..)
+            .zip(&self.offsets)
+            .map(|(seq, &off)| (self.sent + SimDuration::from_micros(u64::from(off)), seq))
+    }
+}
+
+/// A router and the logged beacons it has not applied yet.
+#[derive(Debug)]
+pub(crate) struct LazyRouter {
+    pub(crate) router: GnRouter,
+    /// In record order, which is sequence-number order.
+    pub(crate) inbox: Vec<Entry>,
+}
+
+impl LazyRouter {
+    pub(crate) fn new(router: GnRouter) -> Self {
+        LazyRouter { router, inbox: Vec::new() }
+    }
+}
+
+/// What made a fold happen (see [`BeaconLogStats`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fold {
+    Read,
+    Cap,
+    Ttl,
+    Exit,
+    Audit,
+}
+
+/// Counters of a world's beacon log ([`World::beacon_log_stats`]).
+///
+/// [`World::beacon_log_stats`]: crate::World::beacon_log_stats
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BeaconLogStats {
+    /// Beacon transmissions logged instead of queued as deliveries.
+    pub records_logged: u64,
+    /// Logged transmissions retired once no inbox referenced them.
+    pub records_retired: u64,
+    /// Inbox entries appended: one per legitimate receiver of a logged
+    /// transmission.
+    pub inbox_entries: u64,
+    /// Folds before a router's state was read: an eager delivery, a
+    /// timer, an origination, [`World::router`], a topology snapshot or
+    /// a telemetry depth sample.
+    ///
+    /// [`World::router`]: crate::World::router
+    pub folds_read: u64,
+    /// Folds of an inbox that reached its length cap.
+    pub folds_cap: u64,
+    /// Folds of an inbox whose oldest entry passed the LocT TTL.
+    pub folds_ttl: u64,
+    /// Folds of a vehicle's inbox as it left the road.
+    pub folds_exit: u64,
+    /// Inbox entries still on the air when their vehicle left the road:
+    /// dropped, as their deliveries would have been.
+    pub exit_drops: u64,
+    /// Folds before an audit checkpoint digested the routers.
+    pub folds_audit: u64,
+}
+
+/// The world's beacon records, the transmissions still on the air, and
+/// the counters.
+#[derive(Debug, Default)]
+pub(crate) struct BeaconLog {
+    records: Records,
+    /// The id of the first record held.
+    base: u64,
+    in_flight: VecDeque<InFlight>,
+    /// Offset buffers of retired in-flight transmissions, for reuse.
+    spare: Vec<Vec<u8>>,
+    stats: Cell<BeaconLogStats>,
+}
+
+impl BeaconLog {
+    /// Logs a beacon transmission sent at `sent` whose receivers hold the
+    /// sequence numbers from `first_seq` on and arrive after `offsets`
+    /// µs, and returns the record id for their inbox entries. Retires the
+    /// in-flight transmissions that are behind `barrier`.
+    pub(crate) fn push(
+        &mut self,
+        pv: LongPositionVector,
+        authentic: bool,
+        sent: SimTime,
+        first_seq: u64,
+        offsets: Vec<u8>,
+        barrier: Key,
+    ) -> u64 {
+        while self.in_flight.front().is_some_and(|f| f.last < barrier.0) {
+            let mut done = self.in_flight.pop_front().expect("front exists").offsets;
+            done.clear();
+            self.spare.push(done);
+        }
+        let id = self.base + self.records.len() as u64;
+        assert!(self.records.len() < ID_MASK as usize, "beacon log outgrew its record ids");
+        self.records.push(Record { pv, authentic, sent, first_seq });
+        let max = offsets.iter().copied().max().unwrap_or(0);
+        let last = sent + SimDuration::from_micros(u64::from(max));
+        let mut s = self.stats.get();
+        s.records_logged += 1;
+        s.inbox_entries += offsets.len() as u64;
+        self.stats.set(s);
+        self.in_flight.push_back(InFlight { sent, first_seq, offsets, last });
+        id
+    }
+
+    /// The arrival offsets of the transmission pushed last.
+    pub(crate) fn last_offsets(&self) -> &[u8] {
+        self.in_flight.back().map_or(&[], |f| &f.offsets)
+    }
+
+    /// An empty offset buffer for the next [`BeaconLog::push`].
+    pub(crate) fn offsets_buffer(&mut self) -> Vec<u8> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Returns an unused offset buffer.
+    pub(crate) fn recycle(&mut self, mut offsets: Vec<u8>) {
+        offsets.clear();
+        self.spare.push(offsets);
+    }
+
+    fn record(&self, e: Entry) -> (usize, &Record) {
+        let i = (e.0.wrapping_sub(self.base as u32) & ID_MASK) as usize;
+        (i, self.records.get(i))
+    }
+
+    /// The arrival key order of an entry against a barrier: its arrival
+    /// time, then its record's block of sequence numbers. No other event
+    /// holds a number inside the block, so comparing with the block's
+    /// first number orders the entry against any other event.
+    fn arrival(&self, e: Entry) -> (usize, SimTime, u64) {
+        let (i, r) = self.record(e);
+        (i, r.sent + e.offset(), r.first_seq)
+    }
+
+    /// Whether `lazy` holds an entry that arrived before `barrier`.
+    pub(crate) fn has_due(&self, lazy: &LazyRouter, barrier: Key) -> bool {
+        lazy.inbox.iter().any(|&e| {
+            let (_, at, seq) = self.arrival(e);
+            (at, seq) < barrier
+        })
+    }
+
+    /// Applies every entry of `lazy`'s inbox that arrived before
+    /// `barrier` to its router, in (arrival, sequence) order, and removes
+    /// them. Entries still on the air stay. `scratch` is working space.
+    pub(crate) fn fold(
+        &self,
+        lazy: &mut LazyRouter,
+        barrier: Key,
+        trigger: Fold,
+        scratch: &mut Vec<(SimTime, u32)>,
+    ) {
+        if lazy.inbox.is_empty() {
+            return;
+        }
+        scratch.clear();
+        lazy.inbox.retain(|&e| {
+            let (i, at, seq) = self.arrival(e);
+            let due = (at, seq) < barrier;
+            if due {
+                scratch.push((at, i as u32));
+            }
+            !due
+        });
+        if scratch.is_empty() {
+            return;
+        }
+        // Record order is sequence order, so (arrival, index) is the
+        // order the deliveries would have popped in. Only records sent
+        // within a few µs of each other can cross, and those come from
+        // different sources (a replay never arrives before its original),
+        // so the sort is for exactness and rarely runs.
+        if !scratch.is_sorted() {
+            scratch.sort_unstable();
+        }
+        for &(at, i) in scratch.iter() {
+            let r = self.records.get(i as usize);
+            lazy.router.apply_beacon(&r.pv, r.authentic, at);
+        }
+        let mut s = self.stats.get();
+        match trigger {
+            Fold::Read => s.folds_read += 1,
+            Fold::Cap => s.folds_cap += 1,
+            Fold::Ttl => s.folds_ttl += 1,
+            Fold::Exit => s.folds_exit += 1,
+            Fold::Audit => s.folds_audit += 1,
+        }
+        self.stats.set(s);
+    }
+
+    /// Empties the inbox of a router that went off the air, after a fold
+    /// up to `barrier`: the entries left arrive after it.
+    pub(crate) fn close(
+        &self,
+        lazy: &mut LazyRouter,
+        barrier: Key,
+        scratch: &mut Vec<(SimTime, u32)>,
+    ) {
+        self.fold(lazy, barrier, Fold::Exit, scratch);
+        let mut s = self.stats.get();
+        s.exit_drops += lazy.inbox.len() as u64;
+        self.stats.set(s);
+        lazy.inbox = Vec::new();
+    }
+
+    /// Adds to `stats` what folding `lazy` up to `barrier` would add to
+    /// its router's counters, without folding.
+    pub(crate) fn count_due(&self, lazy: &LazyRouter, barrier: Key, stats: &mut RouterStats) {
+        for &e in &lazy.inbox {
+            let (i, at, seq) = self.arrival(e);
+            if (at, seq) < barrier {
+                let r = self.records.get(i);
+                stats.record(&lazy.router.beacon_outcome(&r.pv, r.authentic, at));
+            }
+        }
+    }
+
+    /// The send time of an inbox entry's record.
+    pub(crate) fn sent(&self, e: Entry) -> SimTime {
+        self.record(e).1.sent
+    }
+
+    /// The send time of the newest record the next retirement can drop.
+    pub(crate) fn oldest_chunk_end(&self) -> Option<SimTime> {
+        self.records.oldest_chunk_end()
+    }
+
+    /// Drops records sent before `t`, a chunk at a time. The caller
+    /// guarantees that no inbox references them.
+    pub(crate) fn retire_before(&mut self, t: SimTime) {
+        let n = self.records.retire_before(t);
+        self.base += n as u64;
+        let mut s = self.stats.get();
+        s.records_retired += n as u64;
+        self.stats.set(s);
+    }
+
+    /// The `(arrival, sequence)` keys of the logged deliveries at or past
+    /// `barrier`: the ones still on the air.
+    pub(crate) fn pending(&self, barrier: Key) -> impl Iterator<Item = Key> + '_ {
+        self.in_flight.iter().flat_map(InFlight::keys).filter(move |&k| k >= barrier)
+    }
+
+    /// Logged deliveries that have happened by `barrier`.
+    pub(crate) fn delivered(&self, barrier: Key) -> u64 {
+        self.stats.get().inbox_entries - self.pending(barrier).count() as u64
+    }
+
+    /// The latest arrival of a logged delivery before `barrier`, among
+    /// those possibly later than the last popped event.
+    pub(crate) fn latest_before(&self, barrier: Key) -> Option<SimTime> {
+        self.in_flight.iter().flat_map(InFlight::keys).filter(|&k| k < barrier).map(|k| k.0).max()
+    }
+
+    /// Whether a logged delivery arrives in `(after, until]`.
+    pub(crate) fn arrives_within(&self, after: SimTime, until: SimTime) -> bool {
+        self.in_flight.iter().flat_map(InFlight::keys).any(|(at, _)| after < at && at <= until)
+    }
+
+    pub(crate) fn stats(&self) -> BeaconLogStats {
+        self.stats.get()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entries_and_records_stay_small() {
+        // Inboxes hold an entry per receiver, the log a record per
+        // transmission for up to a TTL.
+        assert_eq!(std::mem::size_of::<Record>(), 64);
+        assert_eq!(std::mem::size_of::<Entry>(), 4);
+        let e = Entry::new((1 << ID_BITS) + 7, MAX_OFFSET_US);
+        assert_eq!(e.0 & ID_MASK, 7, "ids wrap at 2^28");
+        assert_eq!(e.offset(), SimDuration::from_micros(15));
+    }
+
+    #[test]
+    fn in_flight_keys_follow_receiver_order() {
+        let f = InFlight {
+            sent: SimTime::from_micros(100),
+            first_seq: 40,
+            offsets: vec![2, 1, 2],
+            last: SimTime::from_micros(102),
+        };
+        let keys: Vec<(u64, u64)> = f.keys().map(|(t, s)| (t.as_micros(), s)).collect();
+        assert_eq!(keys, [(102, 40), (101, 41), (102, 42)]);
+    }
+}

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod beacon_log;
 pub mod campaign;
 pub mod config;
 pub mod extensions;
@@ -75,6 +76,7 @@ pub mod safety;
 pub mod topology;
 pub mod world;
 
+pub use beacon_log::BeaconLogStats;
 pub use campaign::{Family, Sent};
 pub use config::{AttackerSetup, ScenarioConfig};
 pub use heatmap::{BlastRadiusReport, HeatCell, HeatmapDiff, HeatmapDiffRow, RoadHeatmap};

@@ -1,6 +1,10 @@
 //! The deterministic discrete-event world binding all substrates.
 
+use crate::beacon_log::{
+    BeaconLog, BeaconLogStats, Entry, Fold, Key, LazyRouter, INBOX_CAP, MAX_OFFSET_US,
+};
 use crate::config::{AttackerSetup, ScenarioConfig};
+use geonet::wire::Extended;
 use geonet::{
     CertificateAuthority, Frame, GfDecision, GnAddress, GnRouter, OnAir, PacketKey, RouterAction,
 };
@@ -13,8 +17,8 @@ use geonet_sim::{
     TraceEvent, Tracer, UnorderedDigest,
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::hint::black_box;
 use std::rc::Rc;
 
 /// What a radio node is.
@@ -88,6 +92,14 @@ impl Transmission {
 ///
 /// A world is a pure function of `(config, attacker setup, seed)`: two
 /// worlds built identically produce identical histories.
+///
+/// While no trace sink and no telemetry registry is attached, beacons
+/// take the logged path (DESIGN.md §8, "Beacon log"): their legitimate
+/// receivers get inbox entries instead of delivery events, and a router
+/// applies its inbox only before its state is read. Every read — the
+/// event loop's own, [`World::router`], [`World::audit_checkpoint`],
+/// [`World::aggregate_stats`] and the rest — sees exactly the state the
+/// event-per-delivery path produces.
 pub struct World {
     cfg: ScenarioConfig,
     kernel: Kernel<Ev>,
@@ -95,7 +107,9 @@ pub struct World {
     traffic: TrafficSim,
     reference: GeoReference,
     ca: CertificateAuthority,
-    routers: Vec<Option<GnRouter>>,
+    /// Each legitimate node's router and beacon inbox; `None` for the
+    /// attacker. A cell, so that reads through `&self` can fold an inbox.
+    routers: Vec<Option<RefCell<LazyRouter>>>,
     kinds: Vec<NodeKind>,
     rngs: Vec<SimRng>,
     vehicle_nodes: Vec<NodeId>,
@@ -126,6 +140,14 @@ pub struct World {
     /// Deliveries dispatched after the first of their batch: the kernel
     /// counts one event per batch, the history one per delivery.
     batched_deliveries: u64,
+    /// Logged beacon transmissions (see `beacon_log`).
+    log: BeaconLog,
+    /// The key of the event being dispatched, or, between runs, a key
+    /// above every event that has happened and below every one queued
+    /// since: logged deliveries below it have happened.
+    barrier: Key,
+    /// Working space of inbox folds.
+    fold_buf: Vec<(SimTime, u32)>,
 }
 
 impl World {
@@ -169,6 +191,9 @@ impl World {
             telemetry_steps: 0,
             rx_buf: Vec::new(),
             batched_deliveries: 0,
+            log: BeaconLog::default(),
+            barrier: (SimTime::ZERO, 0),
+            fold_buf: Vec::new(),
             cfg,
         };
         // Register the pre-filled vehicles.
@@ -203,7 +228,7 @@ impl World {
             GnRouter::new(self.ca.enroll(addr), self.ca.verifier(), self.cfg.gn, self.reference);
         router.set_tracer(self.tracer.for_node(node.0));
         router.set_telemetry(self.telemetry.clone());
-        self.routers.push(Some(router));
+        self.routers.push(Some(RefCell::new(LazyRouter::new(router))));
         self.kinds.push(NodeKind::Vehicle(vid));
         let mut rng = self.root_rng.split(0x1000 + u64::from(node.0));
         // Desynchronised first beacon within one period.
@@ -226,7 +251,7 @@ impl World {
             GnRouter::new(self.ca.enroll(addr), self.ca.verifier(), self.cfg.gn, self.reference);
         router.set_tracer(self.tracer.for_node(node.0));
         router.set_telemetry(self.telemetry.clone());
-        self.routers.push(Some(router));
+        self.routers.push(Some(RefCell::new(LazyRouter::new(router))));
         self.kinds.push(NodeKind::Static);
         let mut rng = self.root_rng.split(0x2000 + u64::from(node.0));
         let offset =
@@ -249,13 +274,15 @@ impl World {
 
     /// Attaches a trace sink; every node (router, attacker, traffic
     /// simulation, and the radio layer itself) starts emitting
-    /// [`TraceEvent`]s through it. Call right after [`World::new`] —
-    /// events from before the attach are not replayed.
+    /// [`TraceEvent`]s through it, and every frame takes the
+    /// event-per-delivery path. Call right after [`World::new`] — events
+    /// from before the attach are not replayed, and beacons already
+    /// logged reach their routers untraced.
     pub fn set_trace_sink(&mut self, sink: SharedSink) {
         self.tracer = Tracer::attached(sink);
         for (i, router) in self.routers.iter_mut().enumerate() {
             if let Some(r) = router {
-                r.set_tracer(self.tracer.for_node(i as u32));
+                r.get_mut().router.set_tracer(self.tracer.for_node(i as u32));
             }
         }
         if let Some((node, attacker)) = &mut self.attacker {
@@ -268,11 +295,12 @@ impl World {
     /// handling, radio delivery, traffic stepping) are wall-clock timed
     /// and internal state depths are sampled periodically from now on.
     /// Like [`World::set_trace_sink`], the handle fans out to every
-    /// existing router and to vehicles registered later.
+    /// existing router and to vehicles registered later, and every frame
+    /// takes the event-per-delivery path, so that each delivery is timed.
     pub fn set_telemetry(&mut self, registry: SharedRegistry) {
         self.telemetry = Telemetry::attached(registry);
-        for router in self.routers.iter_mut().flatten() {
-            router.set_telemetry(self.telemetry.clone());
+        for cell in self.routers.iter_mut().flatten() {
+            cell.get_mut().router.set_telemetry(self.telemetry.clone());
         }
         self.medium.set_telemetry(self.telemetry.clone());
         self.traffic.set_telemetry(self.telemetry.clone());
@@ -326,7 +354,8 @@ impl World {
             let pos = self.medium.position(node);
             let attacker = self.kinds[node.index()] == NodeKind::Attacker;
             let mut tn = TopoNode::new(node.0, pos.x, pos.y, self.medium.tx_range(node), attacker);
-            if let (Some(dest), Some(router)) = (self.topo_dest, &self.routers[node.index()]) {
+            if let (Some(dest), Some(cell)) = (self.topo_dest, &self.routers[node.index()]) {
+                let router = self.read(cell, Fold::Read);
                 let health = match router.gradient_query(pos, dest, now) {
                     GfDecision::NoProgress => GradientHealth::Stuck,
                     GfDecision::NextHop { addr, .. } => {
@@ -375,6 +404,7 @@ impl World {
                 _ => absorb(t, seq),
             }
         }
+        self.log.pending(self.barrier).for_each(|(t, seq)| absorb(t, seq));
         q.fold_into(&mut h);
         b.push("event_queue", h.finish());
 
@@ -392,9 +422,9 @@ impl World {
         h.write_u64(self.routers.len() as u64);
         for router in &self.routers {
             match router {
-                Some(r) => {
+                Some(cell) => {
                     h.write_bool(true);
-                    r.digest_into(&mut h);
+                    self.read(cell, Fold::Audit).digest_into(&mut h);
                 }
                 None => h.write_bool(false),
             }
@@ -424,11 +454,38 @@ impl World {
         b.finish()
     }
 
-    /// Total events dispatched, counting each delivery of a batch — the
-    /// numerator of the sim-events/sec throughput metric.
+    /// Total events dispatched, counting each delivery of a batch and
+    /// each logged beacon delivery that has happened — the numerator of
+    /// the sim-events/sec throughput metric.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
-        self.kernel.events_processed() + self.batched_deliveries
+        self.kernel.events_processed() + self.batched_deliveries + self.log.delivered(self.barrier)
+    }
+
+    /// Counters of the beacon log: transmissions logged and retired,
+    /// inbox entries, and inbox folds by what triggered them. All zero
+    /// while a trace sink or telemetry registry is attached from the
+    /// start.
+    #[must_use]
+    pub fn beacon_log_stats(&self) -> BeaconLogStats {
+        self.log.stats()
+    }
+
+    /// The router in `cell`, with its inbox folded up to the barrier
+    /// first if anything in it has arrived — a read through `&self`.
+    fn read<'a>(&'a self, cell: &'a RefCell<LazyRouter>, trigger: Fold) -> Ref<'a, GnRouter> {
+        if self.log.has_due(&cell.borrow(), self.barrier) {
+            self.log.fold(&mut cell.borrow_mut(), self.barrier, trigger, &mut Vec::new());
+        }
+        Ref::map(cell.borrow(), |lazy| &lazy.router)
+    }
+
+    /// The router of `node`, with its inbox folded up to the barrier: the
+    /// access of every event that reads or changes the router's state.
+    fn router_mut(&mut self, node: NodeId) -> &mut GnRouter {
+        let lazy = self.routers[node.index()].as_mut().expect("legitimate node").get_mut();
+        self.log.fold(lazy, self.barrier, Fold::Read, &mut self.fold_buf);
+        &mut lazy.router
     }
 
     fn packet_ref(key: PacketKey) -> PacketRef {
@@ -494,14 +551,15 @@ impl World {
         self.kinds[node.index()]
     }
 
-    /// The router of a legitimate node (read access, e.g. for stats).
+    /// The router of a legitimate node (read access, e.g. for stats),
+    /// with every beacon that has arrived applied.
     ///
     /// # Panics
     ///
     /// Panics if `node` is the attacker.
     #[must_use]
-    pub fn router(&self, node: NodeId) -> &GnRouter {
-        self.routers[node.index()].as_ref().expect("attacker has no router")
+    pub fn router(&self, node: NodeId) -> Ref<'_, GnRouter> {
+        self.read(self.routers[node.index()].as_ref().expect("attacker has no router"), Fold::Read)
     }
 
     /// The attacker, if mounted.
@@ -547,8 +605,10 @@ impl World {
     #[must_use]
     pub fn aggregate_stats(&self) -> geonet::RouterStats {
         let mut agg = geonet::RouterStats::default();
-        for r in self.routers.iter().flatten() {
-            agg.merge(&r.stats());
+        for cell in self.routers.iter().flatten() {
+            let lazy = cell.borrow();
+            agg.merge(&lazy.router.stats());
+            self.log.count_due(&lazy, self.barrier, &mut agg);
         }
         agg
     }
@@ -638,7 +698,7 @@ impl World {
         let now = self.kernel.now();
         let position = self.medium.position(node);
         let (speed, heading) = self.node_kinematics(node);
-        let router = self.routers[node.index()].as_mut().expect("legitimate node");
+        let router = self.router_mut(node);
         let (key, actions) = router.originate(area, payload, now, position, speed, heading);
         self.received.entry(key).or_default().insert(node);
         self.execute(node, actions);
@@ -662,11 +722,26 @@ impl World {
             match self.kernel.peek_time() {
                 Some(next) if next <= t => {
                     let Some((_, ev)) = self.kernel.pop() else { break };
+                    self.barrier = self.kernel.last_key().expect("an event just popped");
                     self.dispatch(ev);
                 }
                 _ => break,
             }
         }
+        // Logged deliveries are events too: every one due by `t` (and by
+        // the horizon) has now happened, and the clock stops where it
+        // would had they been queued — at the horizon if one arrives past
+        // it but by `t`, else at the latest event that happened.
+        let horizon = self.kernel.horizon().expect("worlds run to a horizon");
+        self.barrier = self.barrier.max((t.min(horizon), self.kernel.next_seq()));
+        let now = if self.log.arrives_within(horizon, t) {
+            horizon
+        } else {
+            self.log
+                .latest_before(self.barrier)
+                .map_or(self.kernel.now(), |at| at.max(self.kernel.now()))
+        };
+        self.kernel.advance_to(now);
     }
 
     /// Runs to the configured horizon.
@@ -682,16 +757,6 @@ impl World {
             Ev::Beacon(node) => self.on_beacon(node),
             Ev::Deliver(tx) => {
                 let now = self.kernel.now();
-                // Warm, then apply: probe every receiver's location table
-                // for the source first. The probes are independent, so
-                // their cache misses overlap, and the delivery loop below
-                // finds the lines its LocT writes need already in cache.
-                let source = tx.on_air.frame().msg.packet.so_pv().addr;
-                for (to, _) in tx.arriving_at(now) {
-                    if let Some(router) = &self.routers[to.index()] {
-                        black_box(router.loct().contains(source));
-                    }
-                }
                 let mut delivered = 0;
                 for (to, _) in tx.arriving_at(now) {
                     self.on_deliver(to, &tx.on_air);
@@ -705,8 +770,8 @@ impl World {
                     return;
                 }
                 let position = self.medium.position(node);
-                let router = self.routers[node.index()].as_mut().expect("timer on router node");
-                let actions = router.handle_cbf_timer(key, generation, position, now);
+                let actions =
+                    self.router_mut(node).handle_cbf_timer(key, generation, position, now);
                 self.execute(node, actions);
             }
             Ev::AttackerTx { frame, cap } => {
@@ -720,8 +785,7 @@ impl World {
                 }
                 let now = self.kernel.now();
                 let position = self.medium.position(node);
-                let router = self.routers[node.index()].as_mut().expect("retries on routers");
-                let actions = router.handle_gf_retry(key, position, now);
+                let actions = self.router_mut(node).handle_gf_retry(key, position, now);
                 self.execute(node, actions);
             }
             Ev::AckTimeout { node, key } => {
@@ -730,8 +794,7 @@ impl World {
                 }
                 let now = self.kernel.now();
                 let position = self.medium.position(node);
-                let router = self.routers[node.index()].as_mut().expect("ack timers on routers");
-                let actions = router.handle_ack_failure(key, position, now);
+                let actions = self.router_mut(node).handle_ack_failure(key, position, now);
                 self.execute(node, actions);
             }
         }
@@ -745,9 +808,13 @@ impl World {
             self.register_vehicle(vid);
         }
         // Deactivate the vehicles that exited in this step (their last
-        // position stays on record); sync the rest.
+        // position stays on record); sync the rest. An exited router gets
+        // the beacons that reached it before this step, not the later ones.
         for vid in self.traffic.exited_last_step() {
-            self.medium.set_active(self.vehicle_nodes[vid.index()], false);
+            let node = self.vehicle_nodes[vid.index()];
+            self.medium.set_active(node, false);
+            let lazy = self.routers[node.index()].as_mut().expect("vehicle router").get_mut();
+            self.log.close(lazy, self.barrier, &mut self.fold_buf);
         }
         for v in self.traffic.active_vehicles() {
             let node = self.vehicle_nodes[v.id.index()];
@@ -763,6 +830,7 @@ impl World {
             }
         }
         self.kernel.schedule_in(SimDuration::from_secs_f64(self.cfg.traffic_dt), Ev::TrafficStep);
+        self.retire_beacons();
         self.sample_telemetry();
         // Attached timelines sample when due; detached, one branch each.
         let now = self.kernel.now();
@@ -774,6 +842,26 @@ impl World {
             let snapshot = self.topo_snapshot();
             rec.borrow_mut().record(snapshot);
         }
+    }
+
+    /// Bounds the beacon log by the LocT TTL: once the oldest chunk of
+    /// records is a TTL old, folds every inbox whose oldest entry is a TTL
+    /// old and retires the records older than that, which no inbox
+    /// references any more.
+    fn retire_beacons(&mut self) {
+        let now = self.kernel.now();
+        let ttl = self.cfg.gn.loct_ttl;
+        if self.log.oldest_chunk_end().is_none_or(|sent| sent + ttl >= now) {
+            return;
+        }
+        let cutoff = now - ttl;
+        for cell in self.routers.iter_mut().flatten() {
+            let lazy = cell.get_mut();
+            if lazy.inbox.first().is_some_and(|&e| self.log.sent(e) < cutoff) {
+                self.log.fold(lazy, self.barrier, Fold::Ttl, &mut self.fold_buf);
+            }
+        }
+        self.log.retire_before(cutoff);
     }
 
     /// Samples internal state depths into the attached registry: the
@@ -796,11 +884,15 @@ impl World {
         let (mut loct_total, mut cbf_total, mut dup_total) = (0u64, 0u64, 0u64);
         let active = self
             .routers
-            .iter()
+            .iter_mut()
             .enumerate()
             .filter(|&(i, _)| self.medium.is_active(NodeId(i as u32)))
-            .filter_map(|(_, r)| r.as_ref());
-        for router in active {
+            .filter_map(|(_, r)| r.as_mut());
+        for cell in active {
+            // Beacons logged before the registry was attached.
+            let lazy = cell.get_mut();
+            self.log.fold(lazy, self.barrier, Fold::Read, &mut self.fold_buf);
+            let router = &lazy.router;
             let loct = router.loct().live_count(now) as u64;
             let cbf = router.cbf_buffered_count() as u64;
             let dup = router.duplicate_cache_size() as u64;
@@ -824,16 +916,12 @@ impl World {
         let now = self.kernel.now();
         let position = self.medium.position(node);
         let (speed, heading) = self.node_kinematics(node);
-        let frame = {
-            let router = self.routers[node.index()].as_ref().expect("beacons from routers");
-            router.make_beacon(now, position, speed, heading)
-        };
+        // Neither call reads what beacons change, so no fold.
+        let lazy = self.routers[node.index()].as_mut().expect("beacons from routers").get_mut();
+        let frame = lazy.router.make_beacon(now, position, speed, heading);
         self.transmit(node, frame, None);
-        let delay = {
-            let rng = &mut self.rngs[node.index()];
-            let router = self.routers[node.index()].as_ref().expect("router");
-            router.next_beacon_delay(rng)
-        };
+        let lazy = self.routers[node.index()].as_mut().expect("router").get_mut();
+        let delay = lazy.router.next_beacon_delay(&mut self.rngs[node.index()]);
         self.kernel.schedule_in(delay, Ev::Beacon(node));
     }
 
@@ -860,8 +948,7 @@ impl World {
             return;
         }
         let position = self.medium.position(to);
-        let router = self.routers[to.index()].as_mut().expect("legitimate node");
-        let actions = router.receive(on_air, position, now);
+        let actions = self.router_mut(to).receive(on_air, position, now);
         self.execute(to, actions);
     }
 
@@ -948,7 +1035,8 @@ impl World {
             // towards another neighbour.
             if let Some(ack) = self.cfg.gn.link_ack {
                 if let Some(key) = key {
-                    if let Some(router) = self.routers[from.index()].as_mut() {
+                    if let Some(cell) = self.routers[from.index()].as_mut() {
+                        let router = &mut cell.get_mut().router;
                         if reached {
                             router.handle_ack_success(key);
                         } else {
@@ -959,25 +1047,92 @@ impl World {
                 }
             }
         }
-        let arrivals: Vec<(NodeId, SimTime)> = receivers
-            .iter()
-            .map(|&rx| (rx, now + self.medium.propagation_delay(from, rx)))
-            .collect();
+        if receivers.is_empty() {
+            self.rx_buf = receivers;
+            return;
+        }
+        let first_seq = self.kernel.reserve(receivers.len() as u64);
+        let on_air = OnAir::new(frame, &self.ca.verifier());
+        let eager = if self.tracer.is_enabled() || self.telemetry.is_enabled() {
+            &receivers[..]
+        } else {
+            self.log_beacon(from, &on_air, first_seq, &receivers)
+        };
+        if !eager.is_empty() {
+            // The eager receivers are a suffix of the receiver list.
+            let skipped = (receivers.len() - eager.len()) as u64;
+            let arrivals = eager
+                .iter()
+                .map(|&rx| (rx, now + self.medium.propagation_delay(from, rx)))
+                .collect();
+            self.schedule_deliveries(Transmission {
+                on_air,
+                first_seq: first_seq + skipped,
+                arrivals,
+            });
+        }
         receivers.clear();
         self.rx_buf = receivers;
+    }
+
+    /// Logs a beacon transmission for its legitimate receivers (see
+    /// `beacon_log`) and returns the receivers left to deliver
+    /// as events: the attacker, or every receiver when `on_air` is not a
+    /// beacon or one of them is too far for an inbox entry.
+    fn log_beacon<'r>(
+        &mut self,
+        from: NodeId,
+        on_air: &OnAir,
+        first_seq: u64,
+        receivers: &'r [NodeId],
+    ) -> &'r [NodeId] {
+        let frame = on_air.frame();
+        if !matches!(frame.msg.packet.extended, Extended::Beacon { .. }) || frame.dst.is_some() {
+            return receivers;
+        }
+        // The attacker, if it hears the frame, is the last receiver.
+        let atk = self.attacker.as_ref().map(|&(node, _)| node);
+        let legit = match receivers.split_last() {
+            Some((&last, rest)) if Some(last) == atk => rest,
+            _ => receivers,
+        };
+        if legit.is_empty() {
+            return receivers;
+        }
+        let mut offsets = self.log.offsets_buffer();
+        for &rx in legit {
+            let us = self.medium.propagation_delay(from, rx).as_micros();
+            if us > MAX_OFFSET_US {
+                self.log.recycle(offsets);
+                return receivers;
+            }
+            offsets.push(us as u8);
+        }
+        let now = self.kernel.now();
+        let pv = *frame.msg.packet.so_pv();
+        let authentic = on_air.authentic_under(&self.ca.verifier());
+        let id = self.log.push(pv, authentic, now, first_seq, offsets, self.barrier);
+        for (&rx, &us) in legit.iter().zip(self.log.last_offsets()) {
+            let lazy = self.routers[rx.index()].as_mut().expect("legitimate receiver").get_mut();
+            lazy.inbox.push(Entry::new(id, u64::from(us)));
+            if lazy.inbox.len() >= INBOX_CAP {
+                self.log.fold(lazy, self.barrier, Fold::Cap, &mut self.fold_buf);
+            }
+        }
+        &receivers[legit.len()..]
+    }
+
+    /// Queues the deliveries of `tx`: one batch per arrival microsecond,
+    /// under its first receiver's number.
+    fn schedule_deliveries(&mut self, tx: Transmission) {
         let (Some(first), Some(last)) =
-            (arrivals.iter().map(|&(_, t)| t).min(), arrivals.iter().map(|&(_, t)| t).max())
+            (tx.arrivals.iter().map(|&(_, t)| t).min(), tx.arrivals.iter().map(|&(_, t)| t).max())
         else {
             return;
         };
-        let first_seq = self.kernel.reserve(arrivals.len() as u64);
-        let tx = Rc::new(Transmission {
-            on_air: OnAir::new(frame, &self.ca.verifier()),
-            first_seq,
-            arrivals,
-        });
-        // One batch per arrival microsecond, under its first receiver's
-        // number. Arrival times span a few µs, so the scan is short.
+        let first_seq = tx.first_seq;
+        let tx = Rc::new(tx);
+        // Arrival times span a few µs, so the scan is short.
         let mut at = first;
         while at <= last {
             if let Some(i) = tx.arrivals.iter().position(|&(_, t)| t == at) {

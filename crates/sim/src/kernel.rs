@@ -33,13 +33,21 @@ pub struct Kernel<E> {
     now: SimTime,
     horizon: Option<SimTime>,
     processed: u64,
+    /// The `(time, insertion sequence)` key of the last popped event.
+    last_key: Option<(SimTime, u64)>,
 }
 
 impl<E> Kernel<E> {
     /// Creates a kernel with the clock at zero and no end-of-run horizon.
     #[must_use]
     pub fn new() -> Self {
-        Kernel { queue: EventQueue::new(), now: SimTime::ZERO, horizon: None, processed: 0 }
+        Kernel {
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            horizon: None,
+            processed: 0,
+            last_key: None,
+        }
     }
 
     /// Creates a kernel that stops delivering events after `horizon`.
@@ -54,6 +62,7 @@ impl<E> Kernel<E> {
             now: SimTime::ZERO,
             horizon: Some(horizon),
             processed: 0,
+            last_key: None,
         }
     }
 
@@ -68,6 +77,38 @@ impl<E> Kernel<E> {
     #[must_use]
     pub fn horizon(&self) -> Option<SimTime> {
         self.horizon
+    }
+
+    /// The `(time, insertion sequence)` key of the last popped event, or
+    /// `None` before the first pop. An event queued at the same time with
+    /// a smaller key has already popped; one with a larger key has not.
+    #[must_use]
+    pub fn last_key(&self) -> Option<(SimTime, u64)> {
+        self.last_key
+    }
+
+    /// The sequence number the next schedule call or [`Kernel::reserve`]
+    /// takes: every event queued so far holds a smaller one.
+    #[must_use]
+    pub fn next_seq(&self) -> u64 {
+        self.queue.next_seq()
+    }
+
+    /// Moves the clock forward to `t` without popping anything — for a
+    /// caller that accounts for events it keeps outside the queue and
+    /// has just passed one due at `t`. Later relative schedules count
+    /// from `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is before the current time or after the next
+    /// pending event.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "advancing into the past: {t} < {}", self.now);
+        if let Some(next) = self.queue.peek_time() {
+            assert!(t <= next, "advancing past a pending event: {t} > {next}");
+        }
+        self.now = t;
     }
 
     /// Number of events popped so far.
@@ -143,8 +184,9 @@ impl<E> Kernel<E> {
                 return None;
             }
         }
-        let (t, e) = self.queue.pop().expect("peeked time implies an event");
+        let (t, seq, e) = self.queue.pop_keyed().expect("peeked time implies an event");
         self.now = t;
+        self.last_key = Some((t, seq));
         self.processed += 1;
         Some((t, e))
     }
@@ -241,6 +283,75 @@ mod tests {
         assert_eq!(k.pending(), 4);
         let order: Vec<char> = std::iter::from_fn(|| k.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ['h', 'a', 'g', 'z']);
+    }
+
+    #[test]
+    fn last_key_names_the_popped_event() {
+        let mut k = Kernel::new();
+        assert_eq!(k.last_key(), None);
+        k.schedule_in(SimDuration::from_micros(3), 'a'); // seq 0
+        let first = k.reserve(2); // seqs 1, 2
+        k.schedule_in(SimDuration::from_micros(3), 'b'); // seq 3
+        k.schedule_reserved(SimTime::from_micros(3), first + 1, 'g');
+        assert_eq!(k.next_seq(), 4);
+        let mut keys = vec![];
+        while let Some((_, e)) = k.pop() {
+            keys.push((e, k.last_key().unwrap()));
+        }
+        let at = SimTime::from_micros(3);
+        assert_eq!(keys, [('a', (at, 0)), ('g', (at, 2)), ('b', (at, 3))]);
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_without_popping() {
+        let mut k = Kernel::new();
+        k.schedule_at(SimTime::from_micros(10), 'a');
+        k.advance_to(SimTime::from_micros(4));
+        assert_eq!(k.now(), SimTime::from_micros(4));
+        assert_eq!(k.events_processed(), 0);
+        assert_eq!(k.last_key(), None);
+        // Relative schedules now count from the advanced clock.
+        k.schedule_in(SimDuration::from_micros(1), 'b');
+        assert_eq!(k.pop(), Some((SimTime::from_micros(5), 'b')));
+        // Up to the next pending event is allowed.
+        k.advance_to(SimTime::from_micros(10));
+        assert_eq!(k.pop(), Some((SimTime::from_micros(10), 'a')));
+    }
+
+    #[test]
+    fn advance_to_the_horizon_after_a_horizon_stop() {
+        let h = SimTime::from_micros(100);
+        let mut k = Kernel::with_horizon(h);
+        k.schedule_at(SimTime::from_micros(90), 'a');
+        k.schedule_at(SimTime::from_micros(101), 'z');
+        assert_eq!(k.pop(), Some((SimTime::from_micros(90), 'a')));
+        // A caller that passed its own arrival at 95 µs catches up; the
+        // last popped event keeps its key.
+        k.advance_to(SimTime::from_micros(95));
+        assert_eq!(k.last_key(), Some((SimTime::from_micros(90), 0)));
+        // ... and the horizon stop still lands on the horizon.
+        assert_eq!(k.pop(), None);
+        assert_eq!(k.now(), h);
+        k.advance_to(h);
+        assert_eq!(k.now(), h);
+        assert_eq!(k.last_key(), Some((SimTime::from_micros(90), 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing past a pending event")]
+    fn advance_past_a_pending_event_panics() {
+        let mut k = Kernel::new();
+        k.schedule_at(SimTime::from_micros(10), ());
+        k.advance_to(SimTime::from_micros(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing into the past")]
+    fn advance_into_the_past_panics() {
+        let mut k = Kernel::new();
+        k.schedule_at(SimTime::from_micros(10), ());
+        let _ = k.pop();
+        k.advance_to(SimTime::from_micros(9));
     }
 
     #[test]

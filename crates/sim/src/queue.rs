@@ -153,6 +153,12 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(time, _, event)| (time, event))
+    }
+
+    /// Removes and returns the earliest event with its full
+    /// `(time, insertion sequence)` key, or `None` if empty.
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let lane = self.first_lane().filter(|&i| {
             let head = &self.lanes[i][0];
             self.heap.peek().is_none_or(|top| (head.time, head.seq) < (top.time, top.seq))
@@ -168,7 +174,14 @@ impl<E> EventQueue<E> {
             None => self.heap.pop()?,
         };
         self.floor = self.floor.max(s.time.as_micros());
-        Some((s.time, s.event))
+        Some((s.time, s.seq, s.event))
+    }
+
+    /// The sequence number the next [`EventQueue::push`] or
+    /// [`EventQueue::reserve`] hands out: every number below it is taken.
+    #[must_use]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -293,6 +306,21 @@ mod tests {
             drain(&mut q),
             [(99, 'z'), (100, 'a'), (101, 'b'), (107, 'e'), (108, 'g'), (109, 'h')]
         );
+    }
+
+    #[test]
+    fn pop_keyed_reports_each_events_sequence_number() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(5), 'a'); // seq 0, heap (floor 0)
+        let first = q.reserve(3); // seqs 1..=3
+        q.push(SimTime::from_micros(2), 'b'); // seq 4, lane
+        q.push_reserved(SimTime::from_micros(2), first + 2, 'r'); // after 'b' in its lane: heap
+        assert_eq!(q.next_seq(), 5);
+        let keys: Vec<(u64, u64, char)> =
+            std::iter::from_fn(|| q.pop_keyed().map(|(t, seq, e)| (t.as_micros(), seq, e)))
+                .collect();
+        assert_eq!(keys, [(2, 3, 'r'), (2, 4, 'b'), (5, 0, 'a')]);
+        assert_eq!(q.next_seq(), 5, "popping hands out no numbers");
     }
 
     #[test]

@@ -22,6 +22,14 @@
 #      other runs reach those paths. A third, 400 s campaign (fig7a fig12a) runs long enough for
 #      vehicles spawned during the run to reach the exit and for new ones
 #      to enter behind them; the 30 s runs end before either happens.
+#   3. runs the working tree's history pins (crates/scenarios/tests/
+#      audit.rs) and beacon-log oracle (crates/scenarios/tests/
+#      beacon_log.rs) in release. The --audit, --topology and --trace
+#      artifacts of step 2 attach a trace sink, which puts every frame on
+#      the event-per-delivery path, so only the campaigns and the
+#      perfbench references exercise the logged beacon path; the pins
+#      (recorded on the event-per-delivery path) and the oracle (which
+#      compares both paths on random worlds) cover it directly.
 # Prints one line per check and exits 1 on any difference, 0 otherwise.
 # The temporary directory is removed on exit.
 set -euo pipefail
@@ -92,6 +100,15 @@ for f in $base_files; do
     fi
 done
 echo "artifacts: $same of $(echo "$base_files" | wc -w) cmp-equal"
+
+if (cd "$root" && cargo test --release --offline --quiet -p geonet-scenarios \
+    --test audit --test beacon_log > "$work/tests.log" 2>&1); then
+    echo "pins and oracle (change): pass"
+else
+    echo "pins and oracle (change): FAIL"
+    tail -n 40 "$work/tests.log"
+    status=1
+fi
 
 if [ $status -eq 0 ]; then
     echo "inert: no difference"
