@@ -9,7 +9,7 @@ use geonet::{
     GnRouter, LocationTable, LongPositionVector, SequenceNumber,
 };
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::Medium;
+use geonet_radio::{delay_us, Medium, NodeId};
 use geonet_scenarios::{ScenarioConfig, World};
 use geonet_sim::{
     shared, shared_registry, NullSink, SimDuration, SimTime, StateHasher, Telemetry, Tracer,
@@ -120,7 +120,26 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
         medium.register(Position::new(f64::from(i) * 20.0, 2.5), 486.0);
     }
     c.bench_function("medium_receivers_200_nodes", |b| {
-        b.iter(|| black_box(medium.receivers(geonet_radio::NodeId(100))));
+        b.iter(|| black_box(medium.receivers(NodeId(100))));
+    });
+
+    // The logged beacon path's query: the paper's two-lane 4 km road at
+    // 30 m spacing, a mid-road sender, every receiver's id and delay
+    // taken in walk order, unsorted.
+    let mut road = Medium::new();
+    for lane in 0..2u32 {
+        for i in 0..134u32 {
+            road.register(Position::new(f64::from(i) * 30.0, 2.5 + f64::from(lane) * 3.5), 486.0);
+        }
+    }
+    c.bench_function("radio_fanout_30m", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            road.fan_out(black_box(NodeId(67)), 486.0, |rx, d2| {
+                sum += u64::from(rx.0) + delay_us(d2);
+            });
+            black_box(sum)
+        });
     });
 
     c.bench_function("traffic_step_133_vehicles", |b| {

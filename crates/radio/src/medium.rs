@@ -34,15 +34,34 @@ struct Entry {
     active: bool,
 }
 
-/// Below this many registered nodes the plain linear scan beats the grid
-/// (nine hash probes plus a sort cost more than scanning a few cache
-/// lines), so [`Medium::receivers_into`] falls back to it. Sparse-traffic
-/// scenarios — 300 m spacing puts ~26 vehicles on the paper's road, and
-/// an hour-long run retires only a few dozen more — stay on the scan and
-/// cannot regress. Dense scenarios blow past the cutoff immediately and
-/// keep paying more for the scan as retired (inactive) vehicles pile up
-/// in the entry table, which the grid never visits.
+/// Up to this many registered nodes the receiver walk scans the entry
+/// table instead of the grid: nine hash probes cost more than scanning a
+/// few cache lines. Sparse-traffic scenarios — 300 m spacing puts ~26
+/// vehicles on the paper's road, and an hour-long run retires only a few
+/// dozen more — stay on the scan. Dense scenarios blow past the cutoff
+/// immediately and keep paying more for a scan as retired (inactive)
+/// vehicles pile up in the entry table, which the grid never visits. The
+/// scan yields receivers in ascending id order, the grid in bucket
+/// order; [`Medium::fan_out`] passes either on as it comes.
 const LINEAR_CUTOFF: usize = 100;
+
+/// Metres light travels in one microsecond.
+const LIGHT_M_PER_US: f64 = 299.792_458;
+
+/// The propagation delay over a squared distance `d2` (m²), in whole
+/// microseconds: the distance over the speed of light, rounded up, and
+/// at least 1 µs so that a transmission and its reception never share a
+/// timestamp. Equal to `(d2.sqrt() / 299.792458).ceil().max(1.0)` for
+/// every finite `d2 >= 0`; the ceiling is written out because `f64::ceil`
+/// is a libm call on the baseline x86-64 target, and the fan-out takes
+/// one delay per receiver.
+#[must_use]
+#[inline]
+pub fn delay_us(d2: f64) -> u64 {
+    let q = d2.sqrt() / LIGHT_M_PER_US;
+    let t = q as u64;
+    t.saturating_add(u64::from((t as f64) < q)).max(1)
+}
 
 /// Grid buckets keyed by packed `(cx, cy)` cell coordinates.
 type CellMap = U64Map<Vec<u32>>;
@@ -59,21 +78,39 @@ type CellMap = U64Map<Vec<u32>>;
 /// * A bucket holds exactly the active entries whose position maps to its
 ///   cell; inactive nodes are absent (removed in `set_active`).
 /// * Empty buckets are dropped so the map tracks occupied cells only.
+/// * Insert, remove, relocate and query all map a coordinate to its cell
+///   through `cell_index`. Any monotone map shared by all four gives the
+///   same receiver sets, so it need not equal `floor(v / cell)` at a cell
+///   edge.
 #[derive(Debug)]
 struct Grid {
     cell: f64,
+    /// `1 / cell`.
+    inv_cell: f64,
     buckets: CellMap,
 }
 
 impl Default for Grid {
     fn default() -> Self {
-        Grid { cell: 1.0, buckets: CellMap::default() }
+        Grid { cell: 1.0, inv_cell: 1.0, buckets: CellMap::default() }
     }
 }
 
 impl Grid {
+    /// `floor(v / cell)` away from cell edges, monotone in `v`: a multiply
+    /// and a floor written out, as `f64::floor` and a division would cost
+    /// a libm call and a divide per coordinate on every position sync.
     fn cell_index(&self, v: f64) -> i32 {
-        (v / self.cell).floor() as i32
+        let q = v * self.inv_cell;
+        let t = q as i32;
+        t.saturating_sub(i32::from(f64::from(t) > q))
+    }
+
+    /// Grows the cell edge to `cell` and re-buckets every active entry.
+    fn grow(&mut self, cell: f64, entries: &[Entry]) {
+        self.cell = cell;
+        self.inv_cell = 1.0 / cell;
+        self.rebuild(entries);
     }
 
     fn key(cx: i32, cy: i32) -> u64 {
@@ -132,10 +169,12 @@ impl Grid {
 /// Receiver queries are served by an incrementally maintained uniform
 /// `Grid` (cell size tied to the largest registered range, kept in sync
 /// by `set_position` / `set_active` / `set_tx_range`), with a linear-scan
-/// fallback below `LINEAR_CUTOFF` nodes. Both paths apply the same
-/// boundary-inclusive range predicate and return ascending ids, so
-/// results — and therefore whole simulation runs — are bit-identical to
-/// the reference scan ([`Medium::receivers_within_linear`]).
+/// fallback below `LINEAR_CUTOFF` nodes. One walk serves both: it applies
+/// the boundary-inclusive range predicate of the reference scan
+/// ([`Medium::receivers_within_linear`]) and yields each receiver once.
+/// [`Medium::fan_out`] passes the walk on unordered; the `receivers*`
+/// queries sort it into ascending ids, so their results — and therefore
+/// whole simulation runs — are bit-identical to the reference scan.
 #[derive(Debug, Default)]
 pub struct Medium {
     entries: Vec<Entry>,
@@ -170,8 +209,7 @@ impl Medium {
         let id = NodeId(u32::try_from(self.entries.len()).expect("too many nodes"));
         self.entries.push(Entry { position, tx_range, active: true });
         if tx_range > self.grid.cell {
-            self.grid.cell = tx_range;
-            self.grid.rebuild(&self.entries);
+            self.grid.grow(tx_range, &self.entries);
         } else {
             self.grid.insert(id.0, position);
         }
@@ -257,8 +295,7 @@ impl Medium {
         assert!(tx_range.is_finite() && tx_range >= 0.0, "invalid tx range: {tx_range}");
         self.entries[id.index()].tx_range = tx_range;
         if tx_range > self.grid.cell {
-            self.grid.cell = tx_range;
-            self.grid.rebuild(&self.entries);
+            self.grid.grow(tx_range, &self.entries);
         }
     }
 
@@ -310,8 +347,10 @@ impl Medium {
     }
 
     /// Allocation-free variant of [`Medium::receivers_within`]: clears
-    /// `out` and fills it with the receivers in ascending id order. The
-    /// simulation's delivery path reuses one buffer across broadcasts.
+    /// `out` and fills it with the receivers in ascending id order. It is
+    /// the [`Medium::fan_out`] walk plus a sort, for the callers that see
+    /// id order: the simulation's eager deliveries and frame-loss draws
+    /// take one sequence number or draw per receiver in that order.
     ///
     /// # Panics
     ///
@@ -320,21 +359,49 @@ impl Medium {
         assert!(cap_range.is_finite() && cap_range >= 0.0, "invalid cap range: {cap_range}");
         let _span = self.telemetry.time("radio_receiver_scan_ns");
         out.clear();
+        self.walk(sender, cap_range, |rx, _| out.push(rx));
+        out.sort_unstable();
+    }
+
+    /// Calls `f` with each node that hears a broadcast from `sender`,
+    /// power-capped to `cap_range` as in [`Medium::receivers_within`], and
+    /// its squared distance from the sender in m² (the value the range test
+    /// compared; [`delay_us`] turns it into the propagation delay). The
+    /// receivers are those of [`Medium::receivers_within`], in an
+    /// unspecified order: grid-bucket order, or ascending ids up to a
+    /// hundred registered nodes. A caller that needs no order saves the
+    /// sort and a second position lookup per receiver.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is unknown or `cap_range` is invalid.
+    pub fn fan_out(&self, sender: NodeId, cap_range: f64, f: impl FnMut(NodeId, f64)) {
+        assert!(cap_range.is_finite() && cap_range >= 0.0, "invalid cap range: {cap_range}");
+        let _span = self.telemetry.time("radio_receiver_scan_ns");
+        self.walk(sender, cap_range, f);
+    }
+
+    /// The receiver walk behind [`Medium::fan_out`] and
+    /// [`Medium::receivers_into`].
+    fn walk(&self, sender: NodeId, cap_range: f64, mut f: impl FnMut(NodeId, f64)) {
         let s = self.entries[sender.index()];
         if !s.active {
             return;
         }
         let range = s.tx_range.min(cap_range);
+        // `Position::within_range`, with the squared distance kept.
+        let r2 = range * range;
         if self.entries.len() <= LINEAR_CUTOFF {
             for (i, e) in self.entries.iter().enumerate() {
                 if i == sender.index() || !e.active {
                     continue;
                 }
-                if s.position.within_range(e.position, range) {
-                    out.push(NodeId(i as u32));
+                let d2 = s.position.distance_squared(e.position);
+                if d2 <= r2 {
+                    f(NodeId(i as u32), d2);
                 }
             }
-            return; // enumeration order is already ascending
+            return;
         }
         // Every cell intersecting the bounding square of the range disk;
         // with cell >= range this is at most 3×3.
@@ -353,15 +420,13 @@ impl Medium {
                     }
                     let e = &self.entries[i as usize];
                     debug_assert!(e.active, "grid bucket holds inactive node");
-                    if s.position.within_range(e.position, range) {
-                        out.push(NodeId(i));
+                    let d2 = s.position.distance_squared(e.position);
+                    if d2 <= r2 {
+                        f(NodeId(i), d2);
                     }
                 }
             }
         }
-        // Bucket traversal visits cells, not ids; restore the id order the
-        // linear scan produces so runs stay bit-identical.
-        out.sort_unstable();
     }
 
     /// Reference linear-scan implementation of
@@ -416,12 +481,12 @@ impl Medium {
 
     /// Propagation delay between two nodes: distance over the speed of
     /// light, rounded up to at least one microsecond so that a transmission
-    /// and its reception never share a timestamp.
+    /// and its reception never share a timestamp ([`delay_us`]).
     #[must_use]
     pub fn propagation_delay(&self, a: NodeId, b: NodeId) -> SimDuration {
-        let d = self.entries[a.index()].position.distance(self.entries[b.index()].position);
-        let us = (d / 299.792_458).ceil().max(1.0); // metres per µs of light
-        SimDuration::from_micros(us as u64)
+        let d2 =
+            self.entries[a.index()].position.distance_squared(self.entries[b.index()].position);
+        SimDuration::from_micros(delay_us(d2))
     }
 }
 
@@ -519,6 +584,60 @@ mod tests {
         let a = m.register(Position::new(0.0, 0.0), 5_000.0);
         let b = m.register(Position::new(2_997.924_58, 0.0), 5_000.0);
         assert_eq!(m.propagation_delay(a, b), SimDuration::from_micros(10));
+    }
+
+    /// The libm ceiling `delay_us` replaces, as `propagation_delay`
+    /// computed it on the distance.
+    fn libm_delay_us(d2: f64) -> u64 {
+        (d2.sqrt() / 299.792_458).ceil().max(1.0) as u64
+    }
+
+    #[test]
+    fn delay_us_equals_the_libm_ceiling() {
+        // Whole microseconds of light and one ulp either side of them,
+        // where a ceiling is decided, then distances below 1 µs.
+        let mut ds: Vec<f64> = (0..=60)
+            .map(|k| f64::from(k) * LIGHT_M_PER_US)
+            .flat_map(|d| [d.next_down(), d, d.next_up()])
+            .filter(|&d| d >= 0.0)
+            .collect();
+        ds.extend([0.0, f64::MIN_POSITIVE, 1e-9, 0.5, 30.0, 150.0, 299.79, 299.792_457]);
+        for d in ds {
+            let d2 = d * d;
+            for d2 in [d2.next_down().max(0.0), d2, d2.next_up()] {
+                assert_eq!(delay_us(d2), libm_delay_us(d2), "d = {d} m, d² = {d2}");
+            }
+        }
+        assert_eq!(delay_us(0.0), 1);
+        assert_eq!(delay_us(299.0 * 299.0), 1);
+        assert_eq!(delay_us(300.0 * 300.0), 2);
+        // The range test's squared distance of a 486 m link.
+        assert_eq!(delay_us(486.0 * 486.0), 2);
+    }
+
+    #[test]
+    fn cell_index_is_floor_division_and_monotone_at_cell_edges() {
+        for cell in [1.0, 3.0, 30.0, 327.0, 486.0, 1_283.0] {
+            let mut g = Grid::default();
+            g.grow(cell, &[]);
+            // Away from edges, the division it replaces.
+            for i in -4_000..4_000 {
+                let v = f64::from(i) * 7.37 + 0.013;
+                let q = v / cell;
+                if (q - q.round()).abs() > 1e-9 {
+                    assert_eq!(g.cell_index(v), q.floor() as i32, "v = {v}, cell = {cell}");
+                }
+            }
+            // At an edge, one ulp either side: monotone, and off by at
+            // most one cell from the division.
+            for k in -200..200 {
+                let edge = f64::from(k) * cell;
+                let [below, at, above] =
+                    [edge.next_down(), edge, edge.next_up()].map(|v| g.cell_index(v));
+                assert!(below <= at && at <= above, "edge {edge}, cell {cell}");
+                assert!(below >= k - 1 && above <= k, "edge {edge}, cell {cell}");
+            }
+        }
     }
 
     #[test]
@@ -683,10 +802,14 @@ mod tests {
         }
 
         /// The tentpole equivalence property: after an arbitrary history
-        /// of registrations, moves (including across grid cells) and
-        /// activity toggles, the grid-indexed query equals the linear
-        /// oracle exactly — for every sender and for arbitrary power
-        /// caps, on node counts spanning both sides of [`LINEAR_CUTOFF`].
+        /// of registrations, moves (including across grid cells), activity
+        /// toggles and range growth, the grid-indexed query equals the
+        /// linear oracle exactly — for every sender and for arbitrary
+        /// power caps, on node counts spanning both sides of
+        /// [`LINEAR_CUTOFF`], with negative coordinates (west lanes, the
+        /// `x = −20` destination). The unordered fan-out, sorted by id,
+        /// is the same list, and each of its squared distances gives the
+        /// receiver's `propagation_delay`.
         #[test]
         fn prop_grid_matches_linear_oracle(
             positions in prop::collection::vec((-5_000.0f64..5_000.0, -1_000.0f64..1_000.0), 2..160),
@@ -694,25 +817,39 @@ mod tests {
             moves in prop::collection::vec(
                 (0usize..160, -5_000.0f64..5_000.0, -1_000.0f64..1_000.0), 0..40),
             toggles in prop::collection::vec((0usize..160, any::<bool>()), 0..30),
+            grow in prop::option::of((0usize..160, 2_000.0f64..3_000.0)),
             cap in 0.0f64..3_000.0)
         {
             let mut m = Medium::new();
-            let ids: Vec<NodeId> = positions
+            let mut ids: Vec<NodeId> = positions
                 .iter()
                 .zip(ranges.iter().cycle())
                 .map(|(&(x, y), &r)| m.register(Position::new(x, y), r))
                 .collect();
+            ids.push(m.register(Position::new(-20.0, 2.5), 486.0));
+            ids.push(m.register(Position::new(-20.0, -2.5), 486.0));
             for &(i, x, y) in &moves {
                 m.set_position(ids[i % ids.len()], Position::new(x, y));
             }
             for &(i, active) in &toggles {
                 m.set_active(ids[i % ids.len()], active);
             }
+            if let Some((i, range)) = grow {
+                m.set_tx_range(ids[i % ids.len()], range);
+            }
             for &sender in &ids {
-                prop_assert_eq!(
-                    m.receivers_within(sender, cap),
-                    m.receivers_within_linear(sender, cap)
-                );
+                let oracle = m.receivers_within_linear(sender, cap);
+                prop_assert_eq!(&m.receivers_within(sender, cap), &oracle);
+                let mut fanned = Vec::new();
+                m.fan_out(sender, cap, |rx, d2| {
+                    fanned.push(rx);
+                    assert_eq!(
+                        SimDuration::from_micros(delay_us(d2)),
+                        m.propagation_delay(sender, rx)
+                    );
+                });
+                fanned.sort_unstable();
+                prop_assert_eq!(fanned, oracle);
             }
         }
     }

@@ -1,8 +1,6 @@
 //! The deterministic discrete-event world binding all substrates.
 
-use crate::beacon_log::{
-    BeaconLog, BeaconLogStats, Entry, Fold, Key, LazyRouter, INBOX_CAP, MAX_OFFSET_US,
-};
+use crate::beacon_log::{BeaconLog, BeaconLogStats, Fold, Key, LazyRouter, MAX_OFFSET_US};
 use crate::config::{AttackerSetup, ScenarioConfig};
 use geonet::wire::Extended;
 use geonet::{
@@ -10,7 +8,7 @@ use geonet::{
 };
 use geonet_attack::{Attacker, Strategy};
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::{Medium, NodeId};
+use geonet_radio::{delay_us, Medium, NodeId};
 use geonet_sim::{
     Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry, SharedSink,
     SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode, TopoSnapshot,
@@ -988,19 +986,6 @@ impl World {
         self.telemetry.add("frames_on_air_total", 1);
         self.telemetry.add("bytes_on_air_total", wire_bytes);
         let cap = cap.unwrap_or_else(|| self.medium.tx_range(from));
-        let mut receivers = std::mem::take(&mut self.rx_buf);
-        self.medium.receivers_into(from, cap, &mut receivers);
-        if let Some(&(atk, _)) = self.attacker.as_ref() {
-            if from != atk {
-                // The LoS sniffer link replaces the unit-disk rule for
-                // frames arriving at the attacker.
-                receivers.retain(|&n| n != atk);
-                let d = self.medium.position(from).distance(self.medium.position(atk));
-                if d <= self.cfg.attack_range {
-                    receivers.push(atk);
-                }
-            }
-        }
         let now = self.kernel.now();
         let key = PacketKey::of(&frame.msg);
         self.tracer.for_node(from.0).emit(now, || TraceEvent::FrameTx {
@@ -1008,6 +993,30 @@ impl World {
             dst: frame.dst.map(GnAddress::to_u64),
             beacon: key.is_none(),
         });
+        // Beacons go to the log while nothing observes single deliveries,
+        // if every receiver's arrival offset fits an inbox entry.
+        let range = self.medium.tx_range(from).min(cap);
+        let logged = !self.tracer.is_enabled()
+            && !self.telemetry.is_enabled()
+            && matches!(frame.msg.packet.extended, Extended::Beacon { .. })
+            && frame.dst.is_none()
+            && delay_us(range * range) <= MAX_OFFSET_US;
+        if logged && self.cfg.frame_loss_rate == 0.0 {
+            self.log_beacon(from, frame, cap);
+            return;
+        }
+        let mut receivers = std::mem::take(&mut self.rx_buf);
+        self.medium.receivers_into(from, cap, &mut receivers);
+        if let Some(&(atk, _)) = self.attacker.as_ref() {
+            if from != atk {
+                // The LoS sniffer link replaces the unit-disk rule for
+                // frames arriving at the attacker.
+                receivers.retain(|&n| n != atk);
+                if self.attacker_hears(from) {
+                    receivers.push(atk);
+                }
+            }
+        }
         // Frame-loss extension: each individual delivery may be lost.
         // Filtered in place (same draw order as the old copy loop) so the
         // scratch buffer is the only receiver storage on this path.
@@ -1053,73 +1062,88 @@ impl World {
         }
         let first_seq = self.kernel.reserve(receivers.len() as u64);
         let on_air = OnAir::new(frame, &self.ca.verifier());
-        let eager = if self.tracer.is_enabled() || self.telemetry.is_enabled() {
-            &receivers[..]
-        } else {
-            self.log_beacon(from, &on_air, first_seq, &receivers)
+        // The attacker, if it hears the frame, is the last receiver; the
+        // rest of a logged beacon's survivors go to the log.
+        let atk = self.attacker.as_ref().map(|&(node, _)| node);
+        let legit = match receivers.split_last() {
+            Some((&last, rest)) if Some(last) == atk => rest.len(),
+            _ => receivers.len(),
         };
-        if !eager.is_empty() {
-            // The eager receivers are a suffix of the receiver list.
-            let skipped = (receivers.len() - eager.len()) as u64;
-            let arrivals = eager
-                .iter()
-                .map(|&rx| (rx, now + self.medium.propagation_delay(from, rx)))
-                .collect();
-            self.schedule_deliveries(Transmission {
-                on_air,
-                first_seq: first_seq + skipped,
-                arrivals,
-            });
-        }
+        let skipped = if logged && legit > 0 {
+            self.begin_log(&on_air, first_seq);
+            for &rx in &receivers[..legit] {
+                let us = self.medium.propagation_delay(from, rx).as_micros();
+                let lazy = self.routers[rx.index()].as_mut().expect("legitimate node").get_mut();
+                self.log.append(lazy, rx.0, us, self.barrier, &mut self.fold_buf);
+            }
+            self.log.finish();
+            legit
+        } else {
+            0
+        };
+        let arrivals = receivers[skipped..]
+            .iter()
+            .map(|&rx| (rx, now + self.medium.propagation_delay(from, rx)))
+            .collect();
+        self.schedule_deliveries(Transmission {
+            on_air,
+            first_seq: first_seq + skipped as u64,
+            arrivals,
+        });
         receivers.clear();
         self.rx_buf = receivers;
     }
 
-    /// Logs a beacon transmission for its legitimate receivers (see
-    /// `beacon_log`) and returns the receivers left to deliver
-    /// as events: the attacker, or every receiver when `on_air` is not a
-    /// beacon or one of them is too far for an inbox entry.
-    fn log_beacon<'r>(
-        &mut self,
-        from: NodeId,
-        on_air: &OnAir,
-        first_seq: u64,
-        receivers: &'r [NodeId],
-    ) -> &'r [NodeId] {
-        let frame = on_air.frame();
-        if !matches!(frame.msg.packet.extended, Extended::Beacon { .. }) || frame.dst.is_some() {
-            return receivers;
-        }
-        // The attacker, if it hears the frame, is the last receiver.
-        let atk = self.attacker.as_ref().map(|&(node, _)| node);
-        let legit = match receivers.split_last() {
-            Some((&last, rest)) if Some(last) == atk => rest,
-            _ => receivers,
-        };
-        if legit.is_empty() {
-            return receivers;
-        }
-        let mut offsets = self.log.offsets_buffer();
-        for &rx in legit {
-            let us = self.medium.propagation_delay(from, rx).as_micros();
-            if us > MAX_OFFSET_US {
-                self.log.recycle(offsets);
-                return receivers;
-            }
-            offsets.push(us as u8);
-        }
-        let now = self.kernel.now();
-        let pv = *frame.msg.packet.so_pv();
+    /// Whether the attacker's sniffer hears a frame from `from`: the LoS
+    /// link of the attack range, not the sender's range.
+    fn attacker_hears(&self, from: NodeId) -> bool {
+        self.attacker.as_ref().is_some_and(|&(atk, _)| {
+            atk != from
+                && self.medium.position(from).distance(self.medium.position(atk))
+                    <= self.cfg.attack_range
+        })
+    }
+
+    /// Starts a beacon-log record for a transmission sent now.
+    fn begin_log(&mut self, on_air: &OnAir, first_seq: u64) {
+        let pv = *on_air.frame().msg.packet.so_pv();
         let authentic = on_air.authentic_under(&self.ca.verifier());
-        let id = self.log.push(pv, authentic, now, first_seq, offsets, self.barrier);
-        for (&rx, &us) in legit.iter().zip(self.log.last_offsets()) {
-            let lazy = self.routers[rx.index()].as_mut().expect("legitimate receiver").get_mut();
-            lazy.inbox.push(Entry::new(id, u64::from(us)));
-            if lazy.inbox.len() >= INBOX_CAP {
-                self.log.fold(lazy, self.barrier, Fold::Cap, &mut self.fold_buf);
+        self.log.begin(pv, authentic, self.kernel.now(), first_seq, self.barrier);
+    }
+
+    /// Puts a lossless beacon on the air in one pass over the radio's
+    /// fan-out (see `beacon_log`): each legitimate receiver gets its inbox
+    /// entry as the walk finds it, with the arrival offset taken from the
+    /// squared distance of the range test, in no particular order. The
+    /// attacker, which ranks last, is delivered as an event.
+    fn log_beacon(&mut self, from: NodeId, frame: Frame, cap: f64) {
+        let on_air = OnAir::new(frame, &self.ca.verifier());
+        let first_seq = self.kernel.next_seq();
+        self.begin_log(&on_air, first_seq);
+        let atk = self.attacker.as_ref().map(|&(node, _)| node);
+        let (log, routers, fold_buf, barrier) =
+            (&mut self.log, &mut self.routers, &mut self.fold_buf, self.barrier);
+        self.medium.fan_out(from, cap, |rx, d2| {
+            if Some(rx) != atk {
+                let lazy = routers[rx.index()].as_mut().expect("legitimate node").get_mut();
+                log.append(lazy, rx.0, delay_us(d2), barrier, fold_buf);
             }
+        });
+        let legit = self.log.finish();
+        let atk = atk.filter(|_| self.attacker_hears(from));
+        let reserved = legit + u64::from(atk.is_some());
+        if reserved > 0 {
+            let first = self.kernel.reserve(reserved);
+            debug_assert_eq!(first, first_seq, "nothing took a number during the fan-out");
         }
-        &receivers[legit.len()..]
+        if let Some(atk) = atk {
+            let at = self.kernel.now() + self.medium.propagation_delay(from, atk);
+            self.schedule_deliveries(Transmission {
+                on_air,
+                first_seq: first_seq + legit,
+                arrivals: vec![(atk, at)],
+            });
+        }
     }
 
     /// Queues the deliveries of `tx`: one batch per arrival microsecond,

@@ -9,7 +9,7 @@ use geonet::config::LinkAckConfig;
 use geonet_attack::BlockageMode;
 use geonet_geo::{Area, Position};
 use geonet_radio::NodeId;
-use geonet_scenarios::{AttackerSetup, ScenarioConfig, World};
+use geonet_scenarios::{AttackerSetup, NodeKind, ScenarioConfig, World};
 use geonet_sim::{shared, AttackKind, SimDuration, SimTime, TraceEvent, VecSink};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -399,4 +399,82 @@ fn horizon_before_a_beacons_arrivals() {
     pair.run_until(horizon + SimDuration::from_micros(1));
     pair.assert_same("past the horizon");
     assert_eq!(pair.logged.now(), horizon);
+}
+
+/// A logged beacon whose receivers the radio's grid walk finds out of id
+/// order, and which the attacker hears too. The logged world appends its
+/// inbox entries in walk order, but the deliveries' sequence numbers go
+/// by receiver id, with the attacker's last: an audit checkpoint and the
+/// event count taken while the beacon is on the air must match the eager
+/// world's.
+///
+/// The grid has 486 m cells (the largest range registered) and visits
+/// them by x cell, then y cell; the two-way road puts the west lanes in
+/// the y cell below the east lanes. A receiver with a lower id in a later
+/// cell than one with a higher id is visited after it, whatever the order
+/// inside a cell.
+#[test]
+fn beacon_on_the_air_out_of_id_order() {
+    let cfg = short(true);
+    let setup = Some(AttackerSetup::InterArea);
+    let sink = shared(VecSink::new());
+    let mut probe = World::new(cfg, setup, 26);
+    probe.set_trace_sink(sink.clone());
+    probe.run_until(SimTime::from_secs(3));
+    let nodes = probe.legit_nodes().len() as u32 + 1;
+    assert!(nodes > 100, "with {nodes} nodes the radio scans instead of walking its grid");
+    let atk = (0..nodes)
+        .map(NodeId)
+        .find(|&n| probe.node_kind(n) == NodeKind::Attacker)
+        .expect("an attacker");
+    let records = sink.borrow().records().to_vec();
+    let window = SimDuration::from_micros(15);
+    // Beacons by vehicles the attacker hears, with their receivers.
+    let candidates: Vec<(SimTime, NodeId, Vec<NodeId>)> = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::FrameTx { beacon: true, .. }) && r.node != atk.0)
+        .filter(|r| r.at.as_micros() % 100_000 != 0)
+        .map(|r| {
+            let from = probe.router(NodeId(r.node)).addr().to_u64();
+            let heard: Vec<NodeId> = records
+                .iter()
+                .filter(|x| x.at > r.at && x.at <= r.at + window)
+                .filter(|x| matches!(x.event, TraceEvent::FrameRx { from: f, .. } if f == from))
+                .map(|x| NodeId(x.node))
+                .collect();
+            (r.at, NodeId(r.node), heard)
+        })
+        .filter(|(_, _, heard)| heard.contains(&atk))
+        .collect();
+
+    let cell = |p: Position| {
+        let (qx, qy) = (p.x / 486.0, p.y / 486.0);
+        let clear = (qx - qx.round()).abs() > 1e-6 && (qy - qy.round()).abs() > 1e-6;
+        clear.then(|| (qx.floor() as i64, qy.floor() as i64))
+    };
+    let mut pair = Pair::new(cfg, setup, 26);
+    for (sent, sender, heard) in candidates {
+        pair.run_until(sent - SimDuration::from_micros(1));
+        let logged = pair.logged.beacon_log_stats().records_logged;
+        pair.run_until(sent);
+        assert!(pair.logged.beacon_log_stats().records_logged > logged, "{sender}: not logged");
+        let cells: Vec<(NodeId, Option<(i64, i64)>)> = heard
+            .iter()
+            .filter(|&&n| n != atk)
+            .map(|&n| (n, cell(pair.eager.node_position(n))))
+            .collect();
+        let out_of_order = cells.iter().any(|&(a, ca)| {
+            cells.iter().any(|&(b, cb)| a < b && ca.is_some() && cb.is_some() && ca > cb)
+        });
+        if !out_of_order {
+            continue;
+        }
+        pair.assert_same(&format!("{sender} sends at {sent}"));
+        for us in 1..=3 {
+            pair.run_until(sent + SimDuration::from_micros(us));
+            pair.assert_same(&format!("{us} µs after {sender} sent at {sent}"));
+        }
+        return;
+    }
+    panic!("no beacon the attacker heard reached its receivers out of id order");
 }
