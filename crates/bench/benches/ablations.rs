@@ -3,10 +3,9 @@
 //! Each ablation sweeps one knob and prints the resulting metric once, so
 //! `cargo bench --bench ablations` regenerates the sensitivity analyses:
 //!
-//! * `ablation_event_queue` — the shipped `EventQueue` (near-future lanes
-//!   in front of a binary heap) on random timestamps vs a sorted-`Vec`
-//!   lower bound, and on a delivery-shaped schedule vs a plain
-//!   `BinaryHeap` queue.
+//! * `ablation_event_queue` — the shipped `EventQueue` (one binary heap
+//!   keyed by `(time, insertion sequence)`) on random timestamps vs a
+//!   sorted-`Vec` lower bound.
 //! * `ablation_location_table` — one beacon applied to the 64 receivers
 //!   of a delivery batch across 1,500 location tables, with the shipped
 //!   24-byte-value table and the unpacked 64-byte-value layout it
@@ -30,69 +29,7 @@ use geonet_geo::{GeoReference, Heading, Position};
 use geonet_scenarios::config::AttackerSetup;
 use geonet_scenarios::{interarea, intraarea, ScenarioConfig, World};
 use geonet_sim::{EventQueue, SimDuration, SimTime, U64Map};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
-
-/// The queue operations the delivery-shaped ablation drives.
-trait Schedule {
-    fn push(&mut self, t: u64, e: u32);
-    fn pop(&mut self) -> Option<(u64, u32)>;
-}
-
-impl Schedule for EventQueue<u32> {
-    fn push(&mut self, t: u64, e: u32) {
-        EventQueue::push(self, SimTime::from_micros(t), e);
-    }
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        EventQueue::pop(self).map(|(t, e)| (t.as_micros(), e))
-    }
-}
-
-/// The baseline: every event in one `BinaryHeap` keyed by
-/// `(time, insertion sequence)`, with no near-future lanes.
-#[derive(Default)]
-struct HeapOnly {
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    seq: u64,
-}
-
-impl Schedule for HeapOnly {
-    fn push(&mut self, t: u64, e: u32) {
-        self.heap.push(Reverse((t, self.seq, e)));
-        self.seq += 1;
-    }
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e))
-    }
-}
-
-/// Receivers per transmission on the paper's interception road.
-const FANOUT: u32 = 31;
-
-/// A delivery-shaped run: 160 nodes with ms-scale timers. Each popped
-/// timer is a transmission that schedules `FANOUT` deliveries 1–2 µs
-/// ahead and re-arms the timer 1–100 ms later; deliveries are popped as
-/// the run goes. Returns a checksum of the popped events.
-fn delivery_load<Q: Schedule>(q: &mut Q, transmissions: u32) -> u64 {
-    let mix = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-    for node in 1..=160u32 {
-        q.push(mix(u64::from(node)) % 100_000, node);
-    }
-    let (mut sent, mut sum) = (0u32, 0u64);
-    while let Some((t, e)) = q.pop() {
-        sum = sum.wrapping_add(t ^ u64::from(e));
-        if e == 0 || sent == transmissions {
-            continue;
-        }
-        sent += 1;
-        for r in 0..FANOUT {
-            q.push(t + 1 + u64::from(r % 2), 0);
-        }
-        q.push(t + 1_000 + mix(t ^ u64::from(e)) % 99_000, e);
-    }
-    sum
-}
 
 fn ablation_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_event_queue");
@@ -128,12 +65,6 @@ fn ablation_event_queue(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("deliveries_event_queue", |b| {
-        b.iter(|| black_box(delivery_load(&mut EventQueue::new(), 2_000)));
-    });
-    group.bench_function("deliveries_binary_heap", |b| {
-        b.iter(|| black_box(delivery_load(&mut HeapOnly::default(), 2_000)));
-    });
     group.finish();
 }
 

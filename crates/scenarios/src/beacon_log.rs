@@ -28,7 +28,7 @@
 //! in the radio's fan-out order; a delivery's sequence number follows its
 //! receiver's rank in id order, which is worked out on demand.
 
-use geonet::{GnRouter, LongPositionVector, RouterStats};
+use geonet::{GnRouter, LongPositionVector};
 use geonet_sim::{SimDuration, SimTime};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -183,10 +183,12 @@ pub struct BeaconLogStats {
     /// transmission.
     pub inbox_entries: u64,
     /// Folds before a router's state was read: an eager delivery, a
-    /// timer, an origination, [`World::router`], a topology snapshot or
-    /// a telemetry depth sample.
+    /// timer, an origination, [`World::router`],
+    /// [`World::aggregate_stats`], a topology snapshot or a telemetry
+    /// depth sample.
     ///
     /// [`World::router`]: crate::World::router
+    /// [`World::aggregate_stats`]: crate::World::aggregate_stats
     pub folds_read: u64,
     /// Folds of an inbox that reached its length cap.
     pub folds_cap: u64,
@@ -366,18 +368,6 @@ impl BeaconLog {
         s.exit_drops += lazy.inbox.len() as u64;
         self.stats.set(s);
         lazy.inbox = Vec::new();
-    }
-
-    /// Adds to `stats` what folding `lazy` up to `barrier` would add to
-    /// its router's counters, without folding.
-    pub(crate) fn count_due(&self, lazy: &LazyRouter, barrier: Key, stats: &mut RouterStats) {
-        for &e in &lazy.inbox {
-            let (i, at, seq) = self.arrival(e);
-            if (at, seq) < barrier {
-                let r = self.records.get(i);
-                stats.record(&lazy.router.beacon_outcome(&r.pv, r.authentic, at));
-            }
-        }
     }
 
     /// The send time of an inbox entry's record.

@@ -604,9 +604,7 @@ impl World {
     pub fn aggregate_stats(&self) -> geonet::RouterStats {
         let mut agg = geonet::RouterStats::default();
         for cell in self.routers.iter().flatten() {
-            let lazy = cell.borrow();
-            agg.merge(&lazy.router.stats());
-            self.log.count_due(&lazy, self.barrier, &mut agg);
+            agg.merge(&self.read(cell, Fold::Read).stats());
         }
         agg
     }

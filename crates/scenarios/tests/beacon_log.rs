@@ -50,8 +50,9 @@ impl Pair {
         self.both(originate);
     }
 
-    /// Asserts that both worlds agree on everything observable, reading
-    /// the logged world's counters before its tables are folded.
+    /// Asserts that both worlds agree on everything observable. The
+    /// logged world's `aggregate_stats` folds every inbox up to the
+    /// barrier before it sums the router counters.
     fn assert_same(&self, context: &str) {
         let (e, l) = (&self.eager, &self.logged);
         assert_eq!(e.now(), l.now(), "{context}: clock");

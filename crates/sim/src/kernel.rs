@@ -118,8 +118,9 @@ impl<E> Kernel<E> {
     }
 
     /// Number of queue entries still pending (including any past the
-    /// horizon). A group event queued under reserved sequence numbers
-    /// counts once, however many members it stands for.
+    /// horizon): the length of the queue's one heap. A group event
+    /// queued under reserved sequence numbers counts once, however many
+    /// members it stands for.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()

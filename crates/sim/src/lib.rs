@@ -7,11 +7,10 @@
 //!   immune to floating-point drift.
 //! * [`EventQueue`] — a priority queue with a deterministic total order:
 //!   events at equal timestamps fire in insertion order, so a run is a pure
-//!   function of its seed. Events due within 8 µs of the last pop (radio
-//!   deliveries) wait in per-microsecond FIFO lanes instead of the binary
-//!   heap, without changing that order.
-//!   Reserved sequence numbers let one group event stand in for a run of
-//!   same-time events (a transmission's deliveries) at the same place.
+//!   function of its seed. One binary heap keyed by `(time, insertion
+//!   sequence)` holds every pending event. Reserved sequence numbers let
+//!   one group event stand in for a run of same-time events (a
+//!   transmission's deliveries) at the same place.
 //! * [`Kernel`] — the event loop: schedule, pop, advance the clock.
 //! * [`hash`] — [`U64Map`], a hash map on packed `u64` keys with a
 //!   multiply-shift hasher, shared by the radio grid and the location

@@ -2,13 +2,21 @@
 
 use crate::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event scheduled at a time, ordered by `(time, insertion sequence)`.
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    /// `(time, seq)` as one integer: a single branch-free comparison per
+    /// step of a heap sift.
+    fn key(&self) -> u128 {
+        (u128::from(self.time.as_micros()) << 64) | u128::from(self.seq)
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -29,35 +37,17 @@ impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse to pop the earliest event.
         // Ties broken by insertion sequence for determinism.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key().cmp(&self.key())
     }
 }
-
-/// Number of near-future lanes: one per microsecond of the window
-/// `[floor, floor + LANES)`. Radio deliveries are due 1–2 µs after their
-/// transmission, so a small window catches nearly all of them; each lane
-/// keeps its peak capacity, so more lanes cost memory for little gain.
-const LANES: usize = 8;
 
 /// A priority queue of timestamped events with a deterministic total order.
 ///
 /// Events with equal timestamps are popped in the order they were pushed,
 /// which makes every simulation run a pure function of its inputs: no
 /// dependence on hash ordering, allocation addresses or platform `sort`
-/// stability.
-///
-/// Two stores hold the pending events. Call the largest timestamp popped
-/// so far the *floor*; it never decreases. An event due in
-/// `[floor, floor + 8 µs)` is appended to a FIFO lane chosen by its
-/// timestamp modulo 8, and every other event goes to a binary heap. Each
-/// lane holds a single timestamp in insertion-sequence order (an event
-/// whose reserved sequence number would break that order goes to the
-/// heap instead), so `pop` takes the earlier of the first non-empty
-/// lane's head and the heap's top under `(time, sequence)`, and the pop
-/// order is exactly that of a heap alone. The lanes exist for radio
-/// deliveries, which are due a microsecond or two after the transmission
-/// that scheduled them and would otherwise each sift through the whole
-/// heap twice.
+/// stability. The pending events sit in one binary heap ordered by
+/// `(time, insertion sequence)`.
 ///
 /// [`EventQueue::reserve`] hands out a block of sequence numbers ahead of
 /// time, and [`EventQueue::push_reserved`] queues an event under one of
@@ -83,13 +73,6 @@ const LANES: usize = 8;
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    /// Lane `t % LANES` holds the pending events at time `t`, for every
-    /// `t` in `[floor, floor + LANES)` that was pushed inside the window.
-    lanes: [VecDeque<Scheduled<E>>; LANES],
-    /// Bit `i` is set iff lane `i` is non-empty.
-    occupied: u8,
-    /// The largest timestamp popped so far.
-    floor: u64,
     next_seq: u64,
 }
 
@@ -97,13 +80,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            lanes: Default::default(),
-            occupied: 0,
-            floor: 0,
-            next_seq: 0,
-        }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedules `event` at `time`.
@@ -125,30 +102,7 @@ impl<E> EventQueue<E> {
     /// exactly where a plain push that took `seq` would have.
     pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
-        let s = Scheduled { time, seq, event };
-        // Times below the floor wrap to a large offset and go to the heap,
-        // as does an event that would break its lane's sequence order.
-        let lane = time.as_micros() as usize % LANES;
-        if time.as_micros().wrapping_sub(self.floor) < LANES as u64
-            && self.lanes[lane].back().is_none_or(|b| b.seq < seq)
-        {
-            self.lanes[lane].push_back(s);
-            self.occupied |= 1 << lane;
-        } else {
-            self.heap.push(s);
-        }
-    }
-
-    /// The index of the earliest non-empty lane, if any. Every lane time
-    /// lies in `[floor, floor + LANES)`, so the first set bit at or after
-    /// the floor's lane (cyclically) is the earliest time.
-    fn first_lane(&self) -> Option<usize> {
-        if self.occupied == 0 {
-            return None;
-        }
-        let base = (self.floor % LANES as u64) as u32;
-        let offset = self.occupied.rotate_right(base).trailing_zeros();
-        Some((base + offset) as usize % LANES)
+        self.heap.push(Scheduled { time, seq, event });
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -159,22 +113,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event with its full
     /// `(time, insertion sequence)` key, or `None` if empty.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let lane = self.first_lane().filter(|&i| {
-            let head = &self.lanes[i][0];
-            self.heap.peek().is_none_or(|top| (head.time, head.seq) < (top.time, top.seq))
-        });
-        let s = match lane {
-            Some(i) => {
-                let s = self.lanes[i].pop_front()?;
-                if self.lanes[i].is_empty() {
-                    self.occupied &= !(1 << i);
-                }
-                s
-            }
-            None => self.heap.pop()?,
-        };
-        self.floor = self.floor.max(s.time.as_micros());
-        Some((s.time, s.seq, s.event))
+        self.heap.pop().map(|s| (s.time, s.seq, s.event))
     }
 
     /// The sequence number the next [`EventQueue::push`] or
@@ -187,36 +126,28 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let lane = self.first_lane().map(|i| self.lanes[i][0].time);
-        lane.into_iter().chain(self.heap.peek().map(|s| s.time)).min()
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of queue entries; a group counts once.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
+        self.heap.len()
     }
 
     /// Every pending event with its `(time, insertion sequence)` key, in
-    /// unspecified order (the heap's internal layout, then the lanes).
-    /// The audit layer folds the keys through an order-independent
-    /// combiner to digest the queue's contents without draining it; the
-    /// event lets it expand a group back into its members' keys.
+    /// unspecified order (the heap's internal layout). The audit layer
+    /// folds the keys through an order-independent combiner to digest the
+    /// queue's contents without draining it; the event lets it expand a
+    /// group back into its members' keys.
     pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
-        self.heap.iter().chain(self.lanes.iter().flatten()).map(|s| (s.time, s.seq, &s.event))
+        self.heap.iter().map(|s| (s.time, s.seq, &s.event))
     }
 
     /// Returns `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.occupied == 0 && self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.lanes.iter_mut().for_each(VecDeque::clear);
-        self.occupied = 0;
+        self.heap.is_empty()
     }
 }
 
@@ -270,13 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, 0);
         q.push(SimTime::ZERO, 1);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
     }
 
@@ -291,63 +223,18 @@ mod tests {
     }
 
     #[test]
-    fn window_edges_split_lanes_from_heap() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(100), 'f');
-        assert_eq!(q.pop(), Some((SimTime::from_micros(100), 'f')));
-        // Floor is 100: offsets 0..=7 go to lanes, 8 and up to the heap,
-        // and a push below the floor falls back to the heap as well.
-        for (t, e) in [(108, 'g'), (107, 'e'), (100, 'a'), (99, 'z'), (101, 'b'), (109, 'h')] {
-            q.push(SimTime::from_micros(t), e);
-        }
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(99)));
-        assert_eq!(
-            drain(&mut q),
-            [(99, 'z'), (100, 'a'), (101, 'b'), (107, 'e'), (108, 'g'), (109, 'h')]
-        );
-    }
-
-    #[test]
     fn pop_keyed_reports_each_events_sequence_number() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(5), 'a'); // seq 0, heap (floor 0)
+        q.push(SimTime::from_micros(5), 'a'); // seq 0
         let first = q.reserve(3); // seqs 1..=3
-        q.push(SimTime::from_micros(2), 'b'); // seq 4, lane
-        q.push_reserved(SimTime::from_micros(2), first + 2, 'r'); // after 'b' in its lane: heap
+        q.push(SimTime::from_micros(2), 'b'); // seq 4
+        q.push_reserved(SimTime::from_micros(2), first + 2, 'r'); // pushed after 'b', pops first
         assert_eq!(q.next_seq(), 5);
         let keys: Vec<(u64, u64, char)> =
             std::iter::from_fn(|| q.pop_keyed().map(|(t, seq, e)| (t.as_micros(), seq, e)))
                 .collect();
         assert_eq!(keys, [(2, 3, 'r'), (2, 4, 'b'), (5, 0, 'a')]);
         assert_eq!(q.next_seq(), 5, "popping hands out no numbers");
-    }
-
-    #[test]
-    fn heap_and_lane_events_at_one_time_pop_in_push_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(20), 'a'); // floor 0: heap
-        q.push(SimTime::from_micros(15), 'x');
-        assert_eq!(q.pop(), Some((SimTime::from_micros(15), 'x')));
-        q.push(SimTime::from_micros(20), 'b'); // floor 15: lane
-        q.push(SimTime::from_micros(20), 'c');
-        assert_eq!(drain(&mut q), [(20, 'a'), (20, 'b'), (20, 'c')]);
-    }
-
-    #[test]
-    fn floor_jump_reuses_lanes_for_later_times() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(1), 'a');
-        q.push(SimTime::from_micros(2), 'b');
-        q.push(SimTime::from_micros(1_003), 'd');
-        assert_eq!(drain(&mut q)[..2], [(1, 'a'), (2, 'b')]);
-        // The floor is now 1003; lanes 1 and 2 are reused at new times.
-        q.push(SimTime::from_micros(1_010), 'f'); // lane 2
-        q.push(SimTime::from_micros(1_009), 'e'); // lane 1
-        q.push(SimTime::from_micros(1_003), 'c'); // lane 3
-        assert_eq!(q.len(), 3);
-        assert_eq!(drain(&mut q), [(1_003, 'c'), (1_009, 'e'), (1_010, 'f')]);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -360,23 +247,10 @@ mod tests {
         assert_eq!(drain(&mut q), [(3, 'a'), (3, 'b'), (3, 'c')]);
     }
 
-    #[test]
-    fn clear_empties_lanes_and_heap() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(1), 'a');
-        q.push(SimTime::from_micros(50), 'b');
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pending_events().count(), 0);
-        q.push(SimTime::from_micros(3), 'c');
-        assert_eq!(drain(&mut q), [(3, 'c')]);
-    }
-
     /// A queue operation for the model test. Push delays are relative to
-    /// the floor: 0 lands on it, 7 is the last lane offset, 8 the first
-    /// heap offset, `Far` a heap-only timer and `Below` a push under the
-    /// floor.
+    /// the floor, the latest time popped so far: `Near` lands a few µs
+    /// ahead, as a radio delivery does, `Far` is a timer and `Below` a
+    /// push under the floor.
     #[derive(Clone, Debug)]
     enum Op {
         Push(Delay),
@@ -385,8 +259,7 @@ mod tests {
         /// transmission queues its deliveries.
         Group(Vec<Delay>),
         Pop,
-        /// Pops up to this many events back to back, moving the floor
-        /// past the lane contents it drains.
+        /// Pops up to this many events back to back.
         PopBurst(usize),
         Peek,
     }
