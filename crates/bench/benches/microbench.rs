@@ -16,6 +16,7 @@ use geonet_sim::{
 };
 use geonet_traffic::{RoadConfig, TrafficSim};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn pv(addr: u64, x: f64) -> LongPositionVector {
     LongPositionVector::from_sim(
@@ -158,6 +159,36 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
         b.iter(|| {
             sim.step(0.1);
             black_box(sim.count_on_road())
+        });
+    });
+
+    // The radio position sync of the same road: one step's
+    // `set_position` for every vehicle on it, as the world makes after
+    // each traffic step (vehicle i is node i). The step that produces the
+    // positions, the registrations of entering vehicles and the
+    // deactivations of exiting ones run outside the timed part.
+    c.bench_function("medium_sync_266_vehicles_sparse_40km", |b| {
+        let road =
+            RoadConfig { length: 40_000.0, ..RoadConfig::paper_two_way().with_spacing(300.0) };
+        let mut sim = TrafficSim::new(road);
+        let mut medium = Medium::new();
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                sim.step(0.1);
+                for v in &sim.all_vehicles()[medium.len()..] {
+                    medium.register(v.position(sim.road()), 486.0);
+                }
+                for vid in sim.exited_last_step() {
+                    medium.set_active(NodeId(vid.0), false);
+                }
+                let start = Instant::now();
+                for v in sim.active_vehicles() {
+                    medium.set_position(NodeId(v.id.0), v.position(sim.road()));
+                }
+                timed += start.elapsed();
+            }
+            timed
         });
     });
 

@@ -77,6 +77,10 @@ type CellMap = U64Map<Vec<u32>>;
 ///   bounds the work.
 /// * A bucket holds exactly the active entries whose position maps to its
 ///   cell; inactive nodes are absent (removed in `set_active`).
+/// * `keys[id]` is the key of the bucket holding `id` while `id` is
+///   active (stale while it is not). Insert, relocate and rebuild refresh
+///   it, so a removal or a move finds the old bucket without mapping the
+///   old position again.
 /// * Empty buckets are dropped so the map tracks occupied cells only.
 /// * Insert, remove, relocate and query all map a coordinate to its cell
 ///   through `cell_index`. Any monotone map shared by all four gives the
@@ -88,11 +92,13 @@ struct Grid {
     /// `1 / cell`.
     inv_cell: f64,
     buckets: CellMap,
+    /// The key of each active node's bucket, by node id.
+    keys: Vec<u64>,
 }
 
 impl Default for Grid {
     fn default() -> Self {
-        Grid { cell: 1.0, inv_cell: 1.0, buckets: CellMap::default() }
+        Grid { cell: 1.0, inv_cell: 1.0, buckets: CellMap::default(), keys: Vec::new() }
     }
 }
 
@@ -121,13 +127,22 @@ impl Grid {
         Self::key(self.cell_index(p.x), self.cell_index(p.y))
     }
 
-    fn insert(&mut self, id: u32, p: Position) {
-        let k = self.key_of(p);
+    /// Files `id` under key `k` and records the key.
+    fn file(&mut self, id: u32, k: u64) {
         self.buckets.entry(k).or_default().push(id);
+        let i = id as usize;
+        if i >= self.keys.len() {
+            self.keys.resize(i + 1, 0);
+        }
+        self.keys[i] = k;
     }
 
-    fn remove(&mut self, id: u32, p: Position) {
-        let k = self.key_of(p);
+    fn insert(&mut self, id: u32, p: Position) {
+        self.file(id, self.key_of(p));
+    }
+
+    fn remove(&mut self, id: u32) {
+        let k = self.keys[id as usize];
         let bucket = self.buckets.get_mut(&k).expect("grid bucket missing");
         let i = bucket.iter().position(|&x| x == id).expect("node missing from grid bucket");
         bucket.swap_remove(i);
@@ -136,10 +151,20 @@ impl Grid {
         }
     }
 
+    /// Moves active node `id` from `from` to `to`. The cell row is mapped
+    /// again only when `y` changed: road vehicles never change lane, so
+    /// their sync maps `x` alone.
     fn relocate(&mut self, id: u32, from: Position, to: Position) {
-        if self.key_of(from) != self.key_of(to) {
-            self.remove(id, from);
-            self.insert(id, to);
+        let old = self.keys[id as usize];
+        let cy = if to.y.to_bits() == from.y.to_bits() {
+            old as u32 as i32
+        } else {
+            self.cell_index(to.y)
+        };
+        let k = Self::key(self.cell_index(to.x), cy);
+        if k != old {
+            self.remove(id);
+            self.file(id, k);
         }
     }
 
@@ -147,8 +172,7 @@ impl Grid {
         self.buckets.clear();
         for (i, e) in entries.iter().enumerate() {
             if e.active {
-                let k = self.key_of(e.position);
-                self.buckets.entry(k).or_default().push(i as u32);
+                self.file(i as u32, self.key_of(e.position));
             }
         }
     }
@@ -316,7 +340,7 @@ impl Medium {
         if active {
             self.grid.insert(id.0, e.position);
         } else {
-            self.grid.remove(id.0, e.position);
+            self.grid.remove(id.0);
         }
     }
 
@@ -703,6 +727,50 @@ mod tests {
     }
 
     #[test]
+    fn grid_tracks_single_axis_moves_across_cell_edges() {
+        // Past the cutoff with 486 m ranges, so the grid's cells are 486 m
+        // and a cell edge lies at x = 486 and at y = 486.
+        let mut m = Medium::new();
+        let mut ids: Vec<NodeId> = (0..120)
+            .map(|i| m.register(Position::new(f64::from(i) * 30.0 + 243.0, 243.0), 486.0))
+            .collect();
+        // Witnesses 0.6 m either side of each edge the mover crosses. A
+        // query capped at 0.55 m stays in the witness's own cell and
+        // reaches the mover 0.1 m across the edge, so it finds the mover
+        // only if the grid filed it in its new cell.
+        for (x, y) in [(243.0, 485.4), (243.0, 486.6), (485.4, 1_200.0), (486.6, 1_200.0)] {
+            ids.push(m.register(Position::new(x, y), 486.0));
+        }
+        let check = |m: &Medium| {
+            for &id in &ids {
+                for cap in [486.0, 0.55] {
+                    assert_eq!(m.receivers_within(id, cap), m.receivers_within_linear(id, cap));
+                }
+            }
+        };
+        let mover = ids[5];
+        // Across the row edge and back with x fixed: a lane swerve, the
+        // move the Fig 13 driver makes through `World::set_node_position`.
+        for y in [485.9, 486.1, 485.9, 486.1] {
+            m.set_position(mover, Position::new(243.0, y));
+            check(&m);
+        }
+        // Across the column edge and back with y fixed: a road vehicle's
+        // sync.
+        for x in [485.9, 486.1, 485.9, 486.1, 3_000.0, 485.9] {
+            m.set_position(mover, Position::new(x, 1_200.0));
+            check(&m);
+        }
+        // A removal finds the bucket through the stored key; moved while
+        // inactive, the node is filed afresh when it comes back.
+        m.set_active(mover, false);
+        check(&m);
+        m.set_position(mover, Position::new(243.0, 486.1));
+        m.set_active(mover, true);
+        check(&m);
+    }
+
+    #[test]
     fn grid_tracks_activity_toggles() {
         let (mut m, ids) = medium_with_line(&[486.0; 120], 30.0);
         m.set_active(ids[51], false);
@@ -818,6 +886,8 @@ mod tests {
                 (0usize..160, -5_000.0f64..5_000.0, -1_000.0f64..1_000.0), 0..40),
             toggles in prop::collection::vec((0usize..160, any::<bool>()), 0..30),
             grow in prop::option::of((0usize..160, 2_000.0f64..3_000.0)),
+            later_moves in prop::collection::vec(
+                (0usize..160, 0u8..3, -5_000.0f64..5_000.0, -1_000.0f64..1_000.0), 0..40),
             cap in 0.0f64..3_000.0)
         {
             let mut m = Medium::new();
@@ -836,6 +906,19 @@ mod tests {
             }
             if let Some((i, range)) = grow {
                 m.set_tx_range(ids[i % ids.len()], range);
+            }
+            // Moves after a rebuild, which refreshed every stored bucket
+            // key: some change x only (the road sync), some y only (a
+            // lane swerve), some both.
+            for &(i, kind, x, y) in &later_moves {
+                let id = ids[i % ids.len()];
+                let p = m.position(id);
+                let to = match kind {
+                    0 => Position::new(x, p.y),
+                    1 => Position::new(p.x, y),
+                    _ => Position::new(x, y),
+                };
+                m.set_position(id, to);
             }
             for &sender in &ids {
                 let oracle = m.receivers_within_linear(sender, cap);

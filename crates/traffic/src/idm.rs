@@ -82,7 +82,7 @@ impl IdmParams {
     /// `2·√(a_max·b)`, the divisor of the desired gap's braking term. It
     /// depends on the parameters alone, so a caller evaluating many
     /// vehicles computes it once and passes it to
-    /// [`IdmParams::acceleration_with`]; the result is the same bits as
+    /// [`IdmParams::acceleration_from`]; the result is the same bits as
     /// computing it per call.
     pub(crate) fn braking_divisor(&self) -> f64 {
         2.0 * (self.max_acceleration * self.comfortable_deceleration).sqrt()
@@ -110,13 +110,29 @@ impl IdmParams {
     /// before invoking the model.
     #[must_use]
     pub fn acceleration(&self, v: f64, gap: f64, dv: f64) -> f64 {
-        self.acceleration_with(v, gap, dv, self.braking_divisor())
+        self.acceleration_from(self.free_term(v), v, gap, dv, self.braking_divisor())
     }
 
-    /// [`IdmParams::acceleration`] given [`IdmParams::braking_divisor`].
-    pub(crate) fn acceleration_with(&self, v: f64, gap: f64, dv: f64, braking_divisor: f64) -> f64 {
+    /// The free-road term `1 − (v / v0)^δ`: the model's only libm call
+    /// (`pow`). It is a pure function of `v`'s bits, so a caller that
+    /// evaluates many vehicles at the same speed computes it once and
+    /// passes it to [`IdmParams::acceleration_from`].
+    pub(crate) fn free_term(&self, v: f64) -> f64 {
+        1.0 - (v / self.desired_velocity).powf(self.acceleration_exponent)
+    }
+
+    /// [`IdmParams::acceleration`] given `free = free_term(v)` and
+    /// [`IdmParams::braking_divisor`]; the same bits as computing both per
+    /// call.
+    pub(crate) fn acceleration_from(
+        &self,
+        free: f64,
+        v: f64,
+        gap: f64,
+        dv: f64,
+        braking_divisor: f64,
+    ) -> f64 {
         assert!(gap > 0.0, "IDM undefined for non-positive gap: {gap}");
-        let free = 1.0 - (v / self.desired_velocity).powf(self.acceleration_exponent);
         let interaction = (self.desired_gap_with(v, dv, braking_divisor) / gap).powi(2);
         let a = self.max_acceleration * (free - interaction);
         a.max(-2.0 * self.comfortable_deceleration)
@@ -125,7 +141,7 @@ impl IdmParams {
     /// Acceleration on a free road (no leader).
     #[must_use]
     pub fn free_road_acceleration(&self, v: f64) -> f64 {
-        self.max_acceleration * (1.0 - (v / self.desired_velocity).powf(self.acceleration_exponent))
+        self.max_acceleration * self.free_term(v)
     }
 }
 
@@ -154,6 +170,20 @@ impl fmt::Display for IdmParams {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The model as one expression per call, before the free term was
+    /// split out: the reference the split forms must equal bit for bit.
+    fn one_call_acceleration(p: &IdmParams, v: f64, gap: f64, dv: f64) -> f64 {
+        let free = 1.0 - (v / p.desired_velocity).powf(p.acceleration_exponent);
+        let interaction = (p.desired_gap(v, dv) / gap).powi(2);
+        let a = p.max_acceleration * (free - interaction);
+        a.max(-2.0 * p.comfortable_deceleration)
+    }
+
+    /// [`one_call_acceleration`]'s free-road form.
+    fn one_call_free_road(p: &IdmParams, v: f64) -> f64 {
+        p.max_acceleration * (1.0 - (v / p.desired_velocity).powf(p.acceleration_exponent))
+    }
 
     #[test]
     fn table1_values() {
@@ -249,6 +279,37 @@ mod tests {
             let p = IdmParams::paper_default();
             let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
             prop_assert!(p.acceleration(v, hi, dv) >= p.acceleration(v, lo, dv) - 1e-9);
+        }
+
+        /// The split the traffic step relies on: a free term computed
+        /// once and passed in gives the bits of the public forms, and
+        /// both give the bits of the one-expression model, for any valid
+        /// parameters.
+        #[test]
+        fn prop_split_terms_match_one_call_forms_bit_for_bit(
+            v0 in 1.0f64..60.0, t in 0.1f64..4.0, a_max in 0.1f64..5.0,
+            b in 0.1f64..10.0, delta in 0.5f64..8.0, s0 in 0.1f64..10.0,
+            v in 0.0f64..60.0, gap in 1e-3f64..5_000.0, dv in -60.0f64..60.0)
+        {
+            let p = IdmParams {
+                desired_velocity: v0,
+                safe_time_headway: t,
+                max_acceleration: a_max,
+                comfortable_deceleration: b,
+                acceleration_exponent: delta,
+                minimum_distance: s0,
+            };
+            prop_assert!(p.validate().is_ok());
+            let free = p.free_term(v);
+            let a = p.acceleration(v, gap, dv);
+            prop_assert_eq!(
+                p.acceleration_from(free, v, gap, dv, p.braking_divisor()).to_bits(),
+                a.to_bits()
+            );
+            prop_assert_eq!(a.to_bits(), one_call_acceleration(&p, v, gap, dv).to_bits());
+            let free_road = p.free_road_acceleration(v);
+            prop_assert_eq!((p.max_acceleration * free).to_bits(), free_road.to_bits());
+            prop_assert_eq!(free_road.to_bits(), one_call_free_road(&p, v).to_bits());
         }
 
         #[test]

@@ -345,6 +345,11 @@ impl TrafficSim {
             // Compute accelerations against the current (pre-update) state,
             // then integrate — a synchronous update, standard for IDM.
             accels.clear();
+            // The free-road term (a libm `pow`) of the last speed seen. It
+            // is a pure function of the speed's bits, and a prefilled
+            // platoon moves in lockstep, so runs of followers share one
+            // call. The initial bits are a NaN's, which no speed has.
+            let mut last_free = (u64::MAX, 0.0);
             for (rank, id) in ids.iter().enumerate() {
                 let v = &vehicles[id.index()];
                 let leader_gap = if rank == 0 {
@@ -360,6 +365,12 @@ impl TrafficSim {
                     (Some(l), Some(h)) => Some(if l.0 <= h.0 { l } else { h }),
                     (l, h) => l.or(h),
                 };
+                let mut free = || {
+                    if last_free.0 != v.v.to_bits() {
+                        last_free = (v.v.to_bits(), road.idm.free_term(v.v));
+                    }
+                    last_free.1
+                };
                 let a = match binding {
                     Some((gap, lead_v)) => {
                         if gap <= 0.0 {
@@ -372,10 +383,17 @@ impl TrafficSim {
                             });
                             -f64::INFINITY // sentinel: stop below
                         } else {
-                            road.idm.acceleration_with(v.v, gap, v.v - lead_v, braking_divisor)
+                            road.idm.acceleration_from(
+                                free(),
+                                v.v,
+                                gap,
+                                v.v - lead_v,
+                                braking_divisor,
+                            )
                         }
                     }
-                    None => road.idm.free_road_acceleration(v.v),
+                    // `free_road_acceleration`'s operations.
+                    None => road.idm.max_acceleration * free(),
                 };
                 accels.push(a);
             }
