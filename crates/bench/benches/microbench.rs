@@ -1,6 +1,7 @@
 //! Microbenchmarks of the hot paths: wire codecs, the security envelope,
-//! location-table operations, greedy selection, CBF bookkeeping, the
-//! radio medium and raw event-loop throughput.
+//! location-table operations, greedy selection, CBF bookkeeping, beacon
+//! inbox folds and compactions, the radio medium and raw event-loop
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use geonet::wire::GnPacket;
@@ -9,8 +10,8 @@ use geonet::{
     GnRouter, LocationTable, LongPositionVector, SequenceNumber,
 };
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::{delay_us, Medium, NodeId};
-use geonet_scenarios::{ScenarioConfig, World};
+use geonet_radio::{delay_us, DelayTable, Medium, NodeId};
+use geonet_scenarios::{InboxBench, ScenarioConfig, World};
 use geonet_sim::{
     shared, shared_registry, NullSink, SimDuration, SimTime, StateHasher, Telemetry, Tracer,
 };
@@ -142,6 +143,17 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
             black_box(sum)
         });
     });
+    // The same walk with the delays looked up, as the world takes them.
+    let delays = DelayTable::<15>::new();
+    c.bench_function("radio_fanout_30m_delay_table", |b| {
+        b.iter(|| {
+            let mut sum = 0u64;
+            road.fan_out(black_box(NodeId(67)), 486.0, |rx, d2| {
+                sum += u64::from(rx.0) + delays.delay_us(d2);
+            });
+            black_box(sum)
+        });
+    });
 
     c.bench_function("traffic_step_133_vehicles", |b| {
         let mut sim = TrafficSim::new(RoadConfig::paper_default());
@@ -205,6 +217,15 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
             black_box(sim.count_on_road())
         });
     });
+}
+
+fn bench_beacon_log(c: &mut Criterion) {
+    // A full inbox of a router nothing reads: 64 neighbours, 4 beacons
+    // each. A fold counts all 256 and writes 64 table entries; a
+    // compaction counts and drops 192 and keeps 64.
+    let mut inbox = InboxBench::new(64, 4);
+    c.bench_function("beacon_fold_256_entries", |b| b.iter(|| inbox.fold()));
+    c.bench_function("beacon_compact_256_entries", |b| b.iter(|| black_box(inbox.compact())));
 }
 
 fn bench_handle_frame(c: &mut Criterion) {
@@ -347,7 +368,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_wire, bench_security, bench_loct_and_gf, bench_cbf,
-              bench_handle_frame, bench_audit, bench_topo,
+              bench_beacon_log, bench_handle_frame, bench_audit, bench_topo,
               bench_medium_and_traffic, bench_world_throughput
 }
 criterion_main!(micro);

@@ -614,12 +614,33 @@ impl GnRouter {
     /// per-delivery observer is attached, and may do so late, as long as
     /// it applies them in arrival order before anything reads this
     /// router's table.
+    ///
+    /// It is [`GnRouter::count_beacon`], then [`GnRouter::write_beacon`]
+    /// if the beacon was accepted. The two halves may also be taken
+    /// apart: the count reads no router state a beacon changes, so
+    /// beacons can be counted in any order, and a table write overwrites
+    /// its address's entry unconditionally, so of a run of beacons only
+    /// the last accepted one per address needs writing.
     pub fn apply_beacon(&mut self, pv: &LongPositionVector, authentic: bool, now: SimTime) {
-        let outcome = self.beacon_outcome(pv, authentic, now);
-        if matches!(outcome, TraceEvent::BeaconAccepted { .. }) {
-            self.loct.update(*pv, now);
+        if self.count_beacon(pv, authentic, now) {
+            self.write_beacon(pv, now);
         }
+    }
+
+    /// Records the decision on a beacon advertising `pv` that arrived at
+    /// `now` in the counters ([`GnRouter::beacon_outcome`]) and returns
+    /// whether it was accepted. The location table is left alone.
+    pub fn count_beacon(&mut self, pv: &LongPositionVector, authentic: bool, now: SimTime) -> bool {
+        let outcome = self.beacon_outcome(pv, authentic, now);
         self.stats.record(&outcome);
+        matches!(outcome, TraceEvent::BeaconAccepted { .. })
+    }
+
+    /// Writes an accepted beacon advertising `pv` that arrived at `now`
+    /// into the location table, the update [`GnRouter::receive`] makes.
+    /// The counters are left alone.
+    pub fn write_beacon(&mut self, pv: &LongPositionVector, now: SimTime) {
+        self.loct.update(*pv, now);
     }
 
     fn handle_beacon_or_gbc(

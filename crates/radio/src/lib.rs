@@ -33,5 +33,5 @@
 pub mod medium;
 pub mod profile;
 
-pub use medium::{delay_us, Medium, NodeId};
+pub use medium::{delay_us, DelayTable, Medium, NodeId};
 pub use profile::{AccessTechnology, RangeCondition, RangeProfile};

@@ -63,6 +63,56 @@ pub fn delay_us(d2: f64) -> u64 {
     t.saturating_add(u64::from((t as f64) < q)).max(1)
 }
 
+/// [`delay_us`] by table for delays up to `N` µs: the largest squared
+/// distance of each whole microsecond, so that a delay is the first
+/// threshold at or above `d2`, found by comparisons alone. Equal to
+/// [`delay_us`] for every `d2`; past the last threshold it calls it.
+#[derive(Debug, Clone, Copy)]
+pub struct DelayTable<const N: usize> {
+    /// `max_d2[k]`: the largest `d2` with `delay_us(d2) <= k + 1`.
+    max_d2: [f64; N],
+}
+
+impl<const N: usize> DelayTable<N> {
+    /// Finds each threshold by bisection on the bit pattern: the bits of
+    /// a non-negative `f64` order like its value, and [`delay_us`] is
+    /// monotone in `d2` (a correctly rounded square root and quotient,
+    /// then a ceiling).
+    #[must_use]
+    pub fn new() -> Self {
+        let largest_within = |us: u64| {
+            // delay_us(lo) <= us < delay_us(hi)
+            let (mut lo, mut hi) = (0.0f64.to_bits(), f64::INFINITY.to_bits());
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if delay_us(f64::from_bits(mid)) <= us {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            f64::from_bits(lo)
+        };
+        DelayTable { max_d2: std::array::from_fn(|k| largest_within(k as u64 + 1)) }
+    }
+
+    /// [`delay_us`] of `d2`.
+    #[must_use]
+    #[inline]
+    pub fn delay_us(&self, d2: f64) -> u64 {
+        match self.max_d2.iter().position(|&max| d2 <= max) {
+            Some(k) => k as u64 + 1,
+            None => delay_us(d2),
+        }
+    }
+}
+
+impl<const N: usize> Default for DelayTable<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Grid buckets keyed by packed `(cx, cy)` cell coordinates.
 type CellMap = U64Map<Vec<u32>>;
 
@@ -637,6 +687,33 @@ mod tests {
         assert_eq!(delay_us(300.0 * 300.0), 2);
         // The range test's squared distance of a 486 m link.
         assert_eq!(delay_us(486.0 * 486.0), 2);
+    }
+
+    #[test]
+    fn delay_table_equals_delay_us() {
+        let table = DelayTable::<15>::new();
+        // Every threshold and 3 ulp either side of it, where a delay
+        // changes, including the last one, past which the table defers.
+        for &max in &table.max_d2 {
+            let mut d2 = max;
+            for _ in 0..3 {
+                d2 = d2.next_down();
+            }
+            for _ in 0..7 {
+                assert_eq!(table.delay_us(d2), delay_us(d2), "d² = {d2}");
+                d2 = d2.next_up();
+            }
+            assert!(delay_us(max) < delay_us(max.next_up()), "{max} is no threshold");
+        }
+        // A dense sweep out past the table, and the edges.
+        let last = table.max_d2[14];
+        for k in 0..=400_000u32 {
+            let d2 = f64::from(k) / 300_000.0 * last;
+            assert_eq!(table.delay_us(d2), delay_us(d2), "d² = {d2}");
+        }
+        for d2 in [0.0, f64::MIN_POSITIVE, 1e-300, 486.0 * 486.0, 1e12, f64::MAX, f64::INFINITY] {
+            assert_eq!(table.delay_us(d2), delay_us(d2), "d² = {d2}");
+        }
     }
 
     #[test]

@@ -11,10 +11,26 @@
 //! receiver to that receiver's inbox ([`LazyRouter`]), and applies an
 //! inbox to its router only when something is about to read the router:
 //! a *fold*. The fold applies the entries that arrived before the current
-//! event's `(time, sequence)` key — the *barrier* — in arrival order,
-//! through [`GnRouter::apply_beacon`], which makes the same checks and
-//! the same table update as [`GnRouter::receive`]. Entries past the
+//! event's `(time, sequence)` key — the *barrier*. Entries past the
 //! barrier are still on the air and stay in the inbox.
+//!
+//! A location table is a cache filled when it is read. Three facts make
+//! a fold exact without applying every entry in turn:
+//! - [`GnRouter::count_beacon`] reads only the record (its verdict and
+//!   position-vector timestamp) and the arrival time, never router state,
+//!   so entries can be counted in any order;
+//! - [`GnRouter::write_beacon`] overwrites its address's entry
+//!   unconditionally, so after a run of beacons only the newest accepted
+//!   one per address is visible;
+//! - a location table promises no iteration order.
+//!
+//! So a fold walks its due entries newest first, counts each, and writes
+//! only the first accepted one per address: what
+//! [`GnRouter::apply_beacon`] of each entry in arrival order leaves. An
+//! inbox that reaches [`INBOX_CAP`] entries is *compacted*: every due entry
+//! but the newest accepted one per address is counted and dropped, and
+//! the survivors wait, uncounted, for a fold. Only an inbox that is still
+//! half full after that is folded.
 //!
 //! Records are retired by age, a chunk of 1,024 at a time: once the
 //! newest record of the oldest chunk is a location-table TTL old, the
@@ -28,9 +44,12 @@
 //! in the radio's fan-out order; a delivery's sequence number follows its
 //! receiver's rank in id order, which is worked out on demand.
 
-use geonet::{GnRouter, LongPositionVector};
-use geonet_sim::{SimDuration, SimTime};
-use std::cell::Cell;
+use geonet::{
+    CertificateAuthority, GnAddress, GnConfig, GnRouter, LongPositionVector, RouterStats,
+};
+use geonet_geo::{GeoReference, Heading, Position};
+use geonet_sim::{SimDuration, SimTime, TraceEvent};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
 /// A point in the event order: `(time, kernel sequence number)`. A
@@ -45,8 +64,8 @@ const ID_MASK: u32 = (1 << ID_BITS) - 1;
 /// of propagation. A sender whose range reaches further transmits eagerly.
 pub(crate) const MAX_OFFSET_US: u64 = (1 << (32 - ID_BITS)) - 1;
 
-/// Inbox length at which an inbox is folded on append, so that a router
-/// nothing reads holds a bounded backlog.
+/// Inbox length at which an inbox is compacted on append, so that a
+/// router nothing reads holds a bounded backlog.
 const INBOX_CAP: usize = 256;
 
 /// One logged beacon transmission: what its receivers' routers need to
@@ -122,6 +141,10 @@ impl Records {
 pub(crate) struct Entry(u32);
 
 impl Entry {
+    /// Marks an entry a fold or compaction consumed, until it is removed.
+    /// No entry arrives at offset 0.
+    const CONSUMED: Entry = Entry(0);
+
     /// The entry of a receiver of record `id` arriving `offset_us` after
     /// the send.
     fn new(id: u64, offset_us: u64) -> Self {
@@ -182,16 +205,21 @@ pub struct BeaconLogStats {
     /// Inbox entries appended: one per legitimate receiver of a logged
     /// transmission.
     pub inbox_entries: u64,
-    /// Folds before a router's state was read: an eager delivery, a
-    /// timer, an origination, [`World::router`],
-    /// [`World::aggregate_stats`], a topology snapshot or a telemetry
-    /// depth sample.
+    /// Folds before a router's state was read: an eager delivery
+    /// addressed to it, a timer, an origination, [`World::router`], a
+    /// topology snapshot or a telemetry depth sample.
     ///
     /// [`World::router`]: crate::World::router
-    /// [`World::aggregate_stats`]: crate::World::aggregate_stats
     pub folds_read: u64,
-    /// Folds of an inbox that reached its length cap.
+    /// Folds of an inbox still half full after its compaction.
     pub folds_cap: u64,
+    /// Compactions of an inbox that reached its length cap.
+    pub compactions: u64,
+    /// Inbox entries counted and dropped by compactions.
+    pub entries_compacted: u64,
+    /// Location-table writes made by folds: one per address among a
+    /// fold's accepted entries.
+    pub loct_writes: u64,
     /// Folds of an inbox whose oldest entry passed the LocT TTL.
     pub folds_ttl: u64,
     /// Folds of a vehicle's inbox as it left the road.
@@ -221,6 +249,78 @@ pub(crate) struct BeaconLog {
     /// receivers start in `receivers`.
     open: (u64, usize),
     stats: Cell<BeaconLogStats>,
+    /// Working space of folds and compactions, which run through `&self`.
+    scratch: RefCell<Scratch>,
+}
+
+/// A due inbox entry: its arrival, its record's index and its position in
+/// the inbox.
+type Due = (SimTime, u32, u32);
+
+#[derive(Debug, Default)]
+struct Scratch {
+    due: Vec<Due>,
+    seen: Seen,
+}
+
+/// A set of packed addresses that empties in O(1): a slot holds an
+/// address and the epoch it was written in, and only slots of the current
+/// epoch count. Open addressing with linear probing, at most half full.
+/// Its slots are allocated by the first fold, not with the world, with
+/// room for a full inbox, so that they are allocated once.
+#[derive(Debug, Default)]
+struct Seen {
+    slots: Vec<(u64, u32)>,
+    epoch: u32,
+    /// `64 - log2(slots.len())`: the hash keeps the top bits.
+    shift: u32,
+}
+
+impl Seen {
+    /// Empties the set and makes room for `n` addresses.
+    fn clear(&mut self, n: usize) {
+        let want = (2 * n).next_power_of_two().max(2 * INBOX_CAP);
+        if self.slots.len() < want {
+            self.slots = vec![(0, 0); want];
+            self.shift = 64 - want.trailing_zeros();
+            self.epoch = 0;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Slots of the epoch that just came round again would count.
+            self.slots.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    /// The slot holding `addr` (`true`), or the free slot where it goes.
+    fn find(&self, addr: u64) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let (held, epoch) = self.slots[i];
+            if epoch != self.epoch {
+                return (i, false);
+            }
+            if held == addr {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        self.find(addr).1
+    }
+
+    /// Adds `addr` and returns whether it was new.
+    fn insert(&mut self, addr: u64) -> bool {
+        let (i, held) = self.find(addr);
+        if !held {
+            self.slots[i] = (addr, self.epoch);
+        }
+        !held
+    }
 }
 
 impl BeaconLog {
@@ -248,20 +348,17 @@ impl BeaconLog {
     }
 
     /// Adds node `rx`, arriving `offset_us` after the send, to the
-    /// transmission begun last: one inbox entry in `lazy`, which is folded
-    /// up to `barrier` if that fills it. `scratch` is working space.
-    pub(crate) fn append(
-        &mut self,
-        lazy: &mut LazyRouter,
-        rx: u32,
-        offset_us: u64,
-        barrier: Key,
-        scratch: &mut Vec<(SimTime, u32)>,
-    ) {
+    /// transmission begun last: one inbox entry in `lazy`, which is
+    /// compacted up to `barrier` if that fills it, and folded if it is
+    /// still half full after that.
+    pub(crate) fn append(&mut self, lazy: &mut LazyRouter, rx: u32, offset_us: u64, barrier: Key) {
         lazy.inbox.push(Entry::new(self.open.0, offset_us));
         self.receivers.push((rx, offset_us as u8));
         if lazy.inbox.len() >= INBOX_CAP {
-            self.fold(lazy, barrier, Fold::Cap, scratch);
+            self.compact(lazy, barrier);
+            if lazy.inbox.len() >= INBOX_CAP / 2 {
+                self.fold(lazy, barrier, Fold::Cap);
+            }
         }
     }
 
@@ -307,44 +404,56 @@ impl BeaconLog {
         })
     }
 
+    /// Fills `due` with the entries of `inbox` that arrived before
+    /// `barrier`, in (arrival, record) order: the order their deliveries
+    /// would have popped in.
+    fn collect_due(&self, inbox: &[Entry], barrier: Key, due: &mut Vec<Due>) {
+        due.clear();
+        for (pos, &e) in inbox.iter().enumerate() {
+            let (i, at, seq) = self.arrival(e);
+            if (at, seq) < barrier {
+                due.push((at, i as u32, pos as u32));
+            }
+        }
+        // Record order is sequence order, so (arrival, index) is the pop
+        // order. Only records sent within a few µs of each other can
+        // cross, and those come from different sources (a replay never
+        // arrives before its original), so the sort is for exactness and
+        // rarely runs.
+        if !due.is_sorted() {
+            due.sort_unstable();
+        }
+    }
+
     /// Applies every entry of `lazy`'s inbox that arrived before
-    /// `barrier` to its router, in (arrival, sequence) order, and removes
-    /// them. Entries still on the air stay. `scratch` is working space.
-    pub(crate) fn fold(
-        &self,
-        lazy: &mut LazyRouter,
-        barrier: Key,
-        trigger: Fold,
-        scratch: &mut Vec<(SimTime, u32)>,
-    ) {
+    /// `barrier` to its router and removes them; entries still on the air
+    /// stay. The router ends as [`GnRouter::apply_beacon`] of each entry
+    /// in arrival order leaves it, but the entries are walked newest
+    /// first: each is counted, and only the first accepted one per
+    /// address is written to the location table.
+    pub(crate) fn fold(&self, lazy: &mut LazyRouter, barrier: Key, trigger: Fold) {
         if lazy.inbox.is_empty() {
             return;
         }
-        scratch.clear();
-        lazy.inbox.retain(|&e| {
-            let (i, at, seq) = self.arrival(e);
-            let due = (at, seq) < barrier;
-            if due {
-                scratch.push((at, i as u32));
-            }
-            !due
-        });
-        if scratch.is_empty() {
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { due, seen } = &mut *scratch;
+        self.collect_due(&lazy.inbox, barrier, due);
+        if due.is_empty() {
             return;
         }
-        // Record order is sequence order, so (arrival, index) is the
-        // order the deliveries would have popped in. Only records sent
-        // within a few µs of each other can cross, and those come from
-        // different sources (a replay never arrives before its original),
-        // so the sort is for exactness and rarely runs.
-        if !scratch.is_sorted() {
-            scratch.sort_unstable();
-        }
-        for &(at, i) in scratch.iter() {
+        seen.clear(due.len());
+        let mut writes = 0;
+        for &(at, i, pos) in due.iter().rev() {
             let r = self.records.get(i as usize);
-            lazy.router.apply_beacon(&r.pv, r.authentic, at);
+            if lazy.router.count_beacon(&r.pv, r.authentic, at) && seen.insert(r.pv.addr.to_u64()) {
+                lazy.router.write_beacon(&r.pv, at);
+                writes += 1;
+            }
+            lazy.inbox[pos as usize] = Entry::CONSUMED;
         }
+        lazy.inbox.retain(|&e| e != Entry::CONSUMED);
         let mut s = self.stats.get();
+        s.loct_writes += writes;
         match trigger {
             Fold::Read => s.folds_read += 1,
             Fold::Cap => s.folds_cap += 1,
@@ -355,15 +464,58 @@ impl BeaconLog {
         self.stats.set(s);
     }
 
+    /// Counts and drops every entry of `lazy`'s inbox that arrived before
+    /// `barrier` except the newest accepted one per address, which no
+    /// later fold can skip writing. The survivors stay in the inbox,
+    /// uncounted and in record order, with the entries still on the air.
+    pub(crate) fn compact(&self, lazy: &mut LazyRouter, barrier: Key) {
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { due, seen } = &mut *scratch;
+        self.collect_due(&lazy.inbox, barrier, due);
+        seen.clear(due.len());
+        let mut dropped = 0;
+        for &(at, i, pos) in due.iter().rev() {
+            let r = self.records.get(i as usize);
+            let addr = r.pv.addr.to_u64();
+            if !seen.contains(addr)
+                && matches!(
+                    lazy.router.beacon_outcome(&r.pv, r.authentic, at),
+                    TraceEvent::BeaconAccepted { .. }
+                )
+            {
+                seen.insert(addr);
+            } else {
+                lazy.router.count_beacon(&r.pv, r.authentic, at);
+                lazy.inbox[pos as usize] = Entry::CONSUMED;
+                dropped += 1;
+            }
+        }
+        lazy.inbox.retain(|&e| e != Entry::CONSUMED);
+        let mut s = self.stats.get();
+        s.compactions += 1;
+        s.entries_compacted += dropped;
+        self.stats.set(s);
+    }
+
+    /// `lazy`'s router counters with the entries that arrived before
+    /// `barrier` counted, as a fold would leave them, without folding:
+    /// counts need no order and no table.
+    pub(crate) fn counted(&self, lazy: &LazyRouter, barrier: Key) -> RouterStats {
+        let mut stats = lazy.router.stats();
+        for &e in &lazy.inbox {
+            let (i, at, seq) = self.arrival(e);
+            if (at, seq) < barrier {
+                let r = self.records.get(i);
+                stats.record(&lazy.router.beacon_outcome(&r.pv, r.authentic, at));
+            }
+        }
+        stats
+    }
+
     /// Empties the inbox of a router that went off the air, after a fold
     /// up to `barrier`: the entries left arrive after it.
-    pub(crate) fn close(
-        &self,
-        lazy: &mut LazyRouter,
-        barrier: Key,
-        scratch: &mut Vec<(SimTime, u32)>,
-    ) {
-        self.fold(lazy, barrier, Fold::Exit, scratch);
+    pub(crate) fn close(&self, lazy: &mut LazyRouter, barrier: Key) {
+        self.fold(lazy, barrier, Fold::Exit);
         let mut s = self.stats.get();
         s.exit_drops += lazy.inbox.len() as u64;
         self.stats.set(s);
@@ -435,9 +587,77 @@ impl BeaconLog {
     }
 }
 
+/// A router with an inbox of `senders × per_sender` due beacons, each
+/// sender's beacons 100 ms apart, which it folds or compacts again and
+/// again: the `beacon_fold_*` and `beacon_compact_*` microbenches.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct InboxBench {
+    log: BeaconLog,
+    lazy: LazyRouter,
+    inbox: Vec<Entry>,
+    barrier: Key,
+}
+
+impl InboxBench {
+    #[must_use]
+    pub fn new(senders: u64, per_sender: u64) -> Self {
+        let reference = GeoReference::default();
+        let ca = CertificateAuthority::new(1);
+        let router = GnRouter::new(
+            ca.enroll(GnAddress::vehicle(0)),
+            ca.verifier(),
+            GnConfig::paper_default(486.0),
+            reference,
+        );
+        let mut log = BeaconLog::default();
+        let mut lazy = LazyRouter::new(router);
+        // Logged before anything is due, so that the append at the cap
+        // neither compacts nor folds anything.
+        let start = (SimTime::from_secs(1), 0);
+        let mut seq = 0;
+        for round in 0..per_sender {
+            for s in 1..=senders {
+                let sent = start.0 + SimDuration::from_micros(100_000 * round + 1_000 * s);
+                let at = Position::new(30.0 * s as f64, 2.5);
+                let pv = LongPositionVector::from_sim(
+                    GnAddress::vehicle(s),
+                    sent,
+                    at,
+                    30.0,
+                    Heading::EAST,
+                    &reference,
+                );
+                log.begin(pv, true, sent, seq, start);
+                log.append(&mut lazy, 0, 1, start);
+                log.finish();
+                seq += 1;
+            }
+        }
+        let inbox = lazy.inbox.clone();
+        let barrier = (start.0 + SimDuration::from_micros(100_000 * per_sender), seq);
+        InboxBench { log, lazy, inbox, barrier }
+    }
+
+    /// Refills the inbox and folds it.
+    pub fn fold(&mut self) {
+        self.lazy.inbox.clone_from(&self.inbox);
+        self.log.fold(&mut self.lazy, self.barrier, Fold::Read);
+    }
+
+    /// Refills the inbox and compacts it; returns the survivors.
+    pub fn compact(&mut self) -> usize {
+        self.lazy.inbox.clone_from(&self.inbox);
+        self.log.compact(&mut self.lazy, self.barrier);
+        self.lazy.inbox.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geonet_sim::StateHasher;
+    use proptest::prelude::*;
 
     #[test]
     fn entries_and_records_stay_small() {
@@ -469,17 +689,151 @@ mod tests {
         let mut log = BeaconLog::default();
         let sent = SimTime::from_micros(10);
         let pv = LongPositionVector::from_sim(
-            geonet::GnAddress::vehicle(1),
+            GnAddress::vehicle(1),
             sent,
-            geonet_geo::Position::ORIGIN,
+            Position::ORIGIN,
             0.0,
-            geonet_geo::Heading::from_degrees(0.0),
-            &geonet_geo::GeoReference::default(),
+            Heading::from_degrees(0.0),
+            &GeoReference::default(),
         );
         log.begin(pv, true, sent, 7, (sent, 7));
         assert_eq!(log.finish(), 0);
         assert_eq!(log.records.len(), 0);
         assert_eq!(log.stats(), BeaconLogStats::default());
         assert_eq!(log.keys().count(), 0);
+    }
+
+    #[test]
+    fn seen_set_empties_on_clear_and_across_an_epoch_wrap() {
+        let mut seen = Seen::default();
+        seen.clear(3);
+        assert!(seen.insert(7) && seen.insert(7 << 40) && !seen.insert(7));
+        assert!(seen.contains(7) && !seen.contains(8));
+        seen.clear(3);
+        assert!(!seen.contains(7) && seen.insert(7));
+        seen.epoch = u32::MAX;
+        seen.insert(9);
+        seen.clear(3);
+        assert_eq!(seen.epoch, 1);
+        assert!(!seen.contains(9) && !seen.contains(7));
+        // Room for more than the table holds.
+        seen.clear(100);
+        assert!((0..100).all(|a| seen.insert(a * 0x1_0000)));
+        assert!((0..100).all(|a| seen.contains(a * 0x1_0000)));
+    }
+
+    #[test]
+    fn inbox_bench_compacts_to_one_entry_per_sender() {
+        let mut bench = InboxBench::new(64, 4);
+        assert_eq!(bench.inbox.len(), 256);
+        assert_eq!(bench.compact(), 64);
+        bench.fold();
+        assert!(bench.lazy.inbox.is_empty());
+        let s = bench.log.stats();
+        assert_eq!((s.entries_compacted, s.loct_writes), (192, 64));
+        assert_eq!(bench.lazy.router.loct().stored_count(), 64);
+    }
+
+    /// One logged beacon of the random inboxes below.
+    #[derive(Debug, Clone, Copy)]
+    struct Beacon {
+        src: u64,
+        /// µs after the previous beacon; under 16 µs, arrivals can cross.
+        gap_us: u64,
+        offset_us: u64,
+        /// 0: a replay of an earlier beacon's position vector, stale when
+        /// that is over a second old; 1: a forged signature; else fresh.
+        kind: u8,
+        /// Compact the inbox right after this beacon is logged.
+        compact: bool,
+    }
+
+    fn beacon() -> impl Strategy<Value = Beacon> {
+        (0u64..6, prop_oneof![0u64..16, 1_000u64..300_000], 1..=MAX_OFFSET_US, 0u8..6, any::<u8>())
+            .prop_map(|(src, gap_us, offset_us, kind, c)| Beacon {
+                src,
+                gap_us,
+                offset_us,
+                kind,
+                compact: c % 8 == 0,
+            })
+    }
+
+    fn router(ca: &CertificateAuthority) -> GnRouter {
+        GnRouter::new(
+            ca.enroll(GnAddress::vehicle(99)),
+            ca.verifier(),
+            GnConfig::paper_default(486.0),
+            GeoReference::default(),
+        )
+    }
+
+    fn digest(r: &GnRouter) -> u64 {
+        let mut h = StateHasher::new();
+        r.digest_into(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        /// Compactions at random points (and at the cap), then a fold,
+        /// leave a router's table and counters as applying every due
+        /// beacon in arrival order does; the entries past the barrier
+        /// stay, and `counted` agrees with the fold.
+        #[test]
+        fn compact_then_fold_equals_apply_all_in_order(
+            beacons in prop::collection::vec(beacon(), 1..400),
+            tail_us in 0u64..20,
+        ) {
+            let ca = CertificateAuthority::new(3);
+            let reference = GeoReference::default();
+            let mut log = BeaconLog::default();
+            let mut lazy = LazyRouter::new(router(&ca));
+            let mut sent = SimTime::from_secs(1);
+            let mut seq = 0u64;
+            let mut pvs = Vec::new();
+            let mut arrivals = Vec::new();
+            for (k, b) in beacons.iter().enumerate() {
+                sent += SimDuration::from_micros(b.gap_us);
+                let fresh = LongPositionVector::from_sim(
+                    GnAddress::vehicle(b.src),
+                    sent,
+                    Position::new(30.0 * b.src as f64 + k as f64, 2.5),
+                    30.0,
+                    Heading::EAST,
+                    &reference,
+                );
+                let (pv, authentic) = match b.kind {
+                    0 => (pvs.get(k / 2).copied().unwrap_or(fresh), true),
+                    1 => (fresh, false),
+                    _ => (fresh, true),
+                };
+                pvs.push(pv);
+                // The barrier of the beacon event, just below the
+                // sequence numbers its receivers get.
+                let barrier = (sent, seq);
+                seq += 1;
+                log.begin(pv, authentic, sent, seq, barrier);
+                log.append(&mut lazy, 0, b.offset_us, barrier);
+                log.finish();
+                arrivals.push((sent + SimDuration::from_micros(b.offset_us), seq, pv, authentic));
+                seq += 1;
+                if b.compact {
+                    log.compact(&mut lazy, barrier);
+                }
+            }
+            let barrier = (sent + SimDuration::from_micros(tail_us), seq);
+            let mut expected = router(&ca);
+            arrivals.sort_by_key(|&(at, first_seq, _, _)| (at, first_seq));
+            let due: Vec<_> =
+                arrivals.iter().filter(|&&(at, first_seq, _, _)| (at, first_seq) < barrier).collect();
+            for &&(at, _, pv, authentic) in &due {
+                expected.apply_beacon(&pv, authentic, at);
+            }
+            prop_assert_eq!(log.counted(&lazy, barrier), expected.stats());
+            log.fold(&mut lazy, barrier, Fold::Read);
+            prop_assert_eq!(lazy.router.stats(), expected.stats());
+            prop_assert_eq!(digest(&lazy.router), digest(&expected));
+            prop_assert_eq!(lazy.inbox.len(), arrivals.len() - due.len());
+        }
     }
 }

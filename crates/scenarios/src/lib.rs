@@ -77,6 +77,8 @@ pub mod topology;
 pub mod world;
 
 pub use beacon_log::BeaconLogStats;
+#[doc(hidden)]
+pub use beacon_log::InboxBench;
 pub use campaign::{Family, Sent};
 pub use config::{AttackerSetup, ScenarioConfig};
 pub use heatmap::{BlastRadiusReport, HeatCell, HeatmapDiff, HeatmapDiffRow, RoadHeatmap};

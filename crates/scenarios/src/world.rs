@@ -8,7 +8,7 @@ use geonet::{
 };
 use geonet_attack::{Attacker, Strategy};
 use geonet_geo::{Area, GeoReference, Heading, Position};
-use geonet_radio::{delay_us, Medium, NodeId};
+use geonet_radio::{delay_us, DelayTable, Medium, NodeId};
 use geonet_sim::{
     Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry, SharedSink,
     SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode, TopoSnapshot,
@@ -18,6 +18,7 @@ use geonet_traffic::{Direction, TrafficSim, VehicleId};
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// What a radio node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +145,6 @@ pub struct World {
     /// above every event that has happened and below every one queued
     /// since: logged deliveries below it have happened.
     barrier: Key,
-    /// Working space of inbox folds.
-    fold_buf: Vec<(SimTime, u32)>,
 }
 
 impl World {
@@ -191,7 +190,6 @@ impl World {
             batched_deliveries: 0,
             log: BeaconLog::default(),
             barrier: (SimTime::ZERO, 0),
-            fold_buf: Vec::new(),
             cfg,
         };
         // Register the pre-filled vehicles.
@@ -473,7 +471,7 @@ impl World {
     /// first if anything in it has arrived — a read through `&self`.
     fn read<'a>(&'a self, cell: &'a RefCell<LazyRouter>, trigger: Fold) -> Ref<'a, GnRouter> {
         if self.log.has_due(&cell.borrow(), self.barrier) {
-            self.log.fold(&mut cell.borrow_mut(), self.barrier, trigger, &mut Vec::new());
+            self.log.fold(&mut cell.borrow_mut(), self.barrier, trigger);
         }
         Ref::map(cell.borrow(), |lazy| &lazy.router)
     }
@@ -482,7 +480,7 @@ impl World {
     /// access of every event that reads or changes the router's state.
     fn router_mut(&mut self, node: NodeId) -> &mut GnRouter {
         let lazy = self.routers[node.index()].as_mut().expect("legitimate node").get_mut();
-        self.log.fold(lazy, self.barrier, Fold::Read, &mut self.fold_buf);
+        self.log.fold(lazy, self.barrier, Fold::Read);
         &mut lazy.router
     }
 
@@ -599,12 +597,14 @@ impl World {
     }
 
     /// Sums the router statistics over every legitimate node (including
-    /// exited vehicles) — the run-level view of protocol activity.
+    /// exited vehicles) — the run-level view of protocol activity. The
+    /// beacons in an inbox are counted, not folded: nothing reads the
+    /// location tables here.
     #[must_use]
     pub fn aggregate_stats(&self) -> geonet::RouterStats {
         let mut agg = geonet::RouterStats::default();
         for cell in self.routers.iter().flatten() {
-            agg.merge(&self.read(cell, Fold::Read).stats());
+            agg.merge(&self.log.counted(&cell.borrow(), self.barrier));
         }
         agg
     }
@@ -810,7 +810,7 @@ impl World {
             let node = self.vehicle_nodes[vid.index()];
             self.medium.set_active(node, false);
             let lazy = self.routers[node.index()].as_mut().expect("vehicle router").get_mut();
-            self.log.close(lazy, self.barrier, &mut self.fold_buf);
+            self.log.close(lazy, self.barrier);
         }
         for v in self.traffic.active_vehicles() {
             let node = self.vehicle_nodes[v.id.index()];
@@ -854,7 +854,7 @@ impl World {
         for cell in self.routers.iter_mut().flatten() {
             let lazy = cell.get_mut();
             if lazy.inbox.first().is_some_and(|&e| self.log.sent(e) < cutoff) {
-                self.log.fold(lazy, self.barrier, Fold::Ttl, &mut self.fold_buf);
+                self.log.fold(lazy, self.barrier, Fold::Ttl);
             }
         }
         self.log.retire_before(cutoff);
@@ -887,7 +887,7 @@ impl World {
         for cell in active {
             // Beacons logged before the registry was attached.
             let lazy = cell.get_mut();
-            self.log.fold(lazy, self.barrier, Fold::Read, &mut self.fold_buf);
+            self.log.fold(lazy, self.barrier, Fold::Read);
             let router = &lazy.router;
             let loct = router.loct().live_count(now) as u64;
             let cbf = router.cbf_buffered_count() as u64;
@@ -944,7 +944,14 @@ impl World {
             return;
         }
         let position = self.medium.position(to);
-        let actions = self.router_mut(to).receive(on_air, position, now);
+        // A unicast for someone else stops at the address filter, which
+        // reads nothing a beacon changes: the overhearing router is not
+        // folded.
+        let lazy = self.routers[to.index()].as_mut().expect("legitimate node").get_mut();
+        if frame.addressed_to(lazy.router.addr()) {
+            self.log.fold(lazy, self.barrier, Fold::Read);
+        }
+        let actions = lazy.router.receive(on_air, position, now);
         self.execute(to, actions);
     }
 
@@ -1072,7 +1079,7 @@ impl World {
             for &rx in &receivers[..legit] {
                 let us = self.medium.propagation_delay(from, rx).as_micros();
                 let lazy = self.routers[rx.index()].as_mut().expect("legitimate node").get_mut();
-                self.log.append(lazy, rx.0, us, self.barrier, &mut self.fold_buf);
+                self.log.append(lazy, rx.0, us, self.barrier);
             }
             self.log.finish();
             legit
@@ -1111,20 +1118,21 @@ impl World {
 
     /// Puts a lossless beacon on the air in one pass over the radio's
     /// fan-out (see `beacon_log`): each legitimate receiver gets its inbox
-    /// entry as the walk finds it, with the arrival offset taken from the
-    /// squared distance of the range test, in no particular order. The
-    /// attacker, which ranks last, is delivered as an event.
+    /// entry as the walk finds it, with the arrival offset looked up from
+    /// the squared distance of the range test, in no particular order.
+    /// The attacker, which ranks last, is delivered as an event.
     fn log_beacon(&mut self, from: NodeId, frame: Frame, cap: f64) {
+        static DELAYS: OnceLock<DelayTable<{ MAX_OFFSET_US as usize }>> = OnceLock::new();
+        let delays = DELAYS.get_or_init(DelayTable::new);
         let on_air = OnAir::new(frame, &self.ca.verifier());
         let first_seq = self.kernel.next_seq();
         self.begin_log(&on_air, first_seq);
         let atk = self.attacker.as_ref().map(|&(node, _)| node);
-        let (log, routers, fold_buf, barrier) =
-            (&mut self.log, &mut self.routers, &mut self.fold_buf, self.barrier);
+        let (log, routers, barrier) = (&mut self.log, &mut self.routers, self.barrier);
         self.medium.fan_out(from, cap, |rx, d2| {
             if Some(rx) != atk {
                 let lazy = routers[rx.index()].as_mut().expect("legitimate node").get_mut();
-                log.append(lazy, rx.0, delay_us(d2), barrier, fold_buf);
+                log.append(lazy, rx.0, delays.delay_us(d2), barrier);
             }
         });
         let legit = self.log.finish();

@@ -51,7 +51,7 @@ impl Pair {
     }
 
     /// Asserts that both worlds agree on everything observable. The
-    /// logged world's `aggregate_stats` folds every inbox up to the
+    /// logged world's `aggregate_stats` counts every inbox up to the
     /// barrier before it sums the router counters.
     fn assert_same(&self, context: &str) {
         let (e, l) = (&self.eager, &self.logged);
@@ -223,9 +223,9 @@ proptest! {
     }
 }
 
-/// Inboxes nothing reads for a while are folded by the TTL sweep or on
-/// reaching their cap, and records retire behind them; the checkpoints
-/// here are far apart so that those folds, not reads, do the work.
+/// Inboxes nothing reads for a while are folded by the TTL sweep or
+/// compacted on reaching their cap, and records retire behind them; the
+/// checkpoints here are far apart so that those, not reads, do the work.
 #[test]
 fn ttl_and_cap_folds_match() {
     let mut cfg = short(true).with_loct_ttl(SimDuration::from_secs(2));
@@ -239,10 +239,81 @@ fn ttl_and_cap_folds_match() {
     let after = pair.logged.beacon_log_stats();
     pair.assert_same("t = 6 s");
     assert!(after.folds_ttl > before.folds_ttl, "{after:?}");
-    assert!(after.folds_cap > before.folds_cap, "{after:?}");
+    assert!(after.compactions > before.compactions, "{after:?}");
     assert!(after.records_retired > before.records_retired, "{after:?}");
     pair.run_until(SimTime::from_secs(8));
     pair.assert_same("t = 8 s");
+}
+
+/// A packet from a random on-road vehicle, greedy towards the east
+/// destination.
+fn originate_east(w: &mut World) {
+    let Some(vid) = w.random_on_road_vehicle() else { return };
+    let _ = w.originate_from(w.vehicle_node(vid), &destinations(w)[0], vec![0x0E]);
+}
+
+/// A greedy unicast reaches every node in range, and all but its addressee
+/// drop it at the address filter, which reads nothing a beacon changes:
+/// the logged world folds the addressee's inbox and no other. Each
+/// delivery to an addressee makes at most one fold, so over a stretch of
+/// a forwarding chain with no broadcast in it the folds number at most
+/// the unicasts, while the overheard copies are many times that.
+#[test]
+fn overheard_unicast_folds_only_its_addressee() {
+    let cfg = short(false);
+    let sink = shared(VecSink::new());
+    let mut probe = World::new(cfg, None, 27);
+    probe.set_trace_sink(sink.clone());
+    add_destinations(&mut probe);
+    for s in 1..=3 {
+        probe.run_until(SimTime::from_secs(s));
+        originate_east(&mut probe);
+    }
+    probe.run_until(SimTime::from_secs(4));
+    let records = sink.borrow().records().to_vec();
+    let us = SimDuration::from_micros;
+    let routed_tx = |from: SimTime, to: SimTime| {
+        records.iter().filter(move |r| from <= r.at && r.at <= to).filter_map(|r| match r.event {
+            TraceEvent::FrameTx { beacon: false, dst, .. } => Some(dst),
+            _ => None,
+        })
+    };
+    // A forwarding hop between whole seconds, whose window holds
+    // unicasts only (no flood, no packet reaching its area).
+    let (start, end) = records
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::FrameTx { beacon: false, dst: Some(_), .. }))
+        .filter(|r| r.at.as_micros() % 1_000_000 != 0)
+        .map(|r| (r.at - us(1), r.at + us(20)))
+        .find(|&(start, end)| routed_tx(start - us(15), end).all(|dst| dst.is_some()))
+        .expect("a forwarded greedy unicast");
+    let unicasts = routed_tx(start - us(15), end).count() as u64;
+    let routed_rx = records
+        .iter()
+        .filter(|r| start < r.at && r.at <= end)
+        .filter(|r| matches!(r.event, TraceEvent::FrameRx { beacon: false, .. }))
+        .count() as u64;
+    assert!(routed_rx >= 4 * unicasts, "{routed_rx} receptions of {unicasts} unicasts");
+
+    let mut pair = Pair::new(cfg, None, 27);
+    pair.add_destinations();
+    for s in 1..=3 {
+        pair.run_until(SimTime::from_secs(s));
+        pair.both(originate_east);
+        if start < SimTime::from_secs(s + 1) {
+            // No checkpoint before the window: its audit digest would
+            // fold every inbox.
+            pair.run_until(start);
+            let before = pair.logged.beacon_log_stats().folds_read;
+            pair.run_until(end);
+            let folds = pair.logged.beacon_log_stats().folds_read - before;
+            pair.assert_same("after the unicasts");
+
+            assert!(folds <= unicasts, "{folds} folds for {unicasts} unicasts");
+            return;
+        }
+    }
+    panic!("no forwarded unicast after the last packet");
 }
 
 /// A vehicle leaves the road in the traffic step between a beacon's
