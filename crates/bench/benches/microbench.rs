@@ -15,7 +15,7 @@ use geonet_scenarios::{InboxBench, ScenarioConfig, World};
 use geonet_sim::{
     shared, shared_registry, NullSink, SimDuration, SimTime, StateHasher, Telemetry, Tracer,
 };
-use geonet_traffic::{RoadConfig, TrafficSim};
+use geonet_traffic::{RoadConfig, StepOutput, TrafficSim};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -214,6 +214,21 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
         }
         b.iter(|| {
             sim.step(0.1);
+            black_box(sim.count_on_road())
+        });
+    });
+
+    // A step on the `sparse-highway` road (40 km two-way, 300 m spacing)
+    // as a world with a spare core takes it: a copy steps into a buffer
+    // (the helper thread's share) and the world's simulation applies it.
+    c.bench_function("traffic_step_apply_sparse_highway", |b| {
+        let road = RoadConfig { length: 40_000.0, two_way: true, ..RoadConfig::paper_default() };
+        let mut ahead = TrafficSim::new(road.with_spacing(300.0));
+        let mut sim = ahead.clone();
+        let mut out = StepOutput::default();
+        b.iter(|| {
+            ahead.step_into(0.1, &mut out);
+            sim.apply(&out);
             black_box(sim.count_on_road())
         });
     });

@@ -25,6 +25,7 @@ use crate::world::World;
 use geonet::PacketKey;
 use geonet_attack::BlockageMode;
 use geonet_geo::{Area, Position};
+use geonet_radio::NodeId;
 use geonet_sim::SimTime;
 use geonet_traffic::Direction;
 use serde::{Deserialize, Serialize};
@@ -71,6 +72,19 @@ pub const HAZARD_X: f64 = 3_600.0;
 /// Runs one Figure 12 case.
 #[must_use]
 pub fn run_case(case: ImpactCase, attacked: bool, duration_s: u64, seed: u64) -> ImpactSeries {
+    let (mut w, controller, dest_area) = world(case, attacked, duration_s, seed);
+    drive(&mut w, controller, &dest_area)
+}
+
+/// Builds the world of one Figure 12 case: the road, the attacker when
+/// `attacked`, and the entrance controller, returned with the area the
+/// hazard notification is addressed to.
+pub(crate) fn world(
+    case: ImpactCase,
+    attacked: bool,
+    duration_s: u64,
+    seed: u64,
+) -> (World, NodeId, Area) {
     let (cfg, setup): (ScenarioConfig, AttackerSetup) = match case {
         ImpactCase::GfNotification => (
             // mN inter-area attacker. The paper runs this case on a
@@ -113,7 +127,14 @@ pub fn run_case(case: ImpactCase, attacked: bool, duration_s: u64, seed: u64) ->
             (w.add_static_node(Position::new(2.0, 12.0), cfg.v2v_range), road_area(&cfg))
         }
     };
+    (w, controller, dest_area)
+}
 
+/// Drives a world from [`world`] to its horizon, one second at a time:
+/// the hazard at [`HAZARD_TIME_S`], a notification each second until the
+/// controller has one, then the entry gate closed.
+pub(crate) fn drive(w: &mut World, controller: NodeId, dest_area: &Area) -> ImpactSeries {
+    let duration_s = w.config().duration.as_secs();
     let mut samples = Vec::with_capacity(duration_s as usize);
     let mut informed_at_s = None;
     let mut keys: Vec<PacketKey> = Vec::new();
@@ -127,16 +148,16 @@ pub fn run_case(case: ImpactCase, attacked: bool, duration_s: u64, seed: u64) ->
             if keys.iter().any(|&k| w.was_received(k, controller)) {
                 informed_at_s = Some(t);
                 w.set_entry_open(Direction::East, false);
-            } else if let Some(head) = queue_head(&w) {
+            } else if let Some(head) = queue_head(w) {
                 // Retransmit from the vehicle facing the hazard.
                 let node = w.vehicle_node(head);
-                keys.push(w.originate_from(node, &dest_area, vec![0x4A]));
+                keys.push(w.originate_from(node, dest_area, vec![0x4A]));
             }
         }
         samples.push((t, w.traffic().count_on_road()));
     }
     ImpactSeries {
-        label: if attacked { "atk".into() } else { "af".into() },
+        label: if w.attacker().is_some() { "atk".into() } else { "af".into() },
         samples,
         informed_at_s,
     }

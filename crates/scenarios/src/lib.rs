@@ -58,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ahead;
 pub mod analysis;
 mod beacon_log;
 pub mod campaign;
@@ -76,6 +77,7 @@ pub mod safety;
 pub mod topology;
 pub mod world;
 
+pub use ahead::MobilityStats;
 pub use beacon_log::BeaconLogStats;
 #[doc(hidden)]
 pub use beacon_log::InboxBench;

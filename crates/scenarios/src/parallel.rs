@@ -26,7 +26,7 @@
 //! path is the plain loop it always was.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Process-wide worker count for [`run_indexed`]; 1 = sequential.
 static JOBS: AtomicUsize = AtomicUsize::new(1);
@@ -44,10 +44,14 @@ pub fn jobs() -> usize {
 }
 
 /// The parallelism the host advertises, with a sequential fallback when
-/// it cannot say — the default for `repro --jobs`.
+/// it cannot say — the default for `repro --jobs`. Asked once per
+/// process: each world asks again when it decides whether a core is
+/// spare for its traffic, and the answer reads cgroup files.
 #[must_use]
 pub fn available_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Runs `f(0), f(1), …, f(count - 1)` and returns the results in index

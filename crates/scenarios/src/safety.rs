@@ -114,7 +114,7 @@ const SEED: u64 = 0x5AFE;
 /// V1, V2 and R1 as static nodes, returned in that order. Attacked, the
 /// Spot-2 attacker sits beside R1; it sniffs within the nodes' radio
 /// range, as a unit-disk node there would, and replays within 5 m.
-fn world(cfg: &SafetyConfig, attacked: bool, seed: u64) -> (World, [NodeId; 3]) {
+pub(crate) fn world(cfg: &SafetyConfig, attacked: bool, seed: u64) -> (World, [NodeId; 3]) {
     let base = ScenarioConfig::paper_dsrc_default();
     let scenario = ScenarioConfig {
         attacker_position: Position::new(2.0, 40.0),
@@ -132,7 +132,11 @@ fn world(cfg: &SafetyConfig, attacked: bool, seed: u64) -> (World, [NodeId; 3]) 
 /// Drives the case study on a world from [`world`] at 10 Hz: runs the
 /// protocol up to each step, sends V1's warning once, then applies the
 /// scripted kinematics and moves V1 and V2.
-fn drive(cfg: &SafetyConfig, w: &mut World, [v1_node, v2_node, _]: [NodeId; 3]) -> SafetyOutcome {
+pub(crate) fn drive(
+    cfg: &SafetyConfig,
+    w: &mut World,
+    [v1_node, v2_node, _]: [NodeId; 3],
+) -> SafetyOutcome {
     let dt = 0.1_f64;
     let mut t = 0.0_f64;
     let mut x1 = cfg.v1_start_x;

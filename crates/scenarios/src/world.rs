@@ -1,5 +1,6 @@
 //! The deterministic discrete-event world binding all substrates.
 
+use crate::ahead::{Ahead, MobilityStats};
 use crate::beacon_log::{BeaconLog, BeaconLogStats, Fold, Key, LazyRouter, MAX_OFFSET_US};
 use crate::config::{AttackerSetup, ScenarioConfig};
 use geonet::wire::Extended;
@@ -99,6 +100,11 @@ impl Transmission {
 /// event loop's own, [`World::router`], [`World::audit_checkpoint`],
 /// [`World::aggregate_stats`] and the rest — sees exactly the state the
 /// event-per-delivery path produces.
+///
+/// When a core is spare, a helper thread steps the traffic a few steps
+/// ahead of the world (DESIGN.md, "Mobility plane ahead"); the world
+/// applies each finished step, so [`World::traffic`] is always the state
+/// at the world's clock.
 pub struct World {
     cfg: ScenarioConfig,
     kernel: Kernel<Ev>,
@@ -145,6 +151,12 @@ pub struct World {
     /// above every event that has happened and below every one queued
     /// since: logged deliveries below it have happened.
     barrier: Key,
+    /// The helper stepping the traffic ahead, while one runs.
+    ahead: Option<Ahead>,
+    /// Whether the next traffic step may start a helper: the first step,
+    /// and the first after a mutation stopped one.
+    start_ahead: bool,
+    mobility: MobilityStats,
 }
 
 impl World {
@@ -190,6 +202,9 @@ impl World {
             batched_deliveries: 0,
             log: BeaconLog::default(),
             barrier: (SimTime::ZERO, 0),
+            ahead: None,
+            start_ahead: true,
+            mobility: MobilityStats::default(),
             cfg,
         };
         // Register the pre-filled vehicles.
@@ -268,9 +283,9 @@ impl World {
         self.medium.set_position(node, position);
     }
 
-    /// Attaches a trace sink; every node (router, attacker, traffic
-    /// simulation, and the radio layer itself) starts emitting
-    /// [`TraceEvent`]s through it, and every frame takes the
+    /// Attaches a trace sink; every node (router, attacker, and the radio
+    /// layer itself) and the traffic's hazards and collisions start
+    /// emitting [`TraceEvent`]s through it, and every frame takes the
     /// event-per-delivery path. Call right after [`World::new`] — events
     /// from before the attach are not replayed, and beacons already
     /// logged reach their routers untraced.
@@ -284,7 +299,6 @@ impl World {
         if let Some((node, attacker)) = &mut self.attacker {
             attacker.set_tracer(self.tracer.for_node(node.0));
         }
-        self.traffic.set_tracer(self.tracer.clone());
     }
 
     /// Attaches a metrics registry; the hot paths (event dispatch, frame
@@ -293,13 +307,15 @@ impl World {
     /// Like [`World::set_trace_sink`], the handle fans out to every
     /// existing router and to vehicles registered later, and every frame
     /// takes the event-per-delivery path, so that each delivery is timed.
+    /// The traffic steps on the world's thread from then on, so that each
+    /// step is timed too.
     pub fn set_telemetry(&mut self, registry: SharedRegistry) {
         self.telemetry = Telemetry::attached(registry);
         for cell in self.routers.iter_mut().flatten() {
             cell.get_mut().router.set_telemetry(self.telemetry.clone());
         }
         self.medium.set_telemetry(self.telemetry.clone());
-        self.traffic.set_telemetry(self.telemetry.clone());
+        self.ahead = None;
     }
 
     /// Attaches an audit recorder; the world samples a state-digest
@@ -672,14 +688,41 @@ impl World {
         self.received.get(&key).is_some_and(|s| s.contains(&node))
     }
 
+    /// Counters of the mobility plane: traffic steps applied from a
+    /// helper, steps computed inline and helper restarts.
+    #[must_use]
+    pub fn mobility_stats(&self) -> MobilityStats {
+        self.mobility
+    }
+
     /// Opens/closes a direction's entry gate (Figure 12 scenarios).
     pub fn set_entry_open(&mut self, direction: Direction, open: bool) {
+        self.stop_ahead();
         self.traffic.set_entry_open(direction, open);
     }
 
     /// Places a hazard blocking `direction` at longitudinal position `s`.
     pub fn add_hazard(&mut self, direction: Direction, s: f64) {
+        self.stop_ahead();
         self.traffic.add_hazard(direction, s);
+        let at = SimTime::from_secs_f64(self.traffic.elapsed());
+        self.tracer.emit(at, || TraceEvent::HazardOnset { x: s });
+    }
+
+    /// The helper stepping the traffic ahead, while one runs.
+    #[cfg(test)]
+    pub(crate) fn ahead(&self) -> Option<&Ahead> {
+        self.ahead.as_ref()
+    }
+
+    /// Stops and joins the helper before the traffic is changed: the
+    /// steps it ran ahead are of the old traffic. The next step starts a
+    /// helper from the changed traffic.
+    fn stop_ahead(&mut self) {
+        if self.ahead.take().is_some() {
+            self.mobility.restarts += 1;
+            self.start_ahead = true;
+        }
     }
 
     /// Originates a GeoBroadcast from a node into `area` at the current
@@ -797,7 +840,7 @@ impl World {
     }
 
     fn on_traffic_step(&mut self) {
-        self.traffic.step(self.cfg.traffic_dt);
+        self.step_traffic();
         // Register newly entered vehicles.
         while self.vehicle_nodes.len() < self.traffic.all_vehicles().len() {
             let vid = VehicleId(self.vehicle_nodes.len() as u32);
@@ -837,6 +880,29 @@ impl World {
         if let Some(rec) = self.topo.as_ref().filter(|r| r.borrow().due(now)) {
             let snapshot = self.topo_snapshot();
             rec.borrow_mut().record(snapshot);
+        }
+    }
+
+    /// Advances the traffic one step: applies the helper's next step, or
+    /// steps inline and then, at the first step and after a mutation,
+    /// hands a clone to a helper if a core is spare. A world with a
+    /// registry attached keeps stepping inline, where each step is timed.
+    fn step_traffic(&mut self) {
+        let dt = self.cfg.traffic_dt;
+        if let Some(ahead) = &mut self.ahead {
+            ahead.apply_next(&mut self.traffic);
+            self.mobility.ahead_steps += 1;
+        } else {
+            let _span = self.telemetry.time("traffic_step_ns");
+            self.traffic.step(dt);
+            self.mobility.inline_steps += 1;
+        }
+        if std::mem::take(&mut self.start_ahead) {
+            self.ahead = Ahead::start(&self.traffic, dt, !self.telemetry.is_enabled());
+        }
+        let at = SimTime::from_secs_f64(self.traffic.elapsed());
+        for &x in self.traffic.collisions_last_step() {
+            self.tracer.emit(at, || TraceEvent::Collision { x });
         }
     }
 

@@ -37,5 +37,5 @@ pub mod vehicle;
 
 pub use idm::IdmParams;
 pub use road::{Direction, RoadConfig};
-pub use sim::TrafficSim;
+pub use sim::{StepOutput, TrafficSim};
 pub use vehicle::{Vehicle, VehicleId};

@@ -3,7 +3,7 @@
 use crate::road::{Direction, RoadConfig};
 use crate::vehicle::{Vehicle, VehicleId};
 use geonet_geo::Position;
-use geonet_sim::{SimTime, StateHasher, Telemetry, TraceEvent, Tracer};
+use geonet_sim::StateHasher;
 use std::fmt;
 
 /// Stable wire code for a direction, for audit digests.
@@ -71,6 +71,12 @@ fn hazard_ahead(hazards: &[Hazard], direction: Direction, s: f64) -> Option<f64>
 ///
 /// A step costs O(vehicles on the road), not O(vehicles ever spawned),
 /// and allocates nothing once its buffers have grown to the traffic.
+///
+/// The simulation is plain data (`Clone + Send`) and reads nothing but
+/// its own state: a clone stepped on another thread computes the same
+/// trajectory bit for bit, and [`TrafficSim::step_into`] /
+/// [`TrafficSim::apply`] carry each step back as a [`StepOutput`].
+#[derive(Clone)]
 pub struct TrafficSim {
     road: RoadConfig,
     vehicles: Vec<Vehicle>,
@@ -83,6 +89,8 @@ pub struct TrafficSim {
     accels: Vec<f64>,
     /// Ids of the vehicles that exited in the last step, ascending.
     exits: Vec<VehicleId>,
+    /// Where the gap collapses of the last step happened, in step order.
+    collided: Vec<f64>,
     hazards: Vec<Hazard>,
     /// Per-direction state, indexed by [`dir_index`].
     entry_open: [bool; 2],
@@ -90,8 +98,6 @@ pub struct TrafficSim {
     last_entered: [Option<VehicleId>; 2],
     collisions: u64,
     elapsed: f64,
-    tracer: Tracer,
-    telemetry: Telemetry,
 }
 
 impl TrafficSim {
@@ -115,14 +121,13 @@ impl TrafficSim {
             lanes: vec![Vec::new(); lanes],
             accels: Vec::new(),
             exits: Vec::new(),
+            collided: Vec::new(),
             hazards: Vec::new(),
             entry_open,
             next_lane: [0; 2],
             last_entered: [None; 2],
             collisions: 0,
             elapsed: 0.0,
-            tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
         };
         sim.prefill();
         sim
@@ -213,6 +218,14 @@ impl TrafficSim {
         self.active_vehicles().filter(move |v| v.s <= length)
     }
 
+    /// The longitudinal positions at which the last [`TrafficSim::step`]
+    /// saw a gap collapse, in the order it saw them (empty before the
+    /// first step).
+    #[must_use]
+    pub fn collisions_last_step(&self) -> &[f64] {
+        &self.collided
+    }
+
     /// Number of gap-collapse events observed (gap ≤ 0 between follower
     /// and leader). IDM alone never produces these; they indicate scripted
     /// interference.
@@ -280,19 +293,6 @@ impl TrafficSim {
             self.road.length
         );
         self.hazards.push(Hazard { direction, s });
-        self.tracer.emit(SimTime::from_secs_f64(self.elapsed), || TraceEvent::HazardOnset { x: s });
-    }
-
-    /// Attaches a tracer; hazard onsets and collisions are emitted as
-    /// [`TraceEvent`]s from now on.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches a telemetry handle; every [`TrafficSim::step`] is
-    /// wall-clock timed through it.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Removes all hazards in `direction` (the event has been cleared).
@@ -307,7 +307,6 @@ impl TrafficSim {
     /// Panics if `dt` is not finite and positive.
     pub fn step(&mut self, dt: f64) {
         assert!(dt.is_finite() && dt > 0.0, "invalid timestep: {dt}");
-        let _span = self.telemetry.time("traffic_step_ns");
         self.elapsed += dt;
         let TrafficSim {
             road,
@@ -316,12 +315,12 @@ impl TrafficSim {
             lanes,
             accels,
             exits,
+            collided,
             hazards,
             collisions,
-            elapsed,
-            tracer,
             ..
         } = self;
+        collided.clear();
 
         // Group active vehicles per lane in id order, then sort each lane
         // by longitudinal position descending (leader first). The sort is
@@ -377,10 +376,7 @@ impl TrafficSim {
                             // Gap collapse: scripted interference (never
                             // produced by IDM itself). Record and stop dead.
                             *collisions += 1;
-                            let x = v.s;
-                            tracer.emit(SimTime::from_secs_f64(*elapsed), || {
-                                TraceEvent::Collision { x }
-                            });
+                            collided.push(v.s);
                             -f64::INFINITY // sentinel: stop below
                         } else {
                             road.idm.acceleration_from(
@@ -461,6 +457,104 @@ impl TrafficSim {
         let id = self.push_vehicle(direction, lane, 0.0, self.road.entry_speed);
         self.last_entered[d] = Some(id);
         self.next_lane[d] = (lane + 1) % self.road.lanes_per_direction;
+    }
+
+    /// [`TrafficSim::step`], recording into `out` everything the step
+    /// changed, so that [`TrafficSim::apply`] brings a copy of this
+    /// simulation from before the step to where this one is now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not finite and positive.
+    pub fn step_into(&mut self, dt: f64, out: &mut StepOutput) {
+        let spawned_from = self.vehicles.len();
+        self.step(dt);
+        // The vehicles active before the step, ascending: the survivors
+        // (less this step's spawns) merged with this step's exits.
+        out.motion.clear();
+        let vehicles = &self.vehicles;
+        let mut record = |id: VehicleId| {
+            let v = &vehicles[id.index()];
+            out.motion.push((v.s, v.v));
+        };
+        let mut exits = self.exits.iter().copied().peekable();
+        for &id in self.active.iter().take_while(|id| id.index() < spawned_from) {
+            while let Some(exit) = exits.next_if(|&e| e < id) {
+                record(exit);
+            }
+            record(id);
+        }
+        exits.for_each(record);
+        out.exits.clone_from(&self.exits);
+        out.spawned.clear();
+        out.spawned.extend_from_slice(&self.vehicles[spawned_from..]);
+        out.collided.clone_from(&self.collided);
+        out.elapsed = self.elapsed;
+        out.next_lane = self.next_lane;
+        out.last_entered = self.last_entered;
+        out.collisions = self.collisions;
+    }
+
+    /// Applies a step that [`TrafficSim::step_into`] recorded on a copy of
+    /// this simulation in its current state: afterwards this simulation
+    /// holds exactly the state [`TrafficSim::step`] would have left. The
+    /// lane buffers and accelerations are scratch at a step boundary, so
+    /// they are not carried.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` was recorded from a state with a different number
+    /// of active vehicles.
+    pub fn apply(&mut self, out: &StepOutput) {
+        assert_eq!(out.motion.len(), self.active.len(), "step output of another state");
+        let TrafficSim { vehicles, active, .. } = self;
+        for (id, &(s, v)) in active.iter().zip(&out.motion) {
+            let veh = &mut vehicles[id.index()];
+            veh.s = s;
+            veh.v = v;
+        }
+        if !out.exits.is_empty() {
+            for id in &out.exits {
+                vehicles[id.index()].exited = true;
+            }
+            active.retain(|id| !vehicles[id.index()].exited);
+        }
+        active.extend(out.spawned.iter().map(|v| v.id));
+        vehicles.extend_from_slice(&out.spawned);
+        self.exits.clone_from(&out.exits);
+        self.collided.clone_from(&out.collided);
+        self.elapsed = out.elapsed;
+        self.next_lane = out.next_lane;
+        self.last_entered = out.last_entered;
+        self.collisions = out.collisions;
+    }
+}
+
+/// One recorded [`TrafficSim::step`]: what [`TrafficSim::step_into`]
+/// writes and [`TrafficSim::apply`] reads. Hazards and entry gates are
+/// not in it; a step does not change them.
+#[derive(Debug, Clone, Default)]
+pub struct StepOutput {
+    /// The new `(s, v)` of each vehicle active before the step, in
+    /// ascending id order.
+    motion: Vec<(f64, f64)>,
+    /// The vehicles that exited, ascending.
+    exits: Vec<VehicleId>,
+    /// The vehicles that entered, in id order.
+    spawned: Vec<Vehicle>,
+    /// Where the step's gap collapses happened.
+    collided: Vec<f64>,
+    elapsed: f64,
+    next_lane: [u8; 2],
+    last_entered: [Option<VehicleId>; 2],
+    collisions: u64,
+}
+
+impl StepOutput {
+    /// An empty record with room for a step of `vehicles` active vehicles.
+    #[must_use]
+    pub fn with_capacity(vehicles: usize) -> Self {
+        StepOutput { motion: Vec::with_capacity(vehicles), ..StepOutput::default() }
     }
 }
 
@@ -665,7 +759,7 @@ mod tests {
 #[cfg(test)]
 mod oracle_tests {
     use super::*;
-    use geonet_sim::{shared, TraceRecord, VecSink};
+    use geonet_sim::{shared, SimTime, Telemetry, TraceEvent, TraceRecord, Tracer, VecSink};
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::HashMap;
@@ -901,8 +995,18 @@ mod oracle_tests {
         }
     }
 
-    /// Applies `script` to both simulations; they hold the same state.
-    fn apply(sim: &mut TrafficSim, oracle: &mut Oracle, script: Script) {
+    /// A script resolved against the current state: the same mutation
+    /// for every simulation holding that state.
+    #[derive(Debug, Clone, Copy)]
+    enum Action {
+        Hazard(Direction, f64),
+        Gate(Direction, bool),
+        /// Sets a vehicle's longitudinal position.
+        Move(VehicleId, f64),
+    }
+
+    /// Resolves `script` against `sim`'s state, if it changes anything.
+    fn resolve(sim: &TrafficSim, script: Script) -> Option<Action> {
         let road = sim.road;
         match script {
             Script::Hazard { west, frac, near } => {
@@ -915,29 +1019,49 @@ mod oracle_tests {
                         s = (ss[pick % ss.len()] + ahead).min(road.length);
                     }
                 }
-                sim.add_hazard(d, s);
-                oracle.add_hazard(d, s);
+                Some(Action::Hazard(d, s))
             }
-            Script::Gate { west, open } => {
-                let d = direction(&road, west);
-                sim.set_entry_open(d, open);
-                oracle.set_entry_open(d, open);
-            }
+            Script::Gate { west, open } => Some(Action::Gate(direction(&road, west), open)),
             Script::PileUp { pick } => {
                 let active: Vec<Vehicle> = sim.active_vehicles().copied().collect();
-                if active.is_empty() {
-                    return;
-                }
-                let v = active[pick % active.len()];
+                let v = *active.get(pick % active.len().max(1))?;
                 let leader = active
                     .iter()
                     .filter(|l| l.direction == v.direction && l.lane == v.lane && l.s > v.s)
-                    .min_by(|a, b| a.s.partial_cmp(&b.s).expect("finite"));
-                if let Some(l) = leader {
-                    sim.vehicles[v.id.index()].s = l.s;
-                    oracle.vehicles[v.id.index()].s = l.s;
-                }
+                    .min_by(|a, b| a.s.partial_cmp(&b.s).expect("finite"))?;
+                Some(Action::Move(v.id, leader.s))
             }
+        }
+    }
+
+    /// Applies `action` to `sim`, emitting what the scenario world emits
+    /// for it through `tracer`.
+    fn act(sim: &mut TrafficSim, tracer: &Tracer, action: Action) {
+        match action {
+            Action::Hazard(d, s) => {
+                sim.add_hazard(d, s);
+                tracer.emit(SimTime::from_secs_f64(sim.elapsed()), || TraceEvent::HazardOnset {
+                    x: s,
+                });
+            }
+            Action::Gate(d, open) => sim.set_entry_open(d, open),
+            Action::Move(id, s) => sim.vehicles[id.index()].s = s,
+        }
+    }
+
+    fn act_oracle(oracle: &mut Oracle, action: Action) {
+        match action {
+            Action::Hazard(d, s) => oracle.add_hazard(d, s),
+            Action::Gate(d, open) => oracle.set_entry_open(d, open),
+            Action::Move(id, s) => oracle.vehicles[id.index()].s = s,
+        }
+    }
+
+    /// Emits the last step's gap collapses through `tracer`, as the
+    /// scenario world does.
+    fn emit_collisions(sim: &TrafficSim, tracer: &Tracer) {
+        for &x in sim.collisions_last_step() {
+            tracer.emit(SimTime::from_secs_f64(sim.elapsed()), || TraceEvent::Collision { x });
         }
     }
 
@@ -946,21 +1070,36 @@ mod oracle_tests {
         (Tracer::attached(sink.clone()), sink)
     }
 
+    /// The actions of the scripts due before `step`, resolved in order
+    /// against `sim` (a pile-up sees the hazards placed before it).
+    fn due(scripts: &[(usize, Script)], step: usize, sim: &TrafficSim) -> Vec<Action> {
+        let mut probe = sim.clone();
+        let mut actions = Vec::new();
+        for &(_, script) in scripts.iter().filter(|(at, _)| *at == step) {
+            if let Some(action) = resolve(&probe, script) {
+                act(&mut probe, &Tracer::disabled(), action);
+                actions.push(action);
+            }
+        }
+        actions
+    }
+
     /// Steps both simulations `steps` times and compares them bit for bit
     /// after every step.
     fn check(road: RoadConfig, steps: usize, scripts: &[(usize, Script)]) -> Result<(), String> {
         let mut sim = TrafficSim::new(road);
         let mut oracle = Oracle::new(road);
-        let (tracer, sim_sink) = traced();
-        sim.set_tracer(tracer);
+        let (sim_tracer, sim_sink) = traced();
         let (tracer, oracle_sink) = traced();
         oracle.tracer = tracer;
         for step in 0..steps {
-            for &(_, s) in scripts.iter().filter(|(at, _)| *at == step) {
-                apply(&mut sim, &mut oracle, s);
+            for action in due(scripts, step, &sim) {
+                act(&mut sim, &sim_tracer, action);
+                act_oracle(&mut oracle, action);
             }
             let active_before: Vec<VehicleId> = sim.active_vehicles().map(|v| v.id).collect();
             sim.step(0.1);
+            emit_collisions(&sim, &sim_tracer);
             oracle.step(0.1);
 
             let fail = |what: String| Err(format!("step {step}: {what}"));
@@ -1011,6 +1150,79 @@ mod oracle_tests {
         Ok(())
     }
 
+    /// Steps one simulation in place and brings another along by applying
+    /// the steps a third one records into a ring of reused buffers, as the
+    /// scenario world's mobility helper does: the recording copy is cloned
+    /// from the applied one at the start and after every mutation, and it
+    /// runs up to `ring` steps ahead. Compares the applied simulation
+    /// with the in-place one after every step.
+    fn check_applied(
+        road: RoadConfig,
+        steps: usize,
+        ring: usize,
+        scripts: &[(usize, Script)],
+    ) -> Result<(), String> {
+        let mut sim = TrafficSim::new(road);
+        let mut applied = sim.clone();
+        let mut helper: Option<TrafficSim> = None;
+        let mut buffers = vec![StepOutput::default(); ring];
+        let (mut produced, mut consumed) = (0usize, 0usize);
+        let disabled = Tracer::disabled();
+        for step in 0..steps {
+            let actions = due(scripts, step, &sim);
+            if !actions.is_empty() {
+                // A mutation drops the lookahead.
+                helper = None;
+                consumed = produced;
+            }
+            for action in actions {
+                act(&mut sim, &disabled, action);
+                act(&mut applied, &disabled, action);
+            }
+            sim.step(0.1);
+            let ahead = helper.get_or_insert_with(|| applied.clone());
+            while produced - consumed < ring {
+                ahead.step_into(0.1, &mut buffers[produced % ring]);
+                produced += 1;
+            }
+            applied.apply(&buffers[consumed % ring]);
+            consumed += 1;
+
+            let digest = |t: &TrafficSim| {
+                let mut h = StateHasher::new();
+                t.digest_into(&mut h);
+                h.finish()
+            };
+            let fail = |what: String| Err(format!("step {step}: {what}"));
+            if digest(&applied) != digest(&sim) {
+                return fail("applied digest differs from in-place stepping".into());
+            }
+            let active: Vec<VehicleId> = applied.active_vehicles().map(|v| v.id).collect();
+            let expected: Vec<VehicleId> = sim.active_vehicles().map(|v| v.id).collect();
+            if active != expected {
+                return fail(format!("active list {active:?}, expected {expected:?}"));
+            }
+            if applied.exited_last_step() != sim.exited_last_step() {
+                return fail(format!(
+                    "exits {:?}, expected {:?}",
+                    applied.exited_last_step(),
+                    sim.exited_last_step()
+                ));
+            }
+            let bits = |t: &TrafficSim| -> Vec<u64> {
+                t.collisions_last_step().iter().map(|x| x.to_bits()).collect()
+            };
+            if bits(&applied) != bits(&sim) {
+                return fail(format!(
+                    "collisions at {:?}, expected {:?}",
+                    applied.collisions_last_step(),
+                    sim.collisions_last_step()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1042,6 +1254,35 @@ mod oracle_tests {
             };
             let scripts: Vec<(usize, Script)> = [hazards, gates, pile_ups].concat();
             let result = check(road, steps, &scripts);
+            prop_assert!(result.is_ok(), "{}", result.unwrap_err());
+        }
+
+        #[test]
+        fn prop_applied_steps_match_stepping_in_place(
+            two_way in any::<bool>(),
+            lanes in 1u8..=3,
+            spacing in 10.0f64..300.0,
+            extent in prop_oneof![
+                (50.0f64..300.0, 10.0f64..100.0),
+                (400.0f64..4_000.0, 600.0f64..601.0),
+            ],
+            steps in 1usize..=3_000,
+            ring in 1usize..=16,
+            hazards in prop::collection::vec(hazard(), 0..4),
+            gates in prop::collection::vec(gate(), 0..6),
+            pile_ups in prop::collection::vec(pile_up(), 0..3))
+        {
+            let (length, offroad_margin) = extent;
+            let road = RoadConfig {
+                length,
+                lanes_per_direction: lanes,
+                two_way,
+                spacing,
+                offroad_margin,
+                ..RoadConfig::paper_default()
+            };
+            let scripts: Vec<(usize, Script)> = [hazards, gates, pile_ups].concat();
+            let result = check_applied(road, steps, ring, &scripts);
             prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }

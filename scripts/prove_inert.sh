@@ -22,6 +22,10 @@
 #      other runs reach those paths. A third, 400 s campaign (fig7a fig12a) runs long enough for
 #      vehicles spawned during the run to reach the exit and for new ones
 #      to enter behind them; the 30 s runs end before either happens.
+#      Both campaigns run twice: at repro's default --jobs (the core
+#      count, so no core is spare and every world steps its traffic
+#      inline) and at --jobs 1, where a spare core lets each world step
+#      its traffic on a helper thread (DESIGN.md, "Mobility plane ahead").
 #   3. runs the working tree's history pins (crates/scenarios/tests/
 #      audit.rs) and beacon-log oracle (crates/scenarios/tests/
 #      beacon_log.rs) in release. The --audit, --topology and --trace
@@ -59,6 +63,10 @@ artifacts() {
         "$repro" --runs 2 --duration 30 --seed 42 --csv fig7a fig8 fig9a fig9src fig10 fig12a \
             fig13 fig14a fig14b ext-loss ext-mobile ext-ack > "$out/campaign.csv"
         "$repro" --runs 1 --duration 400 --seed 42 --csv fig7a fig12a > "$out/long-campaign.csv"
+        "$repro" --runs 2 --duration 30 --seed 42 --jobs 1 --csv fig7a fig8 fig9a fig9src fig10 \
+            fig12a fig13 fig14a fig14b ext-loss ext-mobile ext-ack > "$out/campaign-jobs1.csv"
+        "$repro" --runs 1 --duration 400 --seed 42 --jobs 1 --csv fig7a fig12a \
+            > "$out/long-campaign-jobs1.csv"
     } 2> "$out.stderr.log"
 }
 
