@@ -9,7 +9,7 @@ use geonet::{
     greedy_select, CbfBuffer, CbfParams, CertificateAuthority, Frame, GnAddress, GnConfig,
     GnRouter, LocationTable, LongPositionVector, SequenceNumber,
 };
-use geonet_geo::{Area, GeoReference, Heading, Position};
+use geonet_geo::{Area, CellGrid, GeoReference, Heading, Position};
 use geonet_radio::{delay_us, DelayTable, Medium, NodeId};
 use geonet_scenarios::{InboxBench, ScenarioConfig, World};
 use geonet_sim::{
@@ -226,10 +226,54 @@ fn bench_medium_and_traffic(c: &mut Criterion) {
         let mut ahead = TrafficSim::new(road.with_spacing(300.0));
         let mut sim = ahead.clone();
         let mut out = StepOutput::default();
+        let cells = CellGrid::new(486.0);
         b.iter(|| {
-            ahead.step_into(0.1, &mut out);
+            ahead.step_into(0.1, cells, &mut out);
             sim.apply(&out);
             black_box(sim.count_on_road())
+        });
+    });
+}
+
+fn bench_step_landing(c: &mut Criterion) {
+    // The world's whole share of a `sparse-highway` step taken ahead: the
+    // apply, then the landing in the radio medium as `World` makes it
+    // (register the entered vehicles, deactivate the exited ones, load
+    // the positions and re-file the cell crossers; vehicle i is node i).
+    // The helper's `step_into` runs outside the timed part. Compare with
+    // `medium_sync_266_vehicles_sparse_40km`, the per-vehicle sync it
+    // replaced.
+    c.bench_function("traffic_step_apply_land_sparse_highway", |b| {
+        let road = RoadConfig { length: 40_000.0, two_way: true, ..RoadConfig::paper_default() };
+        let mut ahead = TrafficSim::new(road.with_spacing(300.0));
+        let mut sim = ahead.clone();
+        let mut medium = Medium::new();
+        let mut nodes = Vec::new();
+        for v in sim.active_vehicles() {
+            nodes.push(medium.register(v.position(sim.road()), 486.0));
+        }
+        let mut out = StepOutput::default();
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                ahead.step_into(0.1, medium.cells(), &mut out);
+                let start = Instant::now();
+                sim.apply(&out);
+                for v in &sim.all_vehicles()[medium.len()..] {
+                    nodes.push(medium.register(v.position(sim.road()), 486.0));
+                }
+                let exits = sim.exited_last_step();
+                for vid in exits {
+                    medium.set_active(NodeId(vid.0), false);
+                }
+                if !exits.is_empty() {
+                    nodes.retain(|&node| medium.is_active(node));
+                }
+                medium.load_positions(&nodes, out.positions(), out.crossers(), out.cells());
+                timed += start.elapsed();
+            }
+            black_box(medium.len());
+            timed
         });
     });
 }
@@ -384,6 +428,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_wire, bench_security, bench_loct_and_gf, bench_cbf,
               bench_beacon_log, bench_handle_frame, bench_audit, bench_topo,
-              bench_medium_and_traffic, bench_world_throughput
+              bench_medium_and_traffic, bench_step_landing, bench_world_throughput
 }
 criterion_main!(micro);

@@ -7,6 +7,8 @@
 //!   with the usual vector arithmetic.
 //! * [`Heading`] — a direction of travel in degrees clockwise from north,
 //!   matching the encoding used by GeoNetworking position vectors.
+//! * [`CellGrid`] — a uniform square grid mapping a position to the key
+//!   of its cell, the spatial index of the radio medium.
 //! * [`Area`] — a GeoBroadcast destination area (circle, rectangle or
 //!   ellipse) with the *geometric function* `F(x, y)` defined by
 //!   ETSI EN 302 931, used to decide whether a node is inside the area.
@@ -37,11 +39,13 @@
 #![warn(missing_docs)]
 
 pub mod area;
+pub mod cells;
 pub mod heading;
 pub mod position;
 pub mod projection;
 
 pub use area::{Area, AreaShape};
+pub use cells::CellGrid;
 pub use heading::Heading;
 pub use position::Position;
 pub use projection::{GeoCoord, GeoReference};

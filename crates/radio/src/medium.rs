@@ -1,6 +1,6 @@
 //! The unit-disk broadcast medium.
 
-use geonet_geo::Position;
+use geonet_geo::{CellGrid, Position};
 use geonet_sim::{SimDuration, StateHasher, Telemetry, U64Map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -26,10 +26,9 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Per-node radio state.
+/// Per-node radio state besides the position.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    position: Position,
     tx_range: f64,
     active: bool,
 }
@@ -116,7 +115,7 @@ impl<const N: usize> Default for DelayTable<N> {
 /// Grid buckets keyed by packed `(cx, cy)` cell coordinates.
 type CellMap = U64Map<Vec<u32>>;
 
-/// Uniform grid over node positions: cell edge `cell` metres, buckets of
+/// Uniform grid over node positions: cells of a [`CellGrid`], buckets of
 /// **active** node ids keyed by packed cell coordinates.
 ///
 /// Invariants:
@@ -133,48 +132,22 @@ type CellMap = U64Map<Vec<u32>>;
 ///   old position again.
 /// * Empty buckets are dropped so the map tracks occupied cells only.
 /// * Insert, remove, relocate and query all map a coordinate to its cell
-///   through `cell_index`. Any monotone map shared by all four gives the
-///   same receiver sets, so it need not equal `floor(v / cell)` at a cell
-///   edge.
-#[derive(Debug)]
+///   through [`CellGrid::index`]. Any monotone map shared by all four
+///   gives the same receiver sets, so it need not equal `floor(v / cell)`
+///   at a cell edge.
+#[derive(Debug, Default)]
 struct Grid {
-    cell: f64,
-    /// `1 / cell`.
-    inv_cell: f64,
+    cells: CellGrid,
     buckets: CellMap,
     /// The key of each active node's bucket, by node id.
     keys: Vec<u64>,
 }
 
-impl Default for Grid {
-    fn default() -> Self {
-        Grid { cell: 1.0, inv_cell: 1.0, buckets: CellMap::default(), keys: Vec::new() }
-    }
-}
-
 impl Grid {
-    /// `floor(v / cell)` away from cell edges, monotone in `v`: a multiply
-    /// and a floor written out, as `f64::floor` and a division would cost
-    /// a libm call and a divide per coordinate on every position sync.
-    fn cell_index(&self, v: f64) -> i32 {
-        let q = v * self.inv_cell;
-        let t = q as i32;
-        t.saturating_sub(i32::from(f64::from(t) > q))
-    }
-
     /// Grows the cell edge to `cell` and re-buckets every active entry.
-    fn grow(&mut self, cell: f64, entries: &[Entry]) {
-        self.cell = cell;
-        self.inv_cell = 1.0 / cell;
-        self.rebuild(entries);
-    }
-
-    fn key(cx: i32, cy: i32) -> u64 {
-        (u64::from(cx as u32) << 32) | u64::from(cy as u32)
-    }
-
-    fn key_of(&self, p: Position) -> u64 {
-        Self::key(self.cell_index(p.x), self.cell_index(p.y))
+    fn grow(&mut self, cell: f64, positions: &[Position], entries: &[Entry]) {
+        self.cells = CellGrid::new(cell);
+        self.rebuild(positions, entries);
     }
 
     /// Files `id` under key `k` and records the key.
@@ -188,7 +161,7 @@ impl Grid {
     }
 
     fn insert(&mut self, id: u32, p: Position) {
-        self.file(id, self.key_of(p));
+        self.file(id, self.cells.key_of(p));
     }
 
     fn remove(&mut self, id: u32) {
@@ -209,20 +182,24 @@ impl Grid {
         let cy = if to.y.to_bits() == from.y.to_bits() {
             old as u32 as i32
         } else {
-            self.cell_index(to.y)
+            self.cells.index(to.y)
         };
-        let k = Self::key(self.cell_index(to.x), cy);
-        if k != old {
+        self.refile(id, CellGrid::key(self.cells.index(to.x), cy));
+    }
+
+    /// Files active node `id` under key `k` if it is not filed there.
+    fn refile(&mut self, id: u32, k: u64) {
+        if k != self.keys[id as usize] {
             self.remove(id);
             self.file(id, k);
         }
     }
 
-    fn rebuild(&mut self, entries: &[Entry]) {
+    fn rebuild(&mut self, positions: &[Position], entries: &[Entry]) {
         self.buckets.clear();
-        for (i, e) in entries.iter().enumerate() {
+        for (i, (e, &p)) in entries.iter().zip(positions).enumerate() {
             if e.active {
-                self.file(i as u32, self.key_of(e.position));
+                self.file(i as u32, self.cells.key_of(p));
             }
         }
     }
@@ -251,6 +228,9 @@ impl Grid {
 /// whole simulation runs — are bit-identical to the reference scan.
 #[derive(Debug, Default)]
 pub struct Medium {
+    /// Each node's position, by node id: a column of its own, so that a
+    /// traffic step lands as one load ([`Medium::load_positions`]).
+    positions: Vec<Position>,
     entries: Vec<Entry>,
     grid: Grid,
     telemetry: Telemetry,
@@ -281,9 +261,10 @@ impl Medium {
         assert!(position.is_finite(), "non-finite position");
         assert!(tx_range.is_finite() && tx_range >= 0.0, "invalid tx range: {tx_range}");
         let id = NodeId(u32::try_from(self.entries.len()).expect("too many nodes"));
-        self.entries.push(Entry { position, tx_range, active: true });
-        if tx_range > self.grid.cell {
-            self.grid.grow(tx_range, &self.entries);
+        self.positions.push(position);
+        self.entries.push(Entry { tx_range, active: true });
+        if tx_range > self.grid.cells.cell() {
+            self.grid.grow(tx_range, &self.positions, &self.entries);
         } else {
             self.grid.insert(id.0, position);
         }
@@ -318,9 +299,9 @@ impl Medium {
     /// rebuilt one digest identically.
     pub fn digest_into(&self, h: &mut StateHasher) {
         h.write_u64(self.entries.len() as u64);
-        for e in &self.entries {
-            h.write_f64(e.position.x);
-            h.write_f64(e.position.y);
+        for (e, p) in self.entries.iter().zip(&self.positions) {
+            h.write_f64(p.x);
+            h.write_f64(p.y);
             h.write_f64(e.tx_range);
             h.write_bool(e.active);
         }
@@ -333,7 +314,7 @@ impl Medium {
     /// Panics if `id` was not issued by this medium.
     #[must_use]
     pub fn position(&self, id: NodeId) -> Position {
-        self.entries[id.index()].position
+        self.positions[id.index()]
     }
 
     /// Moves `id` to `position` (vehicles update every traffic step).
@@ -343,10 +324,71 @@ impl Medium {
     /// Panics if `id` is unknown or the position is not finite.
     pub fn set_position(&mut self, id: NodeId, position: Position) {
         assert!(position.is_finite(), "non-finite position");
-        let old = self.entries[id.index()];
-        self.entries[id.index()].position = position;
-        if old.active {
-            self.grid.relocate(id.0, old.position, position);
+        let old = std::mem::replace(&mut self.positions[id.index()], position);
+        if self.entries[id.index()].active {
+            self.grid.relocate(id.0, old, position);
+        }
+    }
+
+    /// The grid the medium files its nodes by: a traffic step computed
+    /// with it names the vehicles that crossed into another cell, which
+    /// is all [`Medium::load_positions`] re-files. It changes only when a
+    /// registration or [`Medium::set_tx_range`] grows the cells.
+    #[must_use]
+    pub fn cells(&self) -> CellGrid {
+        self.grid.cells
+    }
+
+    /// Moves each of `nodes` to the position at the same index of
+    /// `positions`, as one column load, then re-files in the grid only the
+    /// moved nodes that `crossers` names: indices into `nodes`, ascending,
+    /// of the nodes whose cell under `cells` changed. If `cells` is no
+    /// longer [`Medium::cells`] (the grid grew since), every moved node is
+    /// checked instead.
+    ///
+    /// The result is that of [`Medium::set_position`] on each node in
+    /// turn: the same positions, and the same grid bucket operations in
+    /// the same order, so the bucket order the receiver walk sees is the
+    /// same too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is unknown or the two lists differ in length. In
+    /// debug builds, also if a moved active node's cell changed and
+    /// `crossers` does not name it, or if a position is not finite.
+    pub fn load_positions(
+        &mut self,
+        nodes: &[NodeId],
+        positions: &[Position],
+        crossers: &[u32],
+        cells: CellGrid,
+    ) {
+        assert_eq!(nodes.len(), positions.len(), "one position per node");
+        for (&id, &p) in nodes.iter().zip(positions) {
+            debug_assert!(p.is_finite(), "non-finite position");
+            self.positions[id.index()] = p;
+        }
+        if cells == self.grid.cells {
+            for &i in crossers {
+                self.refile(nodes[i as usize]);
+            }
+        } else {
+            for &id in nodes {
+                self.refile(id);
+            }
+        }
+        debug_assert!(
+            nodes.iter().all(|&id| !self.entries[id.index()].active
+                || self.grid.keys[id.index()]
+                    == self.grid.cells.key_of(self.positions[id.index()])),
+            "a node crossed a cell that the crossers do not name"
+        );
+    }
+
+    /// Files `id` in the bucket of its position, if it is active.
+    fn refile(&mut self, id: NodeId) {
+        if self.entries[id.index()].active {
+            self.grid.refile(id.0, self.grid.cells.key_of(self.positions[id.index()]));
         }
     }
 
@@ -368,8 +410,8 @@ impl Medium {
     pub fn set_tx_range(&mut self, id: NodeId, tx_range: f64) {
         assert!(tx_range.is_finite() && tx_range >= 0.0, "invalid tx range: {tx_range}");
         self.entries[id.index()].tx_range = tx_range;
-        if tx_range > self.grid.cell {
-            self.grid.grow(tx_range, &self.entries);
+        if tx_range > self.grid.cells.cell() {
+            self.grid.grow(tx_range, &self.positions, &self.entries);
         }
     }
 
@@ -388,7 +430,7 @@ impl Medium {
         }
         self.entries[id.index()].active = active;
         if active {
-            self.grid.insert(id.0, e.position);
+            self.grid.insert(id.0, self.positions[id.index()]);
         } else {
             self.grid.remove(id.0);
         }
@@ -462,15 +504,16 @@ impl Medium {
         if !s.active {
             return;
         }
+        let at = self.positions[sender.index()];
         let range = s.tx_range.min(cap_range);
         // `Position::within_range`, with the squared distance kept.
         let r2 = range * range;
         if self.entries.len() <= LINEAR_CUTOFF {
-            for (i, e) in self.entries.iter().enumerate() {
+            for (i, (e, &p)) in self.entries.iter().zip(&self.positions).enumerate() {
                 if i == sender.index() || !e.active {
                     continue;
                 }
-                let d2 = s.position.distance_squared(e.position);
+                let d2 = at.distance_squared(p);
                 if d2 <= r2 {
                     f(NodeId(i as u32), d2);
                 }
@@ -479,22 +522,24 @@ impl Medium {
         }
         // Every cell intersecting the bounding square of the range disk;
         // with cell >= range this is at most 3×3.
-        let cx0 = self.grid.cell_index(s.position.x - range);
-        let cx1 = self.grid.cell_index(s.position.x + range);
-        let cy0 = self.grid.cell_index(s.position.y - range);
-        let cy1 = self.grid.cell_index(s.position.y + range);
+        let cx0 = self.grid.cells.index(at.x - range);
+        let cx1 = self.grid.cells.index(at.x + range);
+        let cy0 = self.grid.cells.index(at.y - range);
+        let cy1 = self.grid.cells.index(at.y + range);
         for cx in cx0..=cx1 {
             for cy in cy0..=cy1 {
-                let Some(bucket) = self.grid.buckets.get(&Grid::key(cx, cy)) else {
+                let Some(bucket) = self.grid.buckets.get(&CellGrid::key(cx, cy)) else {
                     continue;
                 };
                 for &i in bucket {
                     if i == sender.0 {
                         continue;
                     }
-                    let e = &self.entries[i as usize];
-                    debug_assert!(e.active, "grid bucket holds inactive node");
-                    let d2 = s.position.distance_squared(e.position);
+                    debug_assert!(
+                        self.entries[i as usize].active,
+                        "grid bucket holds inactive node"
+                    );
+                    let d2 = at.distance_squared(self.positions[i as usize]);
                     if d2 <= r2 {
                         f(NodeId(i), d2);
                     }
@@ -524,13 +569,14 @@ impl Medium {
         if !s.active {
             return Vec::new();
         }
+        let at = self.positions[sender.index()];
         let range = s.tx_range.min(cap_range);
         let mut out = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, (e, &p)) in self.entries.iter().zip(&self.positions).enumerate() {
             if i == sender.index() || !e.active {
                 continue;
             }
-            if s.position.within_range(e.position, range) {
+            if at.within_range(p, range) {
                 out.push(NodeId(i as u32));
             }
         }
@@ -550,7 +596,7 @@ impl Medium {
         s.active
             && r.active
             && sender != receiver
-            && s.position.within_range(r.position, s.tx_range)
+            && self.position(sender).within_range(self.position(receiver), s.tx_range)
     }
 
     /// Propagation delay between two nodes: distance over the speed of
@@ -558,8 +604,7 @@ impl Medium {
     /// and its reception never share a timestamp ([`delay_us`]).
     #[must_use]
     pub fn propagation_delay(&self, a: NodeId, b: NodeId) -> SimDuration {
-        let d2 =
-            self.entries[a.index()].position.distance_squared(self.entries[b.index()].position);
+        let d2 = self.position(a).distance_squared(self.position(b));
         SimDuration::from_micros(delay_us(d2))
     }
 }
@@ -720,13 +765,13 @@ mod tests {
     fn cell_index_is_floor_division_and_monotone_at_cell_edges() {
         for cell in [1.0, 3.0, 30.0, 327.0, 486.0, 1_283.0] {
             let mut g = Grid::default();
-            g.grow(cell, &[]);
+            g.grow(cell, &[], &[]);
             // Away from edges, the division it replaces.
             for i in -4_000..4_000 {
                 let v = f64::from(i) * 7.37 + 0.013;
                 let q = v / cell;
                 if (q - q.round()).abs() > 1e-9 {
-                    assert_eq!(g.cell_index(v), q.floor() as i32, "v = {v}, cell = {cell}");
+                    assert_eq!(g.cells.index(v), q.floor() as i32, "v = {v}, cell = {cell}");
                 }
             }
             // At an edge, one ulp either side: monotone, and off by at
@@ -734,7 +779,7 @@ mod tests {
             for k in -200..200 {
                 let edge = f64::from(k) * cell;
                 let [below, at, above] =
-                    [edge.next_down(), edge, edge.next_up()].map(|v| g.cell_index(v));
+                    [edge.next_down(), edge, edge.next_up()].map(|v| g.cells.index(v));
                 assert!(below <= at && at <= above, "edge {edge}, cell {cell}");
                 assert!(below >= k - 1 && above <= k, "edge {edge}, cell {cell}");
             }
@@ -904,6 +949,54 @@ mod tests {
         }
     }
 
+    /// A medium's whole state, grid included: each node's position bits,
+    /// range and activity, each active node's stored bucket key, and every
+    /// bucket's ids in bucket order.
+    #[allow(clippy::type_complexity)]
+    fn layout(m: &Medium) -> (Vec<(u64, u64, u64, bool)>, Vec<u64>, Vec<(u64, Vec<u32>)>) {
+        let entries = m
+            .entries
+            .iter()
+            .zip(&m.positions)
+            .map(|(e, p)| (p.x.to_bits(), p.y.to_bits(), e.tx_range.to_bits(), e.active))
+            .collect();
+        let keys = (0..m.len()).filter(|&i| m.entries[i].active).map(|i| m.grid.keys[i]).collect();
+        let mut buckets: Vec<(u64, Vec<u32>)> =
+            m.grid.buckets.iter().map(|(&k, ids)| (k, ids.clone())).collect();
+        buckets.sort_unstable_by_key(|&(k, _)| k);
+        (entries, keys, buckets)
+    }
+
+    /// One traffic step of [`prop_bulk_load_matches_one_set_position_per_node`]:
+    /// a move per vehicle (`dx`, and a lane change when the flag is set),
+    /// vehicles leaving and entering, and between this step and the last a
+    /// static node moved by hand and the grid grown.
+    #[derive(Debug, Clone)]
+    struct Step {
+        moves: Vec<(f64, bool)>,
+        exits: Vec<usize>,
+        spawns: Vec<f64>,
+        static_to: Option<(f64, f64)>,
+        grow: Option<f64>,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            prop::collection::vec((-40.0f64..600.0, 0u8..20), 1..8),
+            prop::collection::vec(0usize..200, 0..4),
+            prop::collection::vec(-100.0f64..100.0, 0..3),
+            prop::option::of((-3_000.0f64..3_000.0, -600.0f64..600.0)),
+            (0u8..8, 500.0f64..1_500.0),
+        )
+            .prop_map(|(moves, exits, spawns, static_to, (grow, range))| Step {
+                moves: moves.into_iter().map(|(dx, change)| (dx, change == 0)).collect(),
+                exits,
+                spawns,
+                static_to,
+                grow: (grow == 0).then_some(range),
+            })
+    }
+
     proptest! {
         #[test]
         fn prop_receivers_sorted_and_within_range(
@@ -1010,6 +1103,89 @@ mod tests {
                 });
                 fanned.sort_unstable();
                 prop_assert_eq!(fanned, oracle);
+            }
+        }
+
+        /// A traffic step landed as one position load plus the re-filing
+        /// of the reported cell crossers leaves the medium exactly as one
+        /// `set_position` per vehicle does: the same entries, the same
+        /// bucket contents and the same order within each bucket (the
+        /// order the receiver walk yields). The crossers are computed as
+        /// the traffic simulation computes them, with the grid of the
+        /// previous step, so a grid grown in between takes the fallback
+        /// that checks every moved node.
+        #[test]
+        fn prop_bulk_load_matches_one_set_position_per_node(
+            start in prop::collection::vec((-3_000.0f64..3_000.0, 0u8..4), 90..130),
+            steps in prop::collection::vec(step(), 1..24),
+            cap in 0.0f64..1_500.0)
+        {
+            let lane = |l: u8| 2.5 + 5.0 * f64::from(l);
+            let (mut bulk, mut each) = (Medium::new(), Medium::new());
+            let register = |bulk: &mut Medium, each: &mut Medium, p: Position, range: f64| {
+                let id = bulk.register(p, range);
+                assert_eq!(each.register(p, range), id);
+                id
+            };
+            // Vehicles on the road (ascending ids) and their lanes.
+            let mut road: Vec<(NodeId, u8)> = start
+                .iter()
+                .map(|&(x, l)| (register(&mut bulk, &mut each, Position::new(x, lane(l)), 486.0), l))
+                .collect();
+            let fixed = register(&mut bulk, &mut each, Position::new(0.0, -20.0), 486.0);
+            let mut cells = bulk.cells();
+            for st in &steps {
+                if let Some((x, y)) = st.static_to {
+                    bulk.set_position(fixed, Position::new(x, y));
+                    each.set_position(fixed, Position::new(x, y));
+                }
+                if let Some(range) = st.grow {
+                    bulk.set_tx_range(fixed, range);
+                    each.set_tx_range(fixed, range);
+                }
+                // The step: the survivors move, then the entering vehicles
+                // register and the leaving ones deactivate.
+                let mut exits: Vec<usize> = st.exits.iter().map(|&e| e % road.len().max(1)).collect();
+                exits.sort_unstable();
+                exits.dedup();
+                let mut landed = Vec::new();
+                let mut crossers = Vec::new();
+                let mut survivors = Vec::new();
+                for (i, &(id, l)) in road.iter().enumerate() {
+                    if exits.binary_search(&i).is_ok() {
+                        continue;
+                    }
+                    let (dx, change) = st.moves[i % st.moves.len()];
+                    let l = if change { (l + 1) % 4 } else { l };
+                    let from = bulk.position(id);
+                    let to = Position::new(from.x + dx, lane(l));
+                    if cells.key_of(to) != cells.key_of(from) {
+                        crossers.push(survivors.len() as u32);
+                    }
+                    survivors.push((id, l));
+                    landed.push(to);
+                }
+                for &x in &st.spawns {
+                    let p = Position::new(x, lane(0));
+                    survivors.push((register(&mut bulk, &mut each, p, 486.0), 0));
+                    landed.push(p);
+                }
+                for &i in &exits {
+                    bulk.set_active(road[i].0, false);
+                    each.set_active(road[i].0, false);
+                }
+                road = survivors;
+                let nodes: Vec<NodeId> = road.iter().map(|&(id, _)| id).collect();
+                bulk.load_positions(&nodes, &landed, &crossers, cells);
+                for (&id, &p) in nodes.iter().zip(&landed) {
+                    each.set_position(id, p);
+                }
+                prop_assert_eq!(layout(&bulk), layout(&each));
+                cells = bulk.cells();
+            }
+            for sender in bulk.nodes() {
+                let oracle = bulk.receivers_within_linear(sender, cap);
+                prop_assert_eq!(bulk.receivers_within(sender, cap), oracle);
             }
         }
     }

@@ -5,28 +5,46 @@
 //! from the radio, the routers or any random stream. So a world with a
 //! spare core hands a clone of its traffic to a helper thread, which steps
 //! it a few steps ahead into a fixed ring of [`StepOutput`] buffers; the
-//! world only [applies](TrafficSim::apply) each finished step. The helper
-//! runs the same `step` on an exact copy of the same state, so the applied
-//! state is the one stepping in place leaves, bit for bit.
+//! world only [applies](TrafficSim::apply) each finished step and lands it
+//! in its radio medium. The helper runs the same `step` on an exact copy of
+//! the same state, so the applied state is the one stepping in place
+//! leaves, bit for bit. It also computes where each vehicle landed and
+//! which vehicles crossed a cell of the medium's grid, so the world's share
+//! of a step is a few bulk copies.
 //!
-//! Neither side spins. The helper parks once the ring is full and the
-//! world wakes it when a quarter of the ring is left, so a wake-up buys a
-//! batch of steps; the world parks only when it catches up with the
-//! helper.
+//! Each side spins for at most [`SPIN`] before it parks: the helper on a
+//! full ring, the world on an empty one. While the world runs, neither
+//! thread sleeps, so the scheduler keeps them on separate cores. A helper
+//! that parked because its world went idle is woken when a quarter of the
+//! ring is left, so a wake-up buys a batch of steps.
 
 use crate::parallel;
+use geonet_geo::{CellGrid, Position};
 use geonet_traffic::{StepOutput, TrafficSim};
+use std::mem::size_of;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
-/// Bytes of vehicle motion the ring may hold: 13 steps of a road of ~270
-/// vehicles (the paper's two-way road), 4 of one of ~1.3k.
-const RING_BYTES: usize = 64 * 1024;
+/// Bytes of vehicle motion and positions the ring may hold: 13 steps of
+/// a road of ~270 vehicles (the paper's two-way road), 2 of one of ~1.4k
+/// (`highway-scale`, whose world steps take ~4× the helper's). A deep
+/// ring lets the helper bank steps while the world's thread is
+/// descheduled, which the host does for milliseconds at a time.
+const RING_BYTES: usize = 128 * 1024;
+/// Bytes a step records per active vehicle: its `(s, v)` and its planar
+/// position.
+const VEHICLE_BYTES: usize = size_of::<(f64, f64)>() + size_of::<Position>();
 /// The fewest and the most steps the helper may run ahead.
-const MIN_SLOTS: usize = 4;
+const MIN_SLOTS: usize = 2;
 const MAX_SLOTS: usize = 16;
+/// How long the helper spins on a full ring, and the world on an empty
+/// one, before parking: a few world steps of the slowest benchmark
+/// workload (`highway-scale`, ~0.16 ms a step), and far below the ~12 ms
+/// reference kernel that perfbench runs between worlds.
+pub(crate) const SPIN: Duration = Duration::from_millis(1);
 
 /// Helpers running in this process, across all worlds.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -41,9 +59,9 @@ pub struct MobilityStats {
     pub ahead_steps: u64,
     /// Traffic steps computed on the world's thread.
     pub inline_steps: u64,
-    /// Helpers stopped by a traffic mutation (a hazard or an entry gate);
-    /// each is started again from a fresh clone at the next step, if a
-    /// core is still spare.
+    /// Helpers stopped by a traffic mutation (a hazard or an entry gate)
+    /// or by the medium's grid growing under them; each is started again
+    /// from a fresh clone at the next step, if a core is still spare.
     pub restarts: u64,
 }
 
@@ -57,6 +75,10 @@ struct Shared {
     slots: Vec<Mutex<StepOutput>>,
     /// Steps left in the ring when the world wakes a parked helper.
     wake_at: usize,
+    /// How long either side spins before it parks.
+    spin: Duration,
+    /// The medium's grid the helper computes cell crossings in.
+    cells: CellGrid,
     /// Steps the helper has finished.
     produced: AtomicUsize,
     /// Steps the world has applied.
@@ -95,6 +117,34 @@ pub(crate) struct Ahead {
 thread_local! {
     /// Overrides the spare-core rule for worlds stepped on this thread.
     static FORCE: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
+    /// Overrides [`SPIN`] for helpers started on this thread.
+    static SPIN_FOR: std::cell::Cell<Option<Duration>> = const { std::cell::Cell::new(None) };
+}
+
+/// The spin bound of a helper started now.
+fn spin_bound() -> Duration {
+    #[cfg(test)]
+    if let Some(spin) = SPIN_FOR.get() {
+        return spin;
+    }
+    SPIN
+}
+
+/// Spins until `ready` holds or `bound` has passed, and returns whether
+/// `ready` holds.
+fn spin_until(bound: Duration, ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..64 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= bound {
+            return ready();
+        }
+    }
 }
 
 /// Forces helpers on or off for worlds stepped on the calling thread
@@ -119,19 +169,27 @@ fn reserve(eligible: bool) -> bool {
 }
 
 impl Ahead {
-    /// Starts a helper stepping a clone of `traffic` by `dt`, if a core is
-    /// spare and the world is `eligible`.
-    pub(crate) fn start(traffic: &TrafficSim, dt: f64, eligible: bool) -> Option<Ahead> {
+    /// Starts a helper stepping a clone of `traffic` by `dt` and computing
+    /// cell crossings in `cells`, if a core is spare and the world is
+    /// `eligible`.
+    pub(crate) fn start(
+        traffic: &TrafficSim,
+        dt: f64,
+        cells: CellGrid,
+        eligible: bool,
+    ) -> Option<Ahead> {
         if !reserve(eligible) {
             return None;
         }
         // Room for an eighth more vehicles than now before a buffer grows.
         let vehicles = traffic.active_vehicles().count();
         let vehicles = vehicles + vehicles / 8 + 8;
-        let slots = (RING_BYTES / (16 * vehicles)).clamp(MIN_SLOTS, MAX_SLOTS);
+        let slots = (RING_BYTES / (VEHICLE_BYTES * vehicles)).clamp(MIN_SLOTS, MAX_SLOTS);
         let shared = Arc::new(Shared {
             slots: (0..slots).map(|_| Mutex::new(StepOutput::with_capacity(vehicles))).collect(),
-            wake_at: slots / 4,
+            wake_at: (slots / 4).max(1),
+            spin: spin_bound(),
+            cells,
             produced: AtomicUsize::new(0),
             consumed: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -154,18 +212,23 @@ impl Ahead {
         }
     }
 
-    /// Applies the helper's next step to `traffic`, waiting for it if the
+    /// The grid the helper computes cell crossings in.
+    pub(crate) fn cells(&self) -> CellGrid {
+        self.shared.cells
+    }
+
+    /// Hands the helper's next step to `land`, waiting for it if the
     /// helper is behind.
     ///
     /// # Panics
     ///
     /// Rethrows the helper's panic once the steps it finished are used up.
-    pub(crate) fn apply_next(&mut self, traffic: &mut TrafficSim) {
+    pub(crate) fn next(&mut self, land: impl FnOnce(&StepOutput)) {
         let next = self.shared.consumed.load(SeqCst);
         self.wait_for(next);
         let shared = &*self.shared;
         let slot = &shared.slots[next % shared.slots.len()];
-        traffic.apply(&slot.lock().unwrap_or_else(PoisonError::into_inner));
+        land(&slot.lock().unwrap_or_else(PoisonError::into_inner));
         shared.consumed.store(next + 1, SeqCst);
         let left = shared.produced.load(SeqCst) - (next + 1);
         if left <= shared.wake_at && shared.helper_parked.swap(false, SeqCst) {
@@ -177,6 +240,10 @@ impl Ahead {
 
     /// Returns once the helper has finished step `next`.
     fn wait_for(&mut self, next: usize) {
+        let shared = &*self.shared;
+        spin_until(shared.spin, || {
+            shared.produced.load(SeqCst) > next || shared.exited.load(SeqCst)
+        });
         loop {
             let shared = &*self.shared;
             // Read `exited` first: a helper that finished the step and
@@ -240,6 +307,11 @@ fn run(shared: &Shared, mut traffic: TrafficSim, dt: f64) {
     let mut produced = 0;
     while !shared.stop.load(SeqCst) {
         if produced - shared.consumed.load(SeqCst) == slots {
+            let free =
+                || shared.stop.load(SeqCst) || produced - shared.consumed.load(SeqCst) < slots;
+            if spin_until(shared.spin, free) {
+                continue;
+            }
             // Announce the park, then look again: a world that drained
             // the ring in between either sees the flag or is seen here.
             shared.helper_parked.store(true, SeqCst);
@@ -253,7 +325,7 @@ fn run(shared: &Shared, mut traffic: TrafficSim, dt: f64) {
         {
             let slot = &shared.slots[produced % slots];
             let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            traffic.step_into(dt, &mut slot);
+            traffic.step_into(dt, shared.cells, &mut slot);
         }
         produced += 1;
         shared.produced.store(produced, SeqCst);
@@ -369,25 +441,94 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_world_with_its_helper_ahead_joins_the_helper() {
+    fn a_grid_grown_mid_run_restarts_the_helper_and_lands_identically() {
+        let family = Family::Interception;
+        let cfg = family.config(12);
+        let on = helper_is_inert(
+            SimDuration::from_millis(100),
+            || family.world(&cfg, false, 3),
+            |w| {
+                w.run_until(SimTime::from_secs(4));
+                // A roadside unit whose range grows the medium's cells:
+                // the helper's crossings are of the old grid.
+                let rsu = w.add_static_node(Position::new(1_000.0, 30.0), 2_500.0);
+                w.run_until(SimTime::from_secs(8));
+                w.set_node_position(rsu, Position::new(2_600.0, -30.0));
+                w.run_until(SimTime::from_secs(12));
+            },
+        );
+        assert_eq!(on.restarts, 1);
+        assert_eq!(on.inline_steps, 2);
+    }
+
+    /// An interception world with a forced helper, run to 2 s, whose
+    /// helpers spin for `spin` before parking.
+    fn world_ahead(spin: Duration) -> World {
         force(Some(true));
+        SPIN_FOR.set(Some(spin));
         let family = Family::Interception;
         let cfg = family.config(30);
         let mut w = family.world(&cfg, false, 5);
         w.run_until(SimTime::from_secs(2));
         force(None);
-        let shared = w.ahead().expect("a forced helper runs").shared();
-        // Let the helper finish its batch and park.
+        SPIN_FOR.set(None);
+        w
+    }
+
+    /// Waits up to 10 s for `done`.
+    fn wait(done: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !shared.helper_parked.load(SeqCst) && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(1));
+        while !done() && Instant::now() < deadline {
+            thread::sleep(Duration::from_micros(100));
         }
-        assert!(shared.helper_parked.load(SeqCst), "the helper never parked");
+        done()
+    }
+
+    #[test]
+    fn a_helper_on_a_full_ring_parks_within_the_spin_bound() {
+        let w = world_ahead(SPIN);
+        let shared = w.ahead().expect("a forced helper runs").shared();
+        let slots = shared.slots.len();
+        let parked = || shared.helper_parked.load(SeqCst);
+        // The world has stopped consuming. The helper fills its ring and
+        // spins (or parks at once if the world took a step while it spun
+        // on the ring before).
+        let full = || shared.produced.load(SeqCst) - shared.consumed.load(SeqCst) == slots;
+        assert!(wait(|| full() || parked()), "the helper never filled its ring");
+        let filled = Instant::now();
+        assert!(wait(parked), "the helper never parked");
+        // Slack for a loaded test host to run the helper thread at all.
+        let bound = SPIN + Duration::from_secs(1);
+        assert!(filled.elapsed() < bound, "parked after {:?}", filled.elapsed());
+        drop(w);
+        assert!(shared.exited.load(SeqCst));
+    }
+
+    #[test]
+    fn dropping_a_world_with_its_helper_ahead_joins_the_helper() {
+        // Parked: let the helper finish its batch and park.
+        let w = world_ahead(SPIN);
+        let shared = w.ahead().expect("a forced helper runs").shared();
+        assert!(wait(|| shared.helper_parked.load(SeqCst)), "the helper never parked");
         assert!(shared.produced.load(SeqCst) > shared.consumed.load(SeqCst));
         let started = Instant::now();
         drop(w);
         assert!(started.elapsed() < Duration::from_secs(2), "drop took {:?}", started.elapsed());
         // The helper's own handle on the ring is gone with its thread.
+        assert!(shared.exited.load(SeqCst));
+        assert_eq!(Arc::strong_count(&shared), 1);
+
+        // Spinning: a helper that would spin for a minute on its full ring
+        // sees the stop at once.
+        let w = world_ahead(Duration::from_secs(60));
+        let shared = w.ahead().expect("a forced helper runs").shared();
+        let slots = shared.slots.len();
+        let full = || shared.produced.load(SeqCst) - shared.consumed.load(SeqCst) == slots;
+        assert!(wait(full), "the helper never filled its ring");
+        assert!(!shared.helper_parked.load(SeqCst), "the helper parked while spinning");
+        let started = Instant::now();
+        drop(w);
+        assert!(started.elapsed() < Duration::from_secs(2), "drop took {:?}", started.elapsed());
         assert!(shared.exited.load(SeqCst));
         assert_eq!(Arc::strong_count(&shared), 1);
     }

@@ -15,7 +15,7 @@ use geonet_sim::{
     SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode, TopoSnapshot,
     TraceEvent, Tracer, UnorderedDigest,
 };
-use geonet_traffic::{Direction, TrafficSim, VehicleId};
+use geonet_traffic::{Direction, StepOutput, TrafficSim, VehicleId};
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -118,6 +118,11 @@ pub struct World {
     kinds: Vec<NodeKind>,
     rngs: Vec<SimRng>,
     vehicle_nodes: Vec<NodeId>,
+    /// The radio nodes of the vehicles on the road, ascending: where a
+    /// traffic step's positions land ([`StepOutput::positions`]).
+    active_nodes: Vec<NodeId>,
+    /// The record of the last traffic step stepped inline.
+    landing: StepOutput,
     /// The attacker's radio node and the attacker itself, if mounted.
     attacker: Option<(NodeId, Attacker)>,
     workload_rng: SimRng,
@@ -181,6 +186,8 @@ impl World {
             kinds: Vec::new(),
             rngs: Vec::new(),
             vehicle_nodes: Vec::new(),
+            active_nodes: Vec::new(),
+            landing: StepOutput::default(),
             attacker: None,
             workload_rng: root_rng.split(0xAAAA),
             loss_rng: root_rng.split(0x1055),
@@ -247,6 +254,7 @@ impl World {
             SimDuration::from_secs_f64(rng.uniform(0.0, self.cfg.gn.beacon_interval.as_secs_f64()));
         self.rngs.push(rng);
         self.vehicle_nodes.push(node);
+        self.active_nodes.push(node);
         debug_assert_eq!(self.vehicle_nodes.len() - 1, vid.index());
         self.kernel.schedule_in(offset, Ev::Beacon(node));
     }
@@ -841,24 +849,6 @@ impl World {
 
     fn on_traffic_step(&mut self) {
         self.step_traffic();
-        // Register newly entered vehicles.
-        while self.vehicle_nodes.len() < self.traffic.all_vehicles().len() {
-            let vid = VehicleId(self.vehicle_nodes.len() as u32);
-            self.register_vehicle(vid);
-        }
-        // Deactivate the vehicles that exited in this step (their last
-        // position stays on record); sync the rest. An exited router gets
-        // the beacons that reached it before this step, not the later ones.
-        for vid in self.traffic.exited_last_step() {
-            let node = self.vehicle_nodes[vid.index()];
-            self.medium.set_active(node, false);
-            let lazy = self.routers[node.index()].as_mut().expect("vehicle router").get_mut();
-            self.log.close(lazy, self.barrier);
-        }
-        for v in self.traffic.active_vehicles() {
-            let node = self.vehicle_nodes[v.id.index()];
-            self.medium.set_position(node, v.position(self.traffic.road()));
-        }
         // Mobile-attacker extension: the attacker drives along the road.
         if self.cfg.attacker_velocity != 0.0 {
             if let Some((node, attacker)) = &mut self.attacker {
@@ -883,27 +873,74 @@ impl World {
         }
     }
 
-    /// Advances the traffic one step: applies the helper's next step, or
-    /// steps inline and then, at the first step and after a mutation,
-    /// hands a clone to a helper if a core is spare. A world with a
-    /// registry attached keeps stepping inline, where each step is timed.
+    /// Advances the traffic one step and lands it in the medium: applies
+    /// the helper's next step, or steps inline and then, at the first step
+    /// and after a mutation, hands a clone to a helper if a core is spare.
+    /// A world with a registry attached keeps stepping inline, where each
+    /// step is timed. Both paths land the same record.
     fn step_traffic(&mut self) {
         let dt = self.cfg.traffic_dt;
-        if let Some(ahead) = &mut self.ahead {
-            ahead.apply_next(&mut self.traffic);
+        let cells = self.medium.cells();
+        if self.ahead.as_ref().is_some_and(|ahead| ahead.cells() != cells) {
+            // The grid grew: the helper's crossings are of the old cells.
+            self.stop_ahead();
+        }
+        if let Some(mut ahead) = self.ahead.take() {
+            ahead.next(|out| {
+                self.traffic.apply(out);
+                self.land(out);
+            });
+            self.ahead = Some(ahead);
             self.mobility.ahead_steps += 1;
         } else {
-            let _span = self.telemetry.time("traffic_step_ns");
-            self.traffic.step(dt);
+            let mut out = std::mem::take(&mut self.landing);
+            {
+                let _span = self.telemetry.time("traffic_step_ns");
+                self.traffic.step_landing(dt, cells, &mut out);
+            }
             self.mobility.inline_steps += 1;
+            self.land(&out);
+            self.landing = out;
         }
         if std::mem::take(&mut self.start_ahead) {
-            self.ahead = Ahead::start(&self.traffic, dt, !self.telemetry.is_enabled());
+            let eligible = !self.telemetry.is_enabled();
+            self.ahead = Ahead::start(&self.traffic, dt, self.medium.cells(), eligible);
         }
+    }
+
+    /// Brings the rest of the world to the traffic step just taken, whose
+    /// record is `out`: traces its collisions, registers the vehicles that
+    /// entered, deactivates the ones that exited (their last position
+    /// stays on record) and loads every other vehicle's position. An
+    /// exited router gets the beacons that reached it before this step,
+    /// not the later ones.
+    fn land(&mut self, out: &StepOutput) {
         let at = SimTime::from_secs_f64(self.traffic.elapsed());
         for &x in self.traffic.collisions_last_step() {
             self.tracer.emit(at, || TraceEvent::Collision { x });
         }
+        while self.vehicle_nodes.len() < self.traffic.all_vehicles().len() {
+            let vid = VehicleId(self.vehicle_nodes.len() as u32);
+            self.register_vehicle(vid);
+        }
+        let exits = self.traffic.exited_last_step();
+        for vid in exits {
+            let node = self.vehicle_nodes[vid.index()];
+            self.medium.set_active(node, false);
+            let lazy = self.routers[node.index()].as_mut().expect("vehicle router").get_mut();
+            self.log.close(lazy, self.barrier);
+        }
+        if !exits.is_empty() {
+            // Both lists ascend, and vehicle nodes ascend with vehicle ids.
+            let mut exited = exits.iter().map(|vid| self.vehicle_nodes[vid.index()]).peekable();
+            self.active_nodes.retain(|&node| exited.next_if_eq(&node).is_none());
+        }
+        self.medium.load_positions(
+            &self.active_nodes,
+            out.positions(),
+            out.crossers(),
+            out.cells(),
+        );
     }
 
     /// Bounds the beacon log by the LocT TTL: once the oldest chunk of

@@ -2,7 +2,8 @@
 
 use crate::road::{Direction, RoadConfig};
 use crate::vehicle::{Vehicle, VehicleId};
-use geonet_geo::Position;
+use crate::IdmParams;
+use geonet_geo::{CellGrid, Position};
 use geonet_sim::StateHasher;
 use std::fmt;
 
@@ -23,6 +24,38 @@ fn dir_index(d: Direction) -> usize {
 /// ascending lane order.
 fn lane_slot(d: Direction, lane: u8, lanes_per_direction: u8) -> usize {
     dir_index(d) * usize::from(lanes_per_direction) + usize::from(lane)
+}
+
+/// Slots of the free-term memo, a power of two.
+const FREE_SLOTS: usize = 512;
+
+/// A direct-mapped memo of [`IdmParams::free_term`] by the bits of the
+/// speed. The term is a libm `pow` and a pure function of the speed, and
+/// a step sees far fewer distinct speeds than vehicles: mirrored
+/// directions and the lanes of a prefilled road move alike. Over 200 s
+/// of `sparse-highway` a step met ~29 distinct speeds among 270 vehicles,
+/// where runs of equal speeds within a lane still took ~100 calls; the
+/// paper's two-way road met ~137 among 316 (~300 calls). A speed that
+/// maps to a taken slot evicts the older entry.
+#[derive(Clone)]
+struct FreeTerms(Box<[(u64, f64)]>);
+
+impl FreeTerms {
+    /// An empty memo: every slot holds a NaN's bits, which no speed has.
+    fn new() -> Self {
+        FreeTerms(vec![(u64::MAX, 0.0); FREE_SLOTS].into_boxed_slice())
+    }
+
+    /// `idm.free_term(v)`.
+    fn get(&mut self, idm: &IdmParams, v: f64) -> f64 {
+        let bits = v.to_bits();
+        let hash = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FREE_SLOTS.trailing_zeros());
+        let slot = &mut self.0[hash as usize];
+        if slot.0 != bits {
+            *slot = (bits, idm.free_term(v));
+        }
+        slot.1
+    }
 }
 
 /// A hazard blocking all lanes of one direction at a longitudinal
@@ -75,7 +108,10 @@ fn hazard_ahead(hazards: &[Hazard], direction: Direction, s: f64) -> Option<f64>
 /// The simulation is plain data (`Clone + Send`) and reads nothing but
 /// its own state: a clone stepped on another thread computes the same
 /// trajectory bit for bit, and [`TrafficSim::step_into`] /
-/// [`TrafficSim::apply`] carry each step back as a [`StepOutput`].
+/// [`TrafficSim::apply`] carry each step back as a [`StepOutput`]. The
+/// record also says where each vehicle landed and which vehicles crossed
+/// into another cell of a [`CellGrid`], so a radio medium indexed by that
+/// grid takes the step as one load ([`TrafficSim::step_landing`]).
 #[derive(Clone)]
 pub struct TrafficSim {
     road: RoadConfig,
@@ -87,6 +123,7 @@ pub struct TrafficSim {
     lanes: Vec<Vec<VehicleId>>,
     /// One lane's accelerations, reused across lanes and steps.
     accels: Vec<f64>,
+    free_terms: FreeTerms,
     /// Ids of the vehicles that exited in the last step, ascending.
     exits: Vec<VehicleId>,
     /// Where the gap collapses of the last step happened, in step order.
@@ -98,6 +135,12 @@ pub struct TrafficSim {
     last_entered: [Option<VehicleId>; 2],
     collisions: u64,
     elapsed: f64,
+    /// The cell of each vehicle under `keyed`, by vehicle id: current for
+    /// the active vehicles while `keyed` is set. Kept by
+    /// [`TrafficSim::step_landing`]; any other step, and an apply, unset
+    /// `keyed`.
+    cell_keys: Vec<u64>,
+    keyed: Option<CellGrid>,
 }
 
 impl TrafficSim {
@@ -120,6 +163,7 @@ impl TrafficSim {
             active: Vec::new(),
             lanes: vec![Vec::new(); lanes],
             accels: Vec::new(),
+            free_terms: FreeTerms::new(),
             exits: Vec::new(),
             collided: Vec::new(),
             hazards: Vec::new(),
@@ -128,6 +172,8 @@ impl TrafficSim {
             last_entered: [None; 2],
             collisions: 0,
             elapsed: 0.0,
+            cell_keys: Vec::new(),
+            keyed: None,
         };
         sim.prefill();
         sim
@@ -306,6 +352,12 @@ impl TrafficSim {
     ///
     /// Panics if `dt` is not finite and positive.
     pub fn step(&mut self, dt: f64) {
+        self.keyed = None;
+        self.advance(dt);
+    }
+
+    /// [`TrafficSim::step`], leaving the cell keys to the caller.
+    fn advance(&mut self, dt: f64) {
         assert!(dt.is_finite() && dt > 0.0, "invalid timestep: {dt}");
         self.elapsed += dt;
         let TrafficSim {
@@ -314,6 +366,7 @@ impl TrafficSim {
             active,
             lanes,
             accels,
+            free_terms,
             exits,
             collided,
             hazards,
@@ -347,7 +400,7 @@ impl TrafficSim {
             // The free-road term (a libm `pow`) of the last speed seen. It
             // is a pure function of the speed's bits, and a prefilled
             // platoon moves in lockstep, so runs of followers share one
-            // call. The initial bits are a NaN's, which no speed has.
+            // lookup. The initial bits are a NaN's, which no speed has.
             let mut last_free = (u64::MAX, 0.0);
             for (rank, id) in ids.iter().enumerate() {
                 let v = &vehicles[id.index()];
@@ -366,7 +419,7 @@ impl TrafficSim {
                 };
                 let mut free = || {
                     if last_free.0 != v.v.to_bits() {
-                        last_free = (v.v.to_bits(), road.idm.free_term(v.v));
+                        last_free = (v.v.to_bits(), free_terms.get(&road.idm, v.v));
                     }
                     last_free.1
                 };
@@ -459,16 +512,59 @@ impl TrafficSim {
         self.next_lane[d] = (lane + 1) % self.road.lanes_per_direction;
     }
 
-    /// [`TrafficSim::step`], recording into `out` everything the step
-    /// changed, so that [`TrafficSim::apply`] brings a copy of this
-    /// simulation from before the step to where this one is now.
+    /// [`TrafficSim::step`], recording into `out` where the step left the
+    /// vehicles: the planar position of each active vehicle, and which of
+    /// the vehicles active before the step crossed into another cell of
+    /// `cells`. This is what a radio medium indexed by `cells` needs to
+    /// follow the step; `out` is no record for [`TrafficSim::apply`].
     ///
     /// # Panics
     ///
     /// Panics if `dt` is not finite and positive.
-    pub fn step_into(&mut self, dt: f64, out: &mut StepOutput) {
-        let spawned_from = self.vehicles.len();
-        self.step(dt);
+    pub fn step_landing(&mut self, dt: f64, cells: CellGrid, out: &mut StepOutput) {
+        if self.keyed != Some(cells) {
+            self.cell_keys.resize(self.vehicles.len(), 0);
+            for &id in &self.active {
+                let p = self.vehicles[id.index()].position(&self.road);
+                self.cell_keys[id.index()] = cells.key_of(p);
+            }
+            self.keyed = Some(cells);
+        }
+        let before = self.vehicles.len();
+        self.advance(dt);
+        self.cell_keys.resize(self.vehicles.len(), 0);
+        out.before = before;
+        out.positions.clear();
+        out.crossers.clear();
+        out.cells = cells;
+        for (i, &id) in self.active.iter().enumerate() {
+            let p = self.vehicles[id.index()].position(&self.road);
+            let key = &mut self.cell_keys[id.index()];
+            if id.index() >= before {
+                *key = cells.key_of(p);
+            } else if !cells.column_holds(*key, p.x) {
+                // A vehicle keeps its lane, so its cell row never changes
+                // and a cell is crossed only where its column is left.
+                let new = cells.key_of(p);
+                if new != *key {
+                    out.crossers.push(i as u32);
+                    *key = new;
+                }
+            }
+            out.positions.push(p);
+        }
+    }
+
+    /// [`TrafficSim::step_landing`], recording into `out` as well
+    /// everything the step changed, so that [`TrafficSim::apply`] brings a
+    /// copy of this simulation from before the step to where this one is
+    /// now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not finite and positive.
+    pub fn step_into(&mut self, dt: f64, cells: CellGrid, out: &mut StepOutput) {
+        self.step_landing(dt, cells, out);
         // The vehicles active before the step, ascending: the survivors
         // (less this step's spawns) merged with this step's exits.
         out.motion.clear();
@@ -478,7 +574,7 @@ impl TrafficSim {
             out.motion.push((v.s, v.v));
         };
         let mut exits = self.exits.iter().copied().peekable();
-        for &id in self.active.iter().take_while(|id| id.index() < spawned_from) {
+        for &id in self.active.iter().take_while(|id| id.index() < out.before) {
             while let Some(exit) = exits.next_if(|&e| e < id) {
                 record(exit);
             }
@@ -487,7 +583,7 @@ impl TrafficSim {
         exits.for_each(record);
         out.exits.clone_from(&self.exits);
         out.spawned.clear();
-        out.spawned.extend_from_slice(&self.vehicles[spawned_from..]);
+        out.spawned.extend_from_slice(&self.vehicles[out.before..]);
         out.collided.clone_from(&self.collided);
         out.elapsed = self.elapsed;
         out.next_lane = self.next_lane;
@@ -504,9 +600,12 @@ impl TrafficSim {
     /// # Panics
     ///
     /// Panics if `out` was recorded from a state with a different number
-    /// of active vehicles.
+    /// of vehicles or of active vehicles.
     pub fn apply(&mut self, out: &StepOutput) {
-        assert_eq!(out.motion.len(), self.active.len(), "step output of another state");
+        assert!(
+            out.before == self.vehicles.len() && out.motion.len() == self.active.len(),
+            "step output of another state"
+        );
         let TrafficSim { vehicles, active, .. } = self;
         for (id, &(s, v)) in active.iter().zip(&out.motion) {
             let veh = &mut vehicles[id.index()];
@@ -527,14 +626,18 @@ impl TrafficSim {
         self.next_lane = out.next_lane;
         self.last_entered = out.last_entered;
         self.collisions = out.collisions;
+        self.keyed = None;
     }
 }
 
-/// One recorded [`TrafficSim::step`]: what [`TrafficSim::step_into`]
-/// writes and [`TrafficSim::apply`] reads. Hazards and entry gates are
-/// not in it; a step does not change them.
+/// One recorded [`TrafficSim::step`]. [`TrafficSim::step_landing`] writes
+/// where the vehicles landed; [`TrafficSim::step_into`] writes that and
+/// the state that [`TrafficSim::apply`] reads. Hazards and entry gates
+/// are not in it; a step does not change them.
 #[derive(Debug, Clone, Default)]
 pub struct StepOutput {
+    /// How many vehicles had ever spawned before the step.
+    before: usize,
     /// The new `(s, v)` of each vehicle active before the step, in
     /// ascending id order.
     motion: Vec<(f64, f64)>,
@@ -548,13 +651,45 @@ pub struct StepOutput {
     next_lane: [u8; 2],
     last_entered: [Option<VehicleId>; 2],
     collisions: u64,
+    /// The planar position of each vehicle active after the step, in
+    /// ascending id order.
+    positions: Vec<Position>,
+    /// Indices into `positions`, ascending, of the vehicles whose cell
+    /// under `cells` changed in the step; never one that entered in it.
+    crossers: Vec<u32>,
+    cells: CellGrid,
 }
 
 impl StepOutput {
     /// An empty record with room for a step of `vehicles` active vehicles.
     #[must_use]
     pub fn with_capacity(vehicles: usize) -> Self {
-        StepOutput { motion: Vec::with_capacity(vehicles), ..StepOutput::default() }
+        StepOutput {
+            motion: Vec::with_capacity(vehicles),
+            positions: Vec::with_capacity(vehicles),
+            ..StepOutput::default()
+        }
+    }
+
+    /// The planar position of each vehicle active after the step, in
+    /// ascending id order: survivors, then the vehicles that entered.
+    #[must_use]
+    pub fn positions(&self) -> &[Position] {
+        &self.positions
+    }
+
+    /// Indices into [`StepOutput::positions`], ascending, of the vehicles
+    /// that crossed into another cell of [`StepOutput::cells`] in the
+    /// step. A vehicle that entered in the step is never among them.
+    #[must_use]
+    pub fn crossers(&self) -> &[u32] {
+        &self.crossers
+    }
+
+    /// The grid the crossings are of.
+    #[must_use]
+    pub fn cells(&self) -> CellGrid {
+        self.cells
     }
 }
 
@@ -579,6 +714,21 @@ mod tests {
         for _ in 0..steps {
             sim.step(0.1);
         }
+    }
+
+    #[test]
+    fn free_term_memo_returns_the_term_of_each_speed() {
+        let idm = IdmParams::paper_default();
+        let mut memo = FreeTerms::new();
+        // Far more speeds than slots, so most of them collide, and each
+        // asked twice, once after the others evicted it.
+        let speeds: Vec<f64> = (0..4_000).map(|k| f64::from(k) * 0.012_345 + 0.1).collect();
+        for _ in 0..2 {
+            for &v in &speeds {
+                assert_eq!(memo.get(&idm, v).to_bits(), idm.free_term(v).to_bits(), "v = {v}");
+            }
+        }
+        assert_eq!(memo.get(&idm, 0.0).to_bits(), idm.free_term(0.0).to_bits());
     }
 
     #[test]
@@ -1045,7 +1195,10 @@ mod oracle_tests {
                 });
             }
             Action::Gate(d, open) => sim.set_entry_open(d, open),
-            Action::Move(id, s) => sim.vehicles[id.index()].s = s,
+            Action::Move(id, s) => {
+                sim.vehicles[id.index()].s = s;
+                sim.keyed = None;
+            }
         }
     }
 
@@ -1155,17 +1308,23 @@ mod oracle_tests {
     /// scenario world's mobility helper does: the recording copy is cloned
     /// from the applied one at the start and after every mutation, and it
     /// runs up to `ring` steps ahead. Compares the applied simulation
-    /// with the in-place one after every step.
+    /// with the in-place one after every step, and each record's landing
+    /// (positions and cell crossings under a grid of `cell` metres) with
+    /// the vehicles' positions before and after it and with the landing
+    /// the in-place simulation records.
     fn check_applied(
         road: RoadConfig,
         steps: usize,
         ring: usize,
+        cell: f64,
         scripts: &[(usize, Script)],
     ) -> Result<(), String> {
+        let cells = CellGrid::new(cell);
         let mut sim = TrafficSim::new(road);
         let mut applied = sim.clone();
         let mut helper: Option<TrafficSim> = None;
         let mut buffers = vec![StepOutput::default(); ring];
+        let mut landing = StepOutput::default();
         let (mut produced, mut consumed) = (0usize, 0usize);
         let disabled = Tracer::disabled();
         for step in 0..steps {
@@ -1179,13 +1338,18 @@ mod oracle_tests {
                 act(&mut sim, &disabled, action);
                 act(&mut applied, &disabled, action);
             }
-            sim.step(0.1);
+            sim.step_landing(0.1, cells, &mut landing);
             let ahead = helper.get_or_insert_with(|| applied.clone());
             while produced - consumed < ring {
-                ahead.step_into(0.1, &mut buffers[produced % ring]);
+                ahead.step_into(0.1, cells, &mut buffers[produced % ring]);
                 produced += 1;
             }
-            applied.apply(&buffers[consumed % ring]);
+            let cell_before: Vec<(VehicleId, u64)> = applied
+                .active_vehicles()
+                .map(|v| (v.id, cells.key_of(v.position(applied.road()))))
+                .collect();
+            let out = &buffers[consumed % ring];
+            applied.apply(out);
             consumed += 1;
 
             let digest = |t: &TrafficSim| {
@@ -1218,6 +1382,26 @@ mod oracle_tests {
                     applied.collisions_last_step(),
                     sim.collisions_last_step()
                 ));
+            }
+            let positions: Vec<Position> =
+                sim.active_vehicles().map(|v| v.position(sim.road())).collect();
+            if out.positions() != positions {
+                return fail("landed positions differ from the vehicles'".into());
+            }
+            let crossers: Vec<u32> = sim
+                .active_vehicles()
+                .enumerate()
+                .filter(|(_, v)| {
+                    let before = cell_before.binary_search_by_key(&v.id, |&(id, _)| id);
+                    before.is_ok_and(|i| cell_before[i].1 != cells.key_of(v.position(sim.road())))
+                })
+                .map(|(i, _)| i as u32)
+                .collect();
+            if out.crossers() != crossers || out.cells() != cells {
+                return fail(format!("crossers {:?}, expected {crossers:?}", out.crossers()));
+            }
+            if landing.positions() != positions || landing.crossers() != crossers {
+                return fail(format!("in place: crossers {:?}", landing.crossers()));
             }
         }
         Ok(())
@@ -1268,6 +1452,7 @@ mod oracle_tests {
             ],
             steps in 1usize..=3_000,
             ring in 1usize..=16,
+            cell in prop_oneof![1.0f64..50.0, 50.0f64..2_000.0],
             hazards in prop::collection::vec(hazard(), 0..4),
             gates in prop::collection::vec(gate(), 0..6),
             pile_ups in prop::collection::vec(pile_up(), 0..3))
@@ -1282,7 +1467,7 @@ mod oracle_tests {
                 ..RoadConfig::paper_default()
             };
             let scripts: Vec<(usize, Script)> = [hazards, gates, pile_ups].concat();
-            let result = check_applied(road, steps, ring, &scripts);
+            let result = check_applied(road, steps, ring, cell, &scripts);
             prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }
