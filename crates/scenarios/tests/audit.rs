@@ -6,9 +6,11 @@ use geonet_geo::{Area, Position};
 use geonet_scenarios::{interarea, Family, ScenarioConfig, World};
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, AuditArtifact, InvariantChecker, InvariantParams,
-    SimDuration, SimTime, TraceEvent, TraceSink, VecSink,
+    SharedSink, SimDuration, SimTime, StateHasher, TraceEvent, TraceRecord, TraceSink, VecSink,
 };
 use geonet_traffic::Direction;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A short but non-trivial scenario: long enough for beacons, GF
 /// forwarding and CBF contention to all fire.
@@ -133,11 +135,14 @@ fn injected_duplicate_forward_is_caught() {
     assert!(v.detail.contains("duplicate forward"), "got: {}", v.detail);
 }
 
-/// Runs one attacked 20 s world of a family and returns its event count
-/// and final combined audit digest.
-fn golden_run(family: Family) -> (u64, u64) {
+/// Runs one attacked 20 s world of a family, with `sink` attached if
+/// given, and returns its event count and final combined audit digest.
+fn golden_run(family: Family, sink: Option<SharedSink>) -> (u64, u64) {
     let cfg = family.config(20);
     let mut w = family.world(&cfg, true, 7);
+    if let Some(sink) = sink {
+        w.set_trace_sink(sink);
+    }
     let _ = family.drive(&cfg, &mut w, |_, _| {});
     (w.events_processed(), w.audit_checkpoint().combined)
 }
@@ -145,18 +150,57 @@ fn golden_run(family: Family) -> (u64, u64) {
 /// Golden history pins. Any change to kernel event ordering, the event
 /// queue's digest or the simulated behaviour changes these numbers, so
 /// this test fails on it and not only the benchmark's reference
-/// fingerprints.
+/// fingerprints. A world with a trace sink attached must make the same
+/// history as one without.
 ///
 /// After an intended history change, regenerate them by running
 /// `cargo test -p geonet-scenarios --test audit golden` and copying the
 /// `got` array from the failure message.
 #[test]
 fn golden_histories_are_pinned() {
-    let got = Family::BOTH.map(golden_run);
+    for traced in [false, true] {
+        let got = Family::BOTH.map(|family| {
+            let sink: Option<SharedSink> = traced.then(|| shared(TraceDigest::default()) as _);
+            golden_run(family, sink)
+        });
+        assert_eq!(
+            got,
+            [(34730, 16215225509723573459), (33589, 3030571092036486867)],
+            "golden (interarea, intraarea) histories changed (traced: {traced}): got {got:?}"
+        );
+    }
+}
+
+/// Counts the JSONL lines of a trace and digests their bytes, without
+/// holding them.
+#[derive(Default)]
+struct TraceDigest {
+    lines: u64,
+    hasher: StateHasher,
+}
+
+impl TraceSink for TraceDigest {
+    fn record(&mut self, at: SimTime, node: u32, event: &TraceEvent) {
+        self.lines += 1;
+        self.hasher.write_str(&TraceRecord { at, node, event: event.clone() }.to_json());
+    }
+}
+
+/// Pins the trace of each golden run: its record count and a digest of
+/// its JSONL lines in emission order, the bytes `repro --trace` writes.
+/// Regenerate like the golden pins above.
+#[test]
+fn golden_traces_are_pinned() {
+    let got = Family::BOTH.map(|family| {
+        let sink: Rc<RefCell<TraceDigest>> = shared(TraceDigest::default());
+        golden_run(family, Some(sink.clone()));
+        let sink = sink.borrow();
+        (sink.lines, sink.hasher.finish())
+    });
     assert_eq!(
         got,
-        [(34730, 16215225509723573459), (33589, 3030571092036486867)],
-        "golden (interarea, intraarea) histories changed: got {got:?}"
+        [(67010, 2951596361460869724), (62706, 7081569117597829798)],
+        "golden (interarea, intraarea) traces changed: got {got:?}"
     );
 }
 
