@@ -136,7 +136,7 @@ fn receivers_of(src: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Delivers `src`'s beacon to the `BATCH` tables around it, one table
-/// write per receiver, as the event-per-delivery path does.
+/// write per receiver, as delivering each beacon at its arrival does.
 fn deliver_beacon<T: BeaconTable>(
     tables: &mut [T],
     pvs: &[LongPositionVector],

@@ -610,10 +610,10 @@ impl GnRouter {
     /// Applies a beacon advertising `pv` that arrived at `now`, leaving
     /// the location table and the counters exactly as
     /// [`GnRouter::receive`] of that broadcast beacon would. Nothing is
-    /// traced or timed: a host hands beacons over this way only while no
-    /// per-delivery observer is attached, and may do so late, as long as
-    /// it applies them in arrival order before anything reads this
-    /// router's table.
+    /// traced or timed: a host that traces its deliveries emits
+    /// [`GnRouter::beacon_outcome`] itself. A host may hand beacons over
+    /// late, as long as it applies them in arrival order before anything
+    /// reads this router's table.
     ///
     /// It is [`GnRouter::count_beacon`], then [`GnRouter::write_beacon`]
     /// if the beacon was accepted. The two halves may also be taken
