@@ -9,6 +9,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The package's dependencies serve its bench targets and `bench_summary`;
+// this small helper library uses only `geonet-scenarios`.
+#![allow(unused_crate_dependencies)]
 
 use geonet_scenarios::config::Scale;
 

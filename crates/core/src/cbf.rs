@@ -23,13 +23,12 @@ use crate::security::SecuredPacket;
 use crate::types::{GnAddress, SequenceNumber};
 use geonet_geo::Position;
 use geonet_sim::{SimDuration, SimTime, StateHasher};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a GeoBroadcast packet for duplicate detection: the source
 /// address plus the source-assigned sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketKey {
     /// The originating node.
     pub source: GnAddress,
@@ -60,7 +59,7 @@ impl fmt::Display for PacketKey {
 }
 
 /// CBF timing parameters and the optional RHL-drop mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CbfParams {
     /// Minimum buffering time (standard default 1 ms).
     pub to_min: SimDuration,

@@ -2,7 +2,6 @@
 
 use crate::cbf::CbfParams;
 use geonet_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Link-layer acknowledgement configuration for greedy unicast forwarding.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// whose unicast goes unacknowledged retries towards its next-best
 /// neighbour, up to `max_retries` times, before falling back to a
 /// broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAckConfig {
     /// How long to wait for the MAC acknowledgement before declaring the
     /// next hop unreachable.
@@ -34,7 +33,7 @@ impl Default for LinkAckConfig {
 /// buffering in the forwarding buffer and falling back to a
 /// topologically-scoped broadcast; the paper phrases it as "either
 /// rechecks its LocT later or broadcasts").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoProgressPolicy {
     /// Broadcast the packet; any receiver closer to the destination
     /// continues forwarding (the default used for the paper experiments).
@@ -56,7 +55,7 @@ pub enum NoProgressPolicy {
 ///
 /// Both default to **off**, which is the standard's (vulnerable)
 /// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MitigationConfig {
     /// GF plausibility check (§V-A): before forwarding, only consider
     /// neighbours whose advertised position is within this many metres.
@@ -95,7 +94,7 @@ impl MitigationConfig {
 }
 
 /// Per-node GeoNetworking protocol parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GnConfig {
     /// Beacon period (standard: 3 s).
     pub beacon_interval: SimDuration,
@@ -132,7 +131,7 @@ pub struct GnConfig {
 
 impl GnConfig {
     /// The paper's configuration for an access technology with the given
-    /// `DIST_MAX` (use [`geonet_radio::RangeProfile::dist_max`]).
+    /// `DIST_MAX` (use `geonet_radio::RangeProfile::dist_max`).
     ///
     /// # Panics
     ///

@@ -3,7 +3,6 @@
 use crate::security::{SecuredPacket, Verifier};
 use crate::types::GnAddress;
 use geonet_geo::Position;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A link-layer frame as it travels on the air.
@@ -17,7 +16,7 @@ use std::fmt;
 /// from the access layer and its location table: CBF uses it to compute
 /// the contention timeout relative to the previous hop. For legitimate
 /// nodes it is the transmitter's true position at transmission time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Claimed link-layer source.
     pub src: GnAddress,

@@ -10,11 +10,10 @@
 
 use crate::types::{GnAddress, Timestamp};
 use geonet_geo::{GeoCoord, GeoReference, Heading, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The long position vector: the source's identity and kinematic state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongPositionVector {
     /// GeoNetworking address of the advertising node.
     pub addr: GnAddress,

@@ -23,7 +23,6 @@
 
 use crate::wire::{ByteSink, GnPacket};
 use crate::GnAddress;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// FNV-1a 64-bit hash state, fed byte by byte through the wire encoders.
@@ -58,7 +57,7 @@ fn prf(key: u64, data: u64) -> u64 {
 ///
 /// Certificates are public: they travel with every signed message, and
 /// anyone (including the attacker) can read them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Certificate {
     /// The enrolled address.
     pub subject: GnAddress,
@@ -179,7 +178,7 @@ impl Verifier {
 /// rewritten while keeping the message verifiable, which is exactly what
 /// the standard permits (and what the paper's intra-area attacker abuses
 /// via [`SecuredPacket::with_rhl`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecuredPacket {
     /// The packet contents.
     pub packet: GnPacket,

@@ -1,10 +1,9 @@
 //! GeoNetworking primitive types (EN 302 636-4-1 §6 and §8).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of ITS station, carried in the GeoNetworking address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StationType {
     /// A passenger car or truck.
     Vehicle,
@@ -44,7 +43,7 @@ impl fmt::Display for StationType {
 ///
 /// Vehicles may use pseudonymous identifiers for privacy; the address is
 /// still what the location table is keyed by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GnAddress {
     station_type: StationType,
     mid: u64,
@@ -110,9 +109,7 @@ impl fmt::Display for GnAddress {
 
 /// A GeoNetworking timestamp: milliseconds modulo 2³², as carried in
 /// position vectors (EN 302 636-4-1 §8.5.3).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u32);
 
 impl Timestamp {
@@ -137,9 +134,7 @@ impl fmt::Display for Timestamp {
 
 /// A GeoBroadcast sequence number (16 bits, wrapping). Together with the
 /// source address it identifies a packet for duplicate detection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SequenceNumber(pub u16);
 
 impl SequenceNumber {

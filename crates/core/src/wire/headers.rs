@@ -1,11 +1,10 @@
 //! The basic and common headers.
 
 use super::{ByteSink, WireError};
-use serde::{Deserialize, Serialize};
 
 /// What follows the basic header (EN 302 636-4-1 table 15, simplified to
 /// the unsecured/secured distinction the simulation needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NextAfterBasic {
     /// A plain common header follows.
     CommonHeader,
@@ -36,7 +35,7 @@ impl NextAfterBasic {
 /// RHL is decremented by each forwarder and is therefore *outside* the
 /// integrity envelope — the paper's third CBF vulnerability ("RHL is not
 /// integrity protected") is a direct consequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BasicHeader {
     /// Protocol version; this implementation speaks version 1 (the 2020
     /// EN 302 636-4-1 release analysed by the paper).
@@ -92,7 +91,7 @@ impl BasicHeader {
 }
 
 /// The GeoNetworking packet kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeaderKind {
     /// A one-hop beacon advertising the source position vector.
     Beacon,
@@ -153,7 +152,7 @@ impl HeaderKind {
 
 /// The common header (8 bytes): packet kind, traffic class, payload length
 /// and maximum hop limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommonHeader {
     /// Packet kind (header type + subtype).
     pub kind: HeaderKind,

@@ -5,7 +5,6 @@ use super::{BasicHeader, ByteSink, CommonHeader, HeaderKind, NextAfterBasic, Wir
 use crate::pv::LongPositionVector;
 use crate::types::{GnAddress, SequenceNumber, Timestamp};
 use geonet_geo::{Area, AreaShape, GeoCoord, GeoReference};
-use serde::{Deserialize, Serialize};
 
 /// Wire size of a long position vector.
 const LPV_LEN: usize = 24;
@@ -50,7 +49,7 @@ fn decode_lpv(buf: &[u8], offset: usize) -> Result<LongPositionVector, WireError
 /// A short position vector: identity, timestamp and position only
 /// (EN 302 636-4-1 §9.5.2), 20 bytes. Carried as the destination position
 /// of GeoUnicast packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShortPositionVector {
     /// The node's address.
     pub addr: GnAddress,
@@ -94,7 +93,7 @@ impl ShortPositionVector {
 /// A destination area in wire form: centre coordinate, half-axes in whole
 /// metres and azimuth in whole degrees. The shape lives in the common
 /// header's subtype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WireArea {
     /// Centre of the area.
     pub center: GeoCoord,
@@ -175,7 +174,7 @@ impl WireArea {
 
 /// The GeoBroadcast extended header: sequence number, source position
 /// vector and destination area (EN 302 636-4-1 §9.8.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbcHeader {
     /// Sequence number assigned by the source; `(source, sn)` identifies
     /// the packet for duplicate detection.
@@ -195,7 +194,7 @@ const BEACON_LEN: usize = LPV_LEN;
 
 /// The GeoUnicast extended header: sequence number, source position
 /// vector and the destination's short position vector (§9.8.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GucHeader {
     /// Source-assigned sequence number.
     pub sn: SequenceNumber,
@@ -215,7 +214,7 @@ const TSB_LEN: usize = 2 + 2 + LPV_LEN;
 const SHB_LEN: usize = LPV_LEN + 4;
 
 /// The extended header of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Extended {
     /// A beacon: the source position vector only.
     Beacon {
@@ -256,7 +255,7 @@ impl Extended {
 
 /// A complete GeoNetworking packet: basic + common + extended header and
 /// payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnPacket {
     /// Basic header (holds the mutable RHL).
     pub basic: BasicHeader,

@@ -8,11 +8,10 @@
 //! sign of `F` at the node's own position.
 
 use crate::{Heading, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a destination area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AreaShape {
     /// Circular area; only the `a` half-axis (the radius) is meaningful.
     Circle,
@@ -48,7 +47,7 @@ impl fmt::Display for AreaShape {
 /// assert!(road.contains(Position::new(10.0, 2.5)));
 /// assert!(!road.contains(Position::new(4_500.0, 0.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Area {
     shape: AreaShape,
     center: Position,

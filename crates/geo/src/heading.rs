@@ -1,7 +1,6 @@
 //! Headings (direction of travel) in the GeoNetworking convention.
 
 use crate::Position;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A direction of travel in degrees **clockwise from true north**, in
@@ -22,7 +21,7 @@ use std::fmt;
 /// let v = east.unit_vector();
 /// assert!((v.x - 1.0).abs() < 1e-12 && v.y.abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heading(f64);
 
 impl Heading {

@@ -1,6 +1,5 @@
 //! Planar positions in metres on a local tangent plane.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -23,7 +22,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(a.distance(b), 5.0);
 /// assert_eq!((a + b).x, 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// Eastward coordinate in metres.
     pub x: f64,

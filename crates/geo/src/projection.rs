@@ -8,7 +8,6 @@
 //! segment (sub-centimetre error).
 
 use crate::Position;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean Earth radius in metres (IUGG).
@@ -22,7 +21,7 @@ const TENTH_MICRODEG_PER_DEG: f64 = 1e7;
 /// This is the exact representation carried inside GeoNetworking position
 /// vectors, so converting through `GeoCoord` quantises positions the same
 /// way real packets do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GeoCoord {
     /// Latitude in 1/10 micro-degrees, positive north.
     pub lat: i32,
@@ -83,7 +82,7 @@ impl fmt::Display for GeoCoord {
 /// let back = r.to_plane(coord);
 /// assert!(p.distance(back) < 0.02); // quantisation only
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoReference {
     anchor_lat_deg: f64,
     anchor_lon_deg: f64,

@@ -2,14 +2,13 @@
 
 use geonet_geo::{CellGrid, Position};
 use geonet_sim::{SimDuration, StateHasher, Telemetry, U64Map};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node registered on the radio medium.
 ///
 /// The scenario layer keeps `NodeId` aligned with its own vehicle /
 /// roadside-unit / attacker indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

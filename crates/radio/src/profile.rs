@@ -6,14 +6,13 @@
 //! vehicle-to-vehicle links (trucks block line of sight between sedans) and
 //! lets the attacker raise its transmission power up to the LoS median.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The vehicular access-layer technology in use.
 ///
 /// Each simulation run uses a single technology for all nodes (vehicles,
 /// roadside units and the attacker), as in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessTechnology {
     /// IEEE 802.11p Dedicated Short Range Communications (ASTM E2213-03).
     Dsrc,
@@ -31,7 +30,7 @@ impl fmt::Display for AccessTechnology {
 }
 
 /// Which measured range from the field test to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RangeCondition {
     /// Median line-of-sight range ("mL" in the paper's figures).
     LosMedian,
@@ -52,7 +51,7 @@ impl fmt::Display for RangeCondition {
 }
 
 /// The communication ranges of one access technology (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeProfile {
     tech: AccessTechnology,
     los_median_m: f64,

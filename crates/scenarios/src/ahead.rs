@@ -532,4 +532,21 @@ mod tests {
         assert!(shared.exited.load(SeqCst));
         assert_eq!(Arc::strong_count(&shared), 1);
     }
+
+    #[test]
+    fn a_helper_panic_reaches_its_world() {
+        force(Some(true));
+        let cfg = Family::Interception.config(30);
+        let ahead = Ahead::start(&TrafficSim::new(cfg.road), f64::NAN, CellGrid::new(486.0), true);
+        force(None);
+        let mut ahead = ahead.expect("a forced helper runs");
+        // The helper's first step panics; the world, waiting for that
+        // step, wakes on the exit guard and rethrows the helper's panic.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ahead.next(|_| {})))
+            .expect_err("the helper's panic reaches the world");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("invalid timestep"), "{message}");
+        // The rethrow joined the helper; dropping it has nothing left to do.
+        drop(ahead);
+    }
 }

@@ -6,7 +6,6 @@ use geonet_geo::Position;
 use geonet_radio::{AccessTechnology, RangeProfile};
 use geonet_sim::SimDuration;
 use geonet_traffic::RoadConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which attack (if any) the attacker mounts when enabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,7 +169,7 @@ impl ScenarioConfig {
 /// [`Scale::paper`], but tests and Criterion benches use reduced scales —
 /// the statistics converge with the same shape, just wider error bars
 /// (documented in EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Number of seeded A/B run pairs per setting.
     pub runs: u32,
@@ -204,8 +203,9 @@ impl Scale {
     }
 }
 
-/// Serializable summary of a configuration, for experiment reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A flat, primitive-typed summary of a configuration, for experiment
+/// reports.
+#[derive(Debug, Clone)]
 pub struct ConfigSummary {
     /// Technology name.
     pub tech: String,

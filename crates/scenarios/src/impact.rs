@@ -28,7 +28,6 @@ use geonet_geo::{Area, Position};
 use geonet_radio::NodeId;
 use geonet_sim::SimTime;
 use geonet_traffic::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Which Figure 12 case to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub enum ImpactCase {
 }
 
 /// The sampled on-road vehicle count of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpactSeries {
     /// Setting label (`"af"` or `"atk"`).
     pub label: String,

@@ -13,11 +13,10 @@ use crate::campaign::Family;
 use crate::config::{Scale, ScenarioConfig};
 use geonet::MitigationConfig;
 use geonet_sim::TimeBins;
-use serde::{Deserialize, Serialize};
 
 /// One Figure 14 comparison: the same setting with the mitigation off and
 /// on (both columns are *attacked* runs unless the label says `af`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationResult {
     /// Setting label (e.g. `"wN"`, `"af"`).
     pub label: String,

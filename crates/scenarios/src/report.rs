@@ -1,7 +1,6 @@
 //! Result types and report formatting for the experiment drivers.
 
 use geonet_sim::{AbComparison, DropReason, EventCounters, SimDuration, TimeBins};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's reception bins for a run of `duration`: 5 s wide, the last
@@ -18,7 +17,7 @@ pub fn paper_bins(duration: SimDuration) -> TimeBins {
 
 /// The A/B outcome of one experiment setting: merged time bins of the
 /// attacker-free (A) runs and the attacked (B) runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbResult {
     /// Human-readable setting label (e.g. `"DSRC wN"`, `"ttl=5s"`).
     pub label: String,
@@ -84,7 +83,7 @@ fn fmt_rate(r: Option<f64>) -> String {
 
 /// One row of an experiment report: the paper's published value next to
 /// ours.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRow {
     /// Experiment id (e.g. `"fig7a"`).
     pub experiment: String,

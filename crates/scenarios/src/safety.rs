@@ -26,7 +26,6 @@ use geonet_geo::{Area, Position};
 use geonet_radio::NodeId;
 use geonet_sim::SimTime;
 use geonet_traffic::Direction;
-use serde::{Deserialize, Serialize};
 
 /// Scenario geometry and kinematics (all tunable for ablations).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +86,7 @@ impl Default for SafetyConfig {
 }
 
 /// The outcome of one run of the case study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafetyOutcome {
     /// Whether the attacker was present.
     pub attacked: bool,

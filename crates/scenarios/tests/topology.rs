@@ -17,7 +17,7 @@ fn cfg(attack_range: f64) -> ScenarioConfig {
         .with_duration(SimDuration::from_secs(40))
 }
 
-/// Serializes both artifact kinds and parses them back, asserting the
+/// Encodes both artifact kinds and parses them back, asserting the
 /// round trip is byte-identical — what `repro --topology-diff` relies
 /// on when it rebuilds a report from files alone.
 fn round_trip(run: &TopologyRun) -> (TopoArtifact, RoadHeatmap) {

@@ -14,7 +14,6 @@
 //! rates plotted in the paper's Figures 8 and 10.
 
 use crate::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Success/total counters per fixed-width time bin.
@@ -30,7 +29,7 @@ use std::fmt;
 /// bins.record(SimTime::from_secs(3), false);
 /// assert_eq!(bins.rate(0), Some(0.5));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeBins {
     width: SimDuration,
     success: Vec<u64>,
@@ -197,7 +196,7 @@ impl fmt::Display for TimeBins {
 /// "negatively intercept"; tiny negative diffs are sampling noise). The
 /// relative form is what the paper reports: its γ reaches 99.9 % even in
 /// scenarios whose attacker-free reception is far below 100 %.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbComparison {
     baseline: TimeBins,
     attacked: TimeBins,
@@ -280,7 +279,7 @@ impl AbComparison {
 /// assert_eq!(s.mean(), Some(2.0));
 /// assert_eq!(s.min(), Some(1.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,

@@ -109,14 +109,6 @@ impl RngCore for SimRng {
         self.draws += 1;
         self.inner.next_u64()
     }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.draws += (dest.len() as u64).div_ceil(8);
-        self.inner.fill_bytes(dest);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.draws += (dest.len() as u64).div_ceil(8);
-        self.inner.try_fill_bytes(dest)
-    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 //! * [`CountingSink`] — typed per-event counters, total and per node; the
 //!   router's public statistics are derived from the same events.
 //! * [`JsonlSink`] — one JSON object per line (simulation timestamp, node
-//!   id, event payload), hand-encoded so it works offline without a real
-//!   serde backend, and parseable back into [`TraceRecord`]s through the
-//!   shared [`json`] codec for post-mortem forensics.
+//!   id, event payload), hand-encoded to a stable, documented schema in
+//!   the dialect of the shared [`json`] codec, and parseable back into
+//!   [`TraceRecord`]s through that codec for post-mortem forensics.
 //! * [`VecSink`] — an in-memory record buffer for tests and the
 //!   forensic reconstruction in `geonet-scenarios`.
 //!
@@ -378,9 +378,9 @@ impl TraceRecord {
     /// Encodes this record as a single JSON object (no trailing newline).
     ///
     /// The encoding is flat: `{"t_us":…,"node":…,"ev":"…", <fields>}`,
-    /// with packet identity spread into `src`/`sn`. Hand-rolled because
-    /// the vendored serde has no real backend — and the format doubles as
-    /// the stable, documented schema.
+    /// with packet identity spread into `src`/`sn`. Hand-rolled so the
+    /// format is a stable, documented schema in the escape-free dialect
+    /// that [`json`] parses back, shared with every other artifact.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);

@@ -13,11 +13,10 @@
 //! minimum distance. The paper's Table I parameter values are provided by
 //! [`IdmParams::paper_default`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// IDM parameters (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdmParams {
     /// Desired velocity `v0`, m/s.
     pub desired_velocity: f64,

@@ -1,7 +1,6 @@
 //! Road geometry: the paper's 4 km segment.
 
 use geonet_geo::{Heading, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::IdmParams;
@@ -12,7 +11,7 @@ use crate::IdmParams;
 /// `x = length`; westbound vehicles do the opposite. One-way roads carry
 /// only eastbound traffic, matching the paper's default single-direction
 /// scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Travelling towards increasing `x` (the paper's default direction).
     East,
@@ -50,7 +49,7 @@ impl fmt::Display for Direction {
 }
 
 /// Configuration of the simulated road segment and its traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadConfig {
     /// Segment length, metres (paper: 4 000 m).
     pub length: f64,

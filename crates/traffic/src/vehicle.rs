@@ -2,7 +2,6 @@
 
 use crate::road::Direction;
 use geonet_geo::{Heading, Position};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a vehicle for the lifetime of a simulation run.
@@ -10,7 +9,7 @@ use std::fmt;
 /// Ids are dense indices assigned in spawn order and never reused, so they
 /// double as stable indices into per-vehicle side tables (the scenario
 /// layer maps them 1:1 onto radio node ids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VehicleId(pub u32);
 
 impl VehicleId {
@@ -28,7 +27,7 @@ impl fmt::Display for VehicleId {
 }
 
 /// The dynamic state of one vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vehicle {
     /// Stable identity.
     pub id: VehicleId,
