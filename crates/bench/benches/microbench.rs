@@ -281,10 +281,12 @@ fn bench_step_landing(c: &mut Criterion) {
 fn bench_beacon_log(c: &mut Criterion) {
     // A full inbox of a router nothing reads: 64 neighbours, 4 beacons
     // each. A fold counts all 256 and writes 64 table entries; a
-    // compaction counts and drops 192 and keeps 64.
+    // compaction counts and drops 192 and keeps 64; a count (the path
+    // behind `World::aggregate_stats`) counts all 256 and writes nothing.
     let mut inbox = InboxBench::new(64, 4);
     c.bench_function("beacon_fold_256_entries", |b| b.iter(|| inbox.fold()));
     c.bench_function("beacon_compact_256_entries", |b| b.iter(|| black_box(inbox.compact())));
+    c.bench_function("beacon_counted_256_entries", |b| b.iter(|| black_box(inbox.counted())));
 }
 
 fn bench_handle_frame(c: &mut Criterion) {

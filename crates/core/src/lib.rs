@@ -56,6 +56,6 @@ pub use frame::{Frame, OnAir};
 pub use gf::{greedy_select, GfDecision};
 pub use loct::{LocTEntry, LocationTable};
 pub use pv::LongPositionVector;
-pub use router::{GnRouter, RouterAction, RouterStats};
+pub use router::{admit, GnRouter, RouterAction, RouterStats};
 pub use security::{Certificate, CertificateAuthority, Credentials, SecuredPacket, Verifier};
 pub use types::{GnAddress, SequenceNumber, StationType, Timestamp};

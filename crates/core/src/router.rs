@@ -110,18 +110,34 @@ impl RouterStats {
             TraceEvent::CbfMitigationRejected { .. } => self.cbf_mitigation_rejects += 1,
             TraceEvent::GfBuffered { .. } => self.gf_buffered += 1,
             TraceEvent::GfAckRetry { .. } => self.gf_ack_retries += 1,
-            TraceEvent::Dropped { reason, .. } => match reason {
-                DropReason::AuthFailure => self.auth_failures += 1,
-                DropReason::StaleTimestamp => self.freshness_failures += 1,
-                DropReason::RhlExhausted => self.rhl_exhausted += 1,
-                DropReason::NoNextHop => self.gf_dropped += 1,
-                DropReason::AckExhausted => self.gf_ack_exhausted += 1,
-            },
+            TraceEvent::Dropped { reason, .. } => self.count_drop(*reason),
             // Lifecycle events with no dedicated router counter
             // (origination, duplicate suppression, CBF arming) and events
             // owned by other layers (frame TX/RX/loss, attacker actions,
             // traffic milestones).
             _ => {}
+        }
+    }
+
+    /// Counts [`admit`]'s verdict on a received beacon: what recording
+    /// [`GnRouter::beacon_outcome`] of it counts, without building the
+    /// event.
+    #[inline]
+    pub fn count_admission(&mut self, verdict: Result<(), DropReason>) {
+        match verdict {
+            Ok(()) => self.beacons_accepted += 1,
+            Err(reason) => self.count_drop(reason),
+        }
+    }
+
+    #[inline]
+    fn count_drop(&mut self, reason: DropReason) {
+        match reason {
+            DropReason::AuthFailure => self.auth_failures += 1,
+            DropReason::StaleTimestamp => self.freshness_failures += 1,
+            DropReason::RhlExhausted => self.rhl_exhausted += 1,
+            DropReason::NoNextHop => self.gf_dropped += 1,
+            DropReason::AckExhausted => self.gf_ack_exhausted += 1,
         }
     }
 
@@ -161,6 +177,37 @@ impl RouterStats {
         self.gf_ack_retries += gf_ack_retries;
         self.gf_ack_exhausted += gf_ack_exhausted;
     }
+}
+
+/// The screen every received frame passes after the address filter.
+/// Security: `authentic` is the verdict on the certificate and the
+/// signature over the protected bytes. Freshness: the source PV's
+/// timestamp must be at most `config.max_pv_age` old at `now`, counted in
+/// whole wire milliseconds. A replayed beacon relayed within the
+/// attacker's ~1 ms processing delay passes; a recording replayed much
+/// later does not.
+///
+/// It reads no router state, so a host can decide a beacon for every
+/// receiver that shares `config` at once.
+///
+/// # Errors
+///
+/// [`DropReason::AuthFailure`] if `authentic` is false, else
+/// [`DropReason::StaleTimestamp`] if the PV is too old.
+pub fn admit(
+    config: &GnConfig,
+    authentic: bool,
+    pv: &LongPositionVector,
+    now: SimTime,
+) -> Result<(), DropReason> {
+    if !authentic {
+        return Err(DropReason::AuthFailure);
+    }
+    let age_ms = (crate::types::Timestamp::from_sim(now).0).wrapping_sub(pv.timestamp.0);
+    if u64::from(age_ms) > config.max_pv_age.as_millis() {
+        return Err(DropReason::StaleTimestamp);
+    }
+    Ok(())
 }
 
 /// The [`PacketRef`] identifying `key` in trace events.
@@ -540,7 +587,7 @@ impl GnRouter {
             return Vec::new();
         }
         let pv = *frame.msg.packet.so_pv();
-        if let Err(reason) = self.admit(authentic(&self.verifier), &pv, now) {
+        if let Err(reason) = admit(&self.config, authentic(&self.verifier), &pv, now) {
             self.note(now, TraceEvent::Dropped { packet: packet_ref_of(&frame.msg), reason });
             return Vec::new();
         }
@@ -565,28 +612,6 @@ impl GnRouter {
         }
     }
 
-    /// The screen every received frame passes after the address filter.
-    /// Security: `authentic` is the verdict on the certificate and the
-    /// signature over the protected bytes. Freshness: the source PV's
-    /// timestamp must be recent. A replayed beacon relayed within the
-    /// attacker's ~1 ms processing delay passes; a recording replayed
-    /// much later does not.
-    fn admit(
-        &self,
-        authentic: bool,
-        pv: &LongPositionVector,
-        now: SimTime,
-    ) -> Result<(), DropReason> {
-        if !authentic {
-            return Err(DropReason::AuthFailure);
-        }
-        let age_ms = (crate::types::Timestamp::from_sim(now).0).wrapping_sub(pv.timestamp.0);
-        if u64::from(age_ms) > self.config.max_pv_age.as_millis() {
-            return Err(DropReason::StaleTimestamp);
-        }
-        Ok(())
-    }
-
     /// The decision [`GnRouter::receive`] would record for a beacon
     /// advertising `pv` that arrives at `now`, without applying it:
     /// [`TraceEvent::BeaconAccepted`], or the [`TraceEvent::Dropped`] of
@@ -599,7 +624,7 @@ impl GnRouter {
         authentic: bool,
         now: SimTime,
     ) -> TraceEvent {
-        match self.admit(authentic, pv, now) {
+        match admit(&self.config, authentic, pv, now) {
             Ok(()) => TraceEvent::BeaconAccepted { from: pv.addr.to_u64() },
             Err(reason) => {
                 TraceEvent::Dropped { packet: PacketRef::new(pv.addr.to_u64(), 0), reason }
@@ -615,25 +640,26 @@ impl GnRouter {
     /// late, as long as it applies them in arrival order before anything
     /// reads this router's table.
     ///
-    /// It is [`GnRouter::count_beacon`], then [`GnRouter::write_beacon`]
-    /// if the beacon was accepted. The two halves may also be taken
-    /// apart: the count reads no router state a beacon changes, so
-    /// beacons can be counted in any order, and a table write overwrites
-    /// its address's entry unconditionally, so of a run of beacons only
-    /// the last accepted one per address needs writing.
+    /// It is [`GnRouter::count_admission`] of [`admit`]'s verdict, then
+    /// [`GnRouter::write_beacon`] if the beacon was accepted. The two
+    /// halves may also be taken apart: the verdict reads no router state a
+    /// beacon changes, so beacons can be counted in any order, and a table
+    /// write overwrites its address's entry unconditionally, so of a run
+    /// of beacons only the last accepted one per address needs writing.
     pub fn apply_beacon(&mut self, pv: &LongPositionVector, authentic: bool, now: SimTime) {
-        if self.count_beacon(pv, authentic, now) {
+        let verdict = admit(&self.config, authentic, pv, now);
+        self.count_admission(verdict);
+        if verdict.is_ok() {
             self.write_beacon(pv, now);
         }
     }
 
-    /// Records the decision on a beacon advertising `pv` that arrived at
-    /// `now` in the counters ([`GnRouter::beacon_outcome`]) and returns
-    /// whether it was accepted. The location table is left alone.
-    pub fn count_beacon(&mut self, pv: &LongPositionVector, authentic: bool, now: SimTime) -> bool {
-        let outcome = self.beacon_outcome(pv, authentic, now);
-        self.stats.record(&outcome);
-        matches!(outcome, TraceEvent::BeaconAccepted { .. })
+    /// Records [`admit`]'s verdict on a received beacon in the counters,
+    /// as [`GnRouter::receive`] of the beacon would. The location table is
+    /// left alone.
+    #[inline]
+    pub fn count_admission(&mut self, verdict: Result<(), DropReason>) {
+        self.stats.count_admission(verdict);
     }
 
     /// Writes an accepted beacon advertising `pv` that arrived at `now`

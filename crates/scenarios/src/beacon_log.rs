@@ -13,15 +13,22 @@
 //! event's `(time, sequence)` key — the *barrier*. Entries past the
 //! barrier are still on the air and stay in the inbox.
 //!
-//! A location table is a cache filled when it is read. Three facts make
-//! a fold exact without applying every entry in turn:
-//! - [`GnRouter::count_beacon`] reads only the record (its verdict and
-//!   position-vector timestamp) and the arrival time, never router state,
-//!   so entries can be counted in any order;
+//! A location table is a cache filled when it is read. Four facts make a
+//! fold exact without applying every entry in turn:
+//! - [`geonet::admit`], the verdict a router counts, reads only the record
+//!   (its signature verdict and position-vector timestamp), the world's
+//!   [`GnConfig`] and the arrival time, never router state, so entries can
+//!   be counted in any order;
 //! - [`GnRouter::write_beacon`] overwrites its address's entry
 //!   unconditionally, so after a run of beacons only the newest accepted
 //!   one per address is visible;
-//! - a location table promises no iteration order.
+//! - a location table promises no iteration order;
+//! - the verdict reads the arrival time only as a wire millisecond, and an
+//!   entry arrives 1 to [`MAX_OFFSET_US`] µs after the send, so that
+//!   millisecond takes at most two values across a record's entries. So a
+//!   record has one verdict for all its receivers, decided once when it is
+//!   logged, except where a millisecond boundary inside that window flips
+//!   the freshness check: a *split* record, decided per entry.
 //!
 //! So a fold walks its due entries newest first, counts each, and writes
 //! only the first accepted one per address: what
@@ -30,6 +37,16 @@
 //! but the newest accepted one per address is counted and dropped, and
 //! the survivors wait, uncounted, for a fold. Only an inbox that is still
 //! half full after that is folded.
+//!
+//! A record is stored in two parts. The [`Head`] is what every fold,
+//! compaction and count reads of it: the send time, a dense *slot* per PV
+//! address and the verdict, 16 bytes, in blocks of 1,024 beside the
+//! record chunks. The 48-byte [`Record`] holds the position vector and the
+//! sequence numbers: a fold loads it only to write a table entry, to
+//! decide a split record's entry, or to order an entry that arrives at the
+//! barrier's own time. Folds and compactions find the first
+//! entry per address by slot, in an array, not by hashing addresses, and
+//! a replay carries its victim's address and so shares the victim's slot.
 //!
 //! Records are retired by age, a chunk of 1,024 at a time: once the
 //! newest record of the oldest chunk is a location-table TTL old, the
@@ -46,10 +63,10 @@
 //! [`BeaconLog::trace`]); the entries stay for a fold, as in any world.
 
 use geonet::{
-    CertificateAuthority, GnAddress, GnConfig, GnRouter, LongPositionVector, RouterStats,
+    admit, CertificateAuthority, GnAddress, GnConfig, GnRouter, LongPositionVector, RouterStats,
 };
 use geonet_geo::{GeoReference, Heading, Position};
-use geonet_sim::{SimDuration, SimTime, TraceEvent, Tracer};
+use geonet_sim::{DropReason, SimDuration, SimTime, TraceEvent, Tracer, U64Map};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
@@ -69,17 +86,50 @@ pub(crate) const MAX_OFFSET_US: u64 = (1 << (32 - ID_BITS)) - 1;
 /// router nothing reads holds a bounded backlog.
 const INBOX_CAP: usize = 256;
 
-/// One logged beacon transmission: what its receivers' routers need to
-/// apply it, and where its deliveries sit in the event order.
+/// One logged beacon transmission: what its receivers' routers write, and
+/// where its deliveries sit in the event order. Its [`Head`] holds the
+/// rest.
 #[derive(Debug)]
 struct Record {
     pv: LongPositionVector,
-    /// The frame's signature verdict, shared by every receiver.
-    authentic: bool,
-    sent: SimTime,
     /// The kernel sequence number of receiver 0; receiver `i` holds
     /// `first_seq + i`.
     first_seq: u64,
+}
+
+/// The part of a record that folds, compactions and counts read for every
+/// entry.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    sent: SimTime,
+    /// The dense id of the record's PV address.
+    slot: u32,
+    /// [`admit`]'s verdict at every arrival an entry can hold, or `None`
+    /// for a split record, whose verdict depends on the arrival.
+    verdict: Option<Result<(), DropReason>>,
+}
+
+impl Head {
+    /// The frame's signature verdict, shared by every receiver: only a
+    /// forged frame fails [`admit`]'s signature check, and it fails it at
+    /// every arrival.
+    fn authentic(self) -> bool {
+        self.verdict != Some(Err(DropReason::AuthFailure))
+    }
+}
+
+/// `pv`'s verdict under `config` at every arrival 1 to [`MAX_OFFSET_US`] µs
+/// after `sent`, or `None` if it differs across them. The arrival's wire
+/// millisecond steps at most once in that window, so the two ends decide.
+fn record_verdict(
+    config: &GnConfig,
+    pv: &LongPositionVector,
+    authentic: bool,
+    sent: SimTime,
+) -> Option<Result<(), DropReason>> {
+    let at = |us| admit(config, authentic, pv, sent + SimDuration::from_micros(us));
+    let first = at(1);
+    (first == at(MAX_OFFSET_US)).then_some(first)
 }
 
 /// Records per chunk of [`Records`].
@@ -89,10 +139,20 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 /// The records in fixed-size chunks: an append never moves the records
 /// already held, so the log never holds two copies while it grows, and
 /// retirement frees whole chunks. Only the last chunk is partly filled.
+/// Each chunk's heads sit in a block of their own, in a table indexed like
+/// the chunks: a head is one block lookup and one load away, and like the
+/// chunks the blocks are allocated at one size and freed whole. (A single
+/// `Vec` of heads, grown by doubling, left freed buffers in the heap that
+/// raised `highway-scale`'s peak RSS by ~0.3 MB.)
 #[derive(Debug, Default)]
 struct Records {
     chunks: VecDeque<Vec<Record>>,
+    /// `heads[c][k]` is the head of record `k` of chunk `c`.
+    heads: Vec<Box<[Head; CHUNK]>>,
 }
+
+/// The head of a slot no record has filled yet.
+const NO_HEAD: Head = Head { sent: SimTime::ZERO, slot: 0, verdict: None };
 
 impl Records {
     fn len(&self) -> usize {
@@ -104,15 +164,22 @@ impl Records {
         self.chunks.back_mut().and_then(Vec::pop).expect("a record to drop");
     }
 
-    fn push(&mut self, r: Record) {
+    fn push(&mut self, r: Record, head: Head) {
+        let i = self.len();
         match self.chunks.back_mut() {
             Some(chunk) if chunk.len() < CHUNK => chunk.push(r),
             _ => {
                 let mut chunk = Vec::with_capacity(CHUNK);
                 chunk.push(r);
                 self.chunks.push_back(chunk);
+                self.heads.push(Box::new([NO_HEAD; CHUNK]));
             }
         }
+        self.heads[i >> CHUNK_BITS][i & (CHUNK - 1)] = head;
+    }
+
+    fn head(&self, i: usize) -> Head {
+        self.heads[i >> CHUNK_BITS][i & (CHUNK - 1)]
     }
 
     fn get(&self, i: usize) -> &Record {
@@ -121,7 +188,7 @@ impl Records {
 
     /// The send time of the last record of the oldest full chunk.
     fn oldest_chunk_end(&self) -> Option<SimTime> {
-        self.chunks.front().filter(|_| self.chunks.len() > 1).and_then(|c| c.last()).map(|r| r.sent)
+        self.heads.first().filter(|_| self.chunks.len() > 1).map(|h| h[CHUNK - 1].sent)
     }
 
     /// Drops the full chunks whose records were all sent before `t` and
@@ -130,6 +197,7 @@ impl Records {
         let mut n = 0;
         while self.oldest_chunk_end().is_some_and(|end| end < t) {
             self.chunks.pop_front();
+            self.heads.remove(0);
             n += CHUNK;
         }
         n
@@ -236,11 +304,17 @@ pub struct BeaconLogStats {
 
 /// The world's beacon records, the transmissions still on the air, and
 /// the counters.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BeaconLog {
     records: Records,
     /// The id of the first record held.
     base: u64,
+    /// The configuration every router of the world shares: records are
+    /// decided under it.
+    config: GnConfig,
+    /// The slot of each PV address logged, numbered from 0 in the order
+    /// the addresses first appeared.
+    slots: U64Map<u32>,
     in_flight: VecDeque<InFlight>,
     /// The receivers of the in-flight transmissions, transmission after
     /// transmission, each in fan-out order until a walk through `&self`
@@ -256,77 +330,64 @@ pub(crate) struct BeaconLog {
     scratch: RefCell<Scratch>,
 }
 
-/// A due inbox entry: its arrival, its record's index and its position in
-/// the inbox.
-type Due = (SimTime, u32, u32);
+/// A due inbox entry: its arrival, its record's index, its position in the
+/// inbox, and its record's slot and verdict, copied from the head so that
+/// the walk after the collection reads no head again.
+type Due = (SimTime, u32, u32, u32, Option<Result<(), DropReason>>);
 
 #[derive(Debug, Default)]
 struct Scratch {
     due: Vec<Due>,
-    seen: Seen,
+    seen: SlotSet,
 }
 
-/// A set of packed addresses that empties in O(1): a slot holds an
-/// address and the epoch it was written in, and only slots of the current
-/// epoch count. Open addressing with linear probing, at most half full.
-/// Its slots are allocated by the first fold, not with the world, with
-/// room for a full inbox, so that they are allocated once.
+/// A set of slots that empties in O(1): slot `s` is in it when
+/// `epochs[s]` is the current epoch.
 #[derive(Debug, Default)]
-struct Seen {
-    slots: Vec<(u64, u32)>,
+struct SlotSet {
+    epochs: Vec<u32>,
     epoch: u32,
-    /// `64 - log2(slots.len())`: the hash keeps the top bits.
-    shift: u32,
 }
 
-impl Seen {
-    /// Empties the set and makes room for `n` addresses.
-    fn clear(&mut self, n: usize) {
-        let want = (2 * n).next_power_of_two().max(2 * INBOX_CAP);
-        if self.slots.len() < want {
-            self.slots = vec![(0, 0); want];
-            self.shift = 64 - want.trailing_zeros();
-            self.epoch = 0;
+impl SlotSet {
+    /// Empties the set and makes room for slots below `slots`.
+    fn clear(&mut self, slots: usize) {
+        if self.epochs.len() < slots {
+            self.epochs.resize(slots, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Slots of the epoch that just came round again would count.
-            self.slots.fill((0, 0));
+            self.epochs.fill(0);
             self.epoch = 1;
         }
     }
 
-    /// The slot holding `addr` (`true`), or the free slot where it goes.
-    fn find(&self, addr: u64) -> (usize, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        loop {
-            let (held, epoch) = self.slots[i];
-            if epoch != self.epoch {
-                return (i, false);
-            }
-            if held == addr {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn contains(&self, addr: u64) -> bool {
-        self.find(addr).1
-    }
-
-    /// Adds `addr` and returns whether it was new.
-    fn insert(&mut self, addr: u64) -> bool {
-        let (i, held) = self.find(addr);
-        if !held {
-            self.slots[i] = (addr, self.epoch);
-        }
-        !held
+    /// Adds `slot` and returns whether it was new.
+    fn insert(&mut self, slot: u32) -> bool {
+        let epoch = &mut self.epochs[slot as usize];
+        let new = *epoch != self.epoch;
+        *epoch = self.epoch;
+        new
     }
 }
 
 impl BeaconLog {
+    /// An empty log for a world whose routers all run `config`.
+    pub(crate) fn new(config: GnConfig) -> Self {
+        BeaconLog {
+            records: Records::default(),
+            base: 0,
+            config,
+            slots: U64Map::default(),
+            in_flight: VecDeque::new(),
+            receivers: RefCell::default(),
+            open: (0, 0),
+            stats: Cell::default(),
+            scratch: RefCell::default(),
+        }
+    }
+
     /// Starts logging a beacon transmission sent at `sent` whose receivers
     /// hold the sequence numbers from `first_seq` on, and retires the
     /// in-flight transmissions that are behind `barrier`. Its receivers
@@ -344,7 +405,11 @@ impl BeaconLog {
         }
         let id = self.base + self.records.len() as u64;
         assert!(self.records.len() < ID_MASK as usize, "beacon log outgrew its record ids");
-        self.records.push(Record { pv, authentic, sent, first_seq });
+        let fresh = self.slots.len() as u32;
+        let slot = *self.slots.entry(pv.addr.to_u64()).or_insert(fresh);
+        let verdict = record_verdict(&self.config, &pv, authentic, sent);
+        let head = Head { sent, slot, verdict };
+        self.records.push(Record { pv, first_seq }, head);
         self.open = (id, self.receivers.get_mut().len());
         let f = InFlight { id, sent, first_seq, receivers: 0, last: sent, ranked: Cell::default() };
         self.in_flight.push_back(f);
@@ -385,25 +450,45 @@ impl BeaconLog {
         n as u64
     }
 
-    fn record(&self, e: Entry) -> (usize, &Record) {
-        let i = (e.0.wrapping_sub(self.base as u32) & ID_MASK) as usize;
-        (i, self.records.get(i))
+    /// The index of an entry's record.
+    fn index(&self, e: Entry) -> usize {
+        (e.0.wrapping_sub(self.base as u32) & ID_MASK) as usize
     }
 
-    /// The arrival key order of an entry against a barrier: its arrival
-    /// time, then its record's block of sequence numbers. No other event
-    /// holds a number inside the block, so comparing with the block's
-    /// first number orders the entry against any other event.
-    fn arrival(&self, e: Entry) -> (usize, SimTime, u64) {
-        let (i, r) = self.record(e);
-        (i, r.sent + e.offset(), r.first_seq)
+    /// The index and head of an entry's record, and the entry's arrival
+    /// time.
+    fn arrival(&self, e: Entry) -> (usize, Head, SimTime) {
+        let i = self.index(e);
+        let head = self.records.head(i);
+        (i, head, head.sent + e.offset())
+    }
+
+    /// Whether an entry of record `i` arriving at `at` is ordered before
+    /// `barrier`: by its arrival time, then by its record's block of
+    /// sequence numbers. No other event holds a number inside the block,
+    /// so comparing with the block's first number orders the entry against
+    /// any other event. Only a tie in time loads the record.
+    fn before(&self, i: usize, at: SimTime, barrier: Key) -> bool {
+        at < barrier.0 || at == barrier.0 && self.records.get(i).first_seq < barrier.1
+    }
+
+    /// The verdict on an entry of record `i` arriving at `at`, whose head
+    /// holds `verdict`: that one, or for a split record, [`admit`]'s at
+    /// `at`. A split record is authentic.
+    fn verdict(
+        &self,
+        i: usize,
+        at: SimTime,
+        verdict: Option<Result<(), DropReason>>,
+    ) -> Result<(), DropReason> {
+        verdict.unwrap_or_else(|| admit(&self.config, true, &self.records.get(i).pv, at))
     }
 
     /// Whether `lazy` holds an entry that arrived before `barrier`.
     pub(crate) fn has_due(&self, lazy: &LazyRouter, barrier: Key) -> bool {
         lazy.inbox.iter().any(|&e| {
-            let (_, at, seq) = self.arrival(e);
-            (at, seq) < barrier
+            let (i, _, at) = self.arrival(e);
+            self.before(i, at, barrier)
         })
     }
 
@@ -413,9 +498,9 @@ impl BeaconLog {
     fn collect_due(&self, inbox: &[Entry], barrier: Key, due: &mut Vec<Due>) {
         due.clear();
         for (pos, &e) in inbox.iter().enumerate() {
-            let (i, at, seq) = self.arrival(e);
-            if (at, seq) < barrier {
-                due.push((at, i as u32, pos as u32));
+            let (i, head, at) = self.arrival(e);
+            if self.before(i, at, barrier) {
+                due.push((at, i as u32, pos as u32, head.slot, head.verdict));
             }
         }
         // Record order is sequence order, so (arrival, index) is the pop
@@ -438,18 +523,21 @@ impl BeaconLog {
         if lazy.inbox.is_empty() {
             return;
         }
+        debug_assert_eq!(lazy.router.config(), &self.config, "routers share the world's config");
         let mut scratch = self.scratch.borrow_mut();
         let Scratch { due, seen } = &mut *scratch;
         self.collect_due(&lazy.inbox, barrier, due);
         if due.is_empty() {
             return;
         }
-        seen.clear(due.len());
+        seen.clear(self.slots.len());
         let mut writes = 0;
-        for &(at, i, pos) in due.iter().rev() {
-            let r = self.records.get(i as usize);
-            if lazy.router.count_beacon(&r.pv, r.authentic, at) && seen.insert(r.pv.addr.to_u64()) {
-                lazy.router.write_beacon(&r.pv, at);
+        for &(at, i, pos, slot, verdict) in due.iter().rev() {
+            let i = i as usize;
+            let verdict = self.verdict(i, at, verdict);
+            lazy.router.count_admission(verdict);
+            if verdict.is_ok() && seen.insert(slot) {
+                lazy.router.write_beacon(&self.records.get(i).pv, at);
                 writes += 1;
             }
             lazy.inbox[pos as usize] = Entry::CONSUMED;
@@ -472,23 +560,16 @@ impl BeaconLog {
     /// later fold can skip writing. The survivors stay in the inbox,
     /// uncounted and in record order, with the entries still on the air.
     pub(crate) fn compact(&self, lazy: &mut LazyRouter, barrier: Key) {
+        debug_assert_eq!(lazy.router.config(), &self.config, "routers share the world's config");
         let mut scratch = self.scratch.borrow_mut();
         let Scratch { due, seen } = &mut *scratch;
         self.collect_due(&lazy.inbox, barrier, due);
-        seen.clear(due.len());
+        seen.clear(self.slots.len());
         let mut dropped = 0;
-        for &(at, i, pos) in due.iter().rev() {
-            let r = self.records.get(i as usize);
-            let addr = r.pv.addr.to_u64();
-            if !seen.contains(addr)
-                && matches!(
-                    lazy.router.beacon_outcome(&r.pv, r.authentic, at),
-                    TraceEvent::BeaconAccepted { .. }
-                )
-            {
-                seen.insert(addr);
-            } else {
-                lazy.router.count_beacon(&r.pv, r.authentic, at);
+        for &(at, i, pos, slot, verdict) in due.iter().rev() {
+            let verdict = self.verdict(i as usize, at, verdict);
+            if verdict.is_err() || !seen.insert(slot) {
+                lazy.router.count_admission(verdict);
                 lazy.inbox[pos as usize] = Entry::CONSUMED;
                 dropped += 1;
             }
@@ -504,12 +585,12 @@ impl BeaconLog {
     /// `barrier` counted, as a fold would leave them, without folding:
     /// counts need no order and no table.
     pub(crate) fn counted(&self, lazy: &LazyRouter, barrier: Key) -> RouterStats {
+        debug_assert_eq!(lazy.router.config(), &self.config, "routers share the world's config");
         let mut stats = lazy.router.stats();
         for &e in &lazy.inbox {
-            let (i, at, seq) = self.arrival(e);
-            if (at, seq) < barrier {
-                let r = self.records.get(i);
-                stats.record(&lazy.router.beacon_outcome(&r.pv, r.authentic, at));
+            let (i, head, at) = self.arrival(e);
+            if self.before(i, at, barrier) {
+                stats.count_admission(self.verdict(i, at, head.verdict));
             }
         }
         stats
@@ -527,7 +608,7 @@ impl BeaconLog {
 
     /// The send time of an inbox entry's record.
     pub(crate) fn sent(&self, e: Entry) -> SimTime {
-        self.record(e).1.sent
+        self.records.head(self.index(e)).sent
     }
 
     /// The send time of the newest record the next retirement can drop.
@@ -604,10 +685,11 @@ impl BeaconLog {
     /// source is its PV address), then the router's decision, which reads
     /// only its configuration. The inbox entry stays for a fold.
     pub(crate) fn trace(&self, router: &GnRouter, id: u64, at: SimTime, tracer: &Tracer) {
-        let r = self.records.get((id - self.base) as usize);
-        let from = r.pv.addr.to_u64();
+        let i = (id - self.base) as usize;
+        let pv = &self.records.get(i).pv;
+        let from = pv.addr.to_u64();
         tracer.emit(at, || TraceEvent::FrameRx { packet: None, from, beacon: true });
-        tracer.emit(at, || router.beacon_outcome(&r.pv, r.authentic, at));
+        tracer.emit(at, || router.beacon_outcome(pv, self.records.head(i).authentic(), at));
     }
 
     pub(crate) fn stats(&self) -> BeaconLogStats {
@@ -616,8 +698,9 @@ impl BeaconLog {
 }
 
 /// A router with an inbox of `senders × per_sender` due beacons, each
-/// sender's beacons 100 ms apart, which it folds or compacts again and
-/// again: the `beacon_fold_*` and `beacon_compact_*` microbenches.
+/// sender's beacons 100 ms apart, which it folds, compacts or counts again
+/// and again: the `beacon_fold_*`, `beacon_compact_*` and
+/// `beacon_counted_*` microbenches.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct InboxBench {
@@ -632,13 +715,10 @@ impl InboxBench {
     pub fn new(senders: u64, per_sender: u64) -> Self {
         let reference = GeoReference::default();
         let ca = CertificateAuthority::new(1);
-        let router = GnRouter::new(
-            ca.enroll(GnAddress::vehicle(0)),
-            ca.verifier(),
-            GnConfig::paper_default(486.0),
-            reference,
-        );
-        let mut log = BeaconLog::default();
+        let config = GnConfig::paper_default(486.0);
+        let router =
+            GnRouter::new(ca.enroll(GnAddress::vehicle(0)), ca.verifier(), config, reference);
+        let mut log = BeaconLog::new(config);
         let mut lazy = LazyRouter::new(router);
         // Logged before anything is due, so that the append at the cap
         // neither compacts nor folds anything.
@@ -679,6 +759,15 @@ impl InboxBench {
         self.log.compact(&mut self.lazy, self.barrier);
         self.lazy.inbox.len()
     }
+
+    /// Refills the inbox and returns its router's counters with it
+    /// counted, as [`World::aggregate_stats`] reads them.
+    ///
+    /// [`World::aggregate_stats`]: crate::World::aggregate_stats
+    pub fn counted(&mut self) -> RouterStats {
+        self.lazy.inbox.clone_from(&self.inbox);
+        self.log.counted(&self.lazy, self.barrier)
+    }
 }
 
 #[cfg(test)]
@@ -689,9 +778,10 @@ mod tests {
 
     #[test]
     fn entries_and_records_stay_small() {
-        // Inboxes hold an entry per receiver, the log a record per
-        // transmission for up to a TTL.
-        assert_eq!(std::mem::size_of::<Record>(), 64);
+        // Inboxes hold an entry per receiver, the log a record and a
+        // head per transmission for up to a TTL.
+        assert_eq!(std::mem::size_of::<Record>(), 48);
+        assert_eq!(std::mem::size_of::<Head>(), 16);
         assert_eq!(std::mem::size_of::<Entry>(), 4);
         let e = Entry::new((1 << ID_BITS) + 7, MAX_OFFSET_US);
         assert_eq!(e.0 & ID_MASK, 7, "ids wrap at 2^28");
@@ -715,7 +805,7 @@ mod tests {
         // each transmission's own block.
         let ca = CertificateAuthority::new(3);
         let mut lazy = LazyRouter::new(router(&ca));
-        let mut log = BeaconLog::default();
+        let mut log = log();
         let start = (SimTime::ZERO, 0);
         for (first_seq, sent, receivers) in
             [(40, 100, &[(9, 2), (3, 1), (5, 2)][..]), (90, 101, &[(4, 1), (2, 2)])]
@@ -740,7 +830,7 @@ mod tests {
     fn trace_emits_the_reception_and_decision_only() {
         let ca = CertificateAuthority::new(3);
         let mut lazy = LazyRouter::new(router(&ca));
-        let mut log = BeaconLog::default();
+        let mut log = log();
         let start = (SimTime::ZERO, 0);
         for (src, authentic) in [(1, true), (2, false)] {
             let sent = SimTime::from_micros(100 + src);
@@ -773,7 +863,7 @@ mod tests {
 
     #[test]
     fn a_transmission_nobody_hears_leaves_no_record() {
-        let mut log = BeaconLog::default();
+        let mut log = log();
         let sent = SimTime::from_micros(10);
         log.begin(pv(1, sent), true, sent, 7, (sent, 7));
         assert_eq!(log.finish(), 0);
@@ -783,28 +873,84 @@ mod tests {
     }
 
     #[test]
-    fn seen_set_empties_on_clear_and_across_an_epoch_wrap() {
-        let mut seen = Seen::default();
-        seen.clear(3);
-        assert!(seen.insert(7) && seen.insert(7 << 40) && !seen.insert(7));
-        assert!(seen.contains(7) && !seen.contains(8));
-        seen.clear(3);
-        assert!(!seen.contains(7) && seen.insert(7));
+    fn heads_follow_their_records_across_chunks() {
+        let mut records = Records::default();
+        let push = |records: &mut Records, k: usize| {
+            let head = Head { sent: SimTime::from_micros(k as u64), slot: k as u32, verdict: None };
+            records.push(Record { pv: pv(1, SimTime::ZERO), first_seq: k as u64 }, head);
+        };
+        (0..CHUNK).for_each(|k| push(&mut records, k));
+        // A record dropped at a chunk boundary leaves an empty chunk,
+        // which the next push fills.
+        push(&mut records, 0);
+        records.pop();
+        (CHUNK..2 * CHUNK + 3).for_each(|k| push(&mut records, k));
+        let aligned = |records: &Records, first: usize| {
+            (0..records.len()).all(|i| {
+                records.head(i).slot as usize == first + i
+                    && records.get(i).first_seq == (first + i) as u64
+            })
+        };
+        assert_eq!(records.len(), 2 * CHUNK + 3);
+        assert!(aligned(&records, 0));
+        // Only full chunks retire.
+        assert_eq!(records.retire_before(SimTime::from_secs(1)), 2 * CHUNK);
+        assert_eq!(records.len(), 3);
+        assert!(aligned(&records, 2 * CHUNK));
+    }
+
+    #[test]
+    fn slot_set_empties_on_clear_and_across_an_epoch_wrap() {
+        let mut seen = SlotSet::default();
+        seen.clear(8);
+        assert!(seen.insert(7) && seen.insert(3) && !seen.insert(7));
+        seen.clear(8);
+        assert!(seen.insert(7) && !seen.insert(7));
+        // Room for slots that appeared since.
+        seen.clear(10);
         seen.epoch = u32::MAX;
         seen.insert(9);
-        seen.clear(3);
+        seen.clear(10);
         assert_eq!(seen.epoch, 1);
-        assert!(!seen.contains(9) && !seen.contains(7));
-        // Room for more than the table holds.
-        seen.clear(100);
-        assert!((0..100).all(|a| seen.insert(a * 0x1_0000)));
-        assert!((0..100).all(|a| seen.contains(a * 0x1_0000)));
+        assert!(seen.insert(9) && seen.insert(3));
+    }
+
+    #[test]
+    fn begin_decides_each_record_once_unless_split() {
+        // Sent 990 µs into a millisecond: entries arrive in that
+        // millisecond at offsets up to 9 µs, and in the next from 10 µs.
+        let sent = SimTime::from_micros(5_000_990);
+        let at = |us| sent + SimDuration::from_micros(us);
+        let mut log = log();
+        let records = [
+            (pv(1, sent), true, Some(Ok(()))),
+            (pv(2, sent), false, Some(Err(DropReason::AuthFailure))),
+            (pv(1, SimTime::from_secs(2)), true, Some(Err(DropReason::StaleTimestamp))),
+            // 1,000 ms old (fresh) in the first millisecond, 1,001 in the
+            // next.
+            (pv(3, SimTime::from_secs(4)), true, None),
+        ];
+        for (k, &(pv, authentic, verdict)) in (0..).zip(&records) {
+            log.begin(pv, authentic, sent, k, (sent, k));
+            let head = log.records.head(k as usize);
+            assert_eq!(head.verdict, verdict, "record {k}");
+            assert_eq!(head.authentic(), authentic);
+            let decided = |us| log.verdict(k as usize, at(us), head.verdict);
+            assert_eq!(decided(1), admit(&config(), authentic, &pv, at(1)));
+            assert_eq!(decided(MAX_OFFSET_US), admit(&config(), authentic, &pv, at(MAX_OFFSET_US)));
+        }
+        assert_eq!(log.verdict(3, at(9), None), Ok(()));
+        assert_eq!(log.verdict(3, at(10), None), Err(DropReason::StaleTimestamp));
+        // A replay of address 1 shares its slot.
+        let slots: Vec<_> = (0..4).map(|i| log.records.head(i).slot).collect();
+        assert_eq!(slots, [0, 1, 0, 2]);
     }
 
     #[test]
     fn inbox_bench_compacts_to_one_entry_per_sender() {
         let mut bench = InboxBench::new(64, 4);
         assert_eq!(bench.inbox.len(), 256);
+        assert_eq!(bench.counted().beacons_accepted, 256);
         assert_eq!(bench.compact(), 64);
         bench.fold();
         assert!(bench.lazy.inbox.is_empty());
@@ -821,14 +967,16 @@ mod tests {
         gap_us: u64,
         offset_us: u64,
         /// 0: a replay of an earlier beacon's position vector, stale when
-        /// that is over a second old; 1: a forged signature; else fresh.
+        /// that is over a second old; 1: a forged signature; 2: a replay
+        /// whose verdict a millisecond boundary splits (see
+        /// `compact_then_fold_equals_apply_all_in_order`); else fresh.
         kind: u8,
         /// Compact the inbox right after this beacon is logged.
         compact: bool,
     }
 
     fn beacon() -> impl Strategy<Value = Beacon> {
-        (0u64..6, prop_oneof![0u64..16, 1_000u64..300_000], 1..=MAX_OFFSET_US, 0u8..6, any::<u8>())
+        (0u64..6, prop_oneof![0u64..16, 1_000u64..300_000], 1..=MAX_OFFSET_US, 0u8..7, any::<u8>())
             .prop_map(|(src, gap_us, offset_us, kind, c)| Beacon {
                 src,
                 gap_us,
@@ -838,11 +986,19 @@ mod tests {
             })
     }
 
+    fn config() -> GnConfig {
+        GnConfig::paper_default(486.0)
+    }
+
+    fn log() -> BeaconLog {
+        BeaconLog::new(config())
+    }
+
     fn router(ca: &CertificateAuthority) -> GnRouter {
         GnRouter::new(
             ca.enroll(GnAddress::vehicle(99)),
             ca.verifier(),
-            GnConfig::paper_default(486.0),
+            config(),
             GeoReference::default(),
         )
     }
@@ -865,25 +1021,37 @@ mod tests {
         ) {
             let ca = CertificateAuthority::new(3);
             let reference = GeoReference::default();
-            let mut log = BeaconLog::default();
+            let mut log = log();
             let mut lazy = LazyRouter::new(router(&ca));
             let mut sent = SimTime::from_secs(1);
             let mut seq = 0u64;
             let mut pvs = Vec::new();
             let mut arrivals = Vec::new();
+            let max_age = config().max_pv_age;
             for (k, b) in beacons.iter().enumerate() {
                 sent += SimDuration::from_micros(b.gap_us);
-                let fresh = LongPositionVector::from_sim(
-                    GnAddress::vehicle(b.src),
-                    sent,
-                    Position::new(30.0 * b.src as f64 + k as f64, 2.5),
-                    30.0,
-                    Heading::EAST,
-                    &reference,
-                );
+                if b.kind == 2 {
+                    // 990 µs into a millisecond, so that the arrivals
+                    // 1–9 µs later fall in it and 10–15 µs in the next.
+                    sent += SimDuration::from_micros((1_990 - sent.as_micros() % 1_000) % 1_000);
+                }
+                let pv_at = |t| {
+                    LongPositionVector::from_sim(
+                        GnAddress::vehicle(b.src),
+                        t,
+                        Position::new(30.0 * b.src as f64 + k as f64, 2.5),
+                        30.0,
+                        Heading::EAST,
+                        &reference,
+                    )
+                };
+                let fresh = pv_at(sent);
                 let (pv, authentic) = match b.kind {
                     0 => (pvs.get(k / 2).copied().unwrap_or(fresh), true),
                     1 => (fresh, false),
+                    // Exactly `max_pv_age` old at the first arrival
+                    // offset, one millisecond more from 10 µs on.
+                    2 => (pv_at(SimTime::from_millis(sent.as_millis()) - max_age), true),
                     _ => (fresh, true),
                 };
                 pvs.push(pv);
@@ -892,6 +1060,9 @@ mod tests {
                 let barrier = (sent, seq);
                 seq += 1;
                 log.begin(pv, authentic, sent, seq, barrier);
+                if b.kind == 2 {
+                    prop_assert!(log.records.head(log.records.len() - 1).verdict.is_none());
+                }
                 log.append(&mut lazy, 0, b.offset_us, barrier);
                 log.finish();
                 arrivals.push((sent + SimDuration::from_micros(b.offset_us), seq, pv, authentic));

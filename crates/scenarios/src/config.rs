@@ -203,40 +203,6 @@ impl Scale {
     }
 }
 
-/// A flat, primitive-typed summary of a configuration, for experiment
-/// reports.
-#[derive(Debug, Clone)]
-pub struct ConfigSummary {
-    /// Technology name.
-    pub tech: String,
-    /// Vehicle range, metres.
-    pub v2v_range: f64,
-    /// Attack range, metres.
-    pub attack_range: f64,
-    /// LocT TTL, seconds.
-    pub ttl_s: u64,
-    /// Inter-vehicle spacing, metres.
-    pub spacing: f64,
-    /// Two-way road?
-    pub two_way: bool,
-    /// Run length, seconds.
-    pub duration_s: u64,
-}
-
-impl From<&ScenarioConfig> for ConfigSummary {
-    fn from(c: &ScenarioConfig) -> Self {
-        ConfigSummary {
-            tech: c.tech.to_string(),
-            v2v_range: c.v2v_range,
-            attack_range: c.attack_range,
-            ttl_s: c.gn.loct_ttl.as_secs(),
-            spacing: c.road.spacing,
-            two_way: c.road.two_way,
-            duration_s: c.duration.as_secs(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,15 +266,5 @@ mod tests {
         let mut c = ScenarioConfig::paper_dsrc_default();
         c.duration = SimDuration::ZERO;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn summary_reflects_config() {
-        let c = ScenarioConfig::paper_dsrc_default();
-        let s = ConfigSummary::from(&c);
-        assert_eq!(s.tech, "DSRC");
-        assert_eq!(s.ttl_s, 20);
-        assert_eq!(s.duration_s, 200);
-        assert!(!s.two_way);
     }
 }

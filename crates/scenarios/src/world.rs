@@ -210,7 +210,7 @@ impl World {
             telemetry_steps: 0,
             rx_buf: Vec::new(),
             batched_deliveries: 0,
-            log: BeaconLog::default(),
+            log: BeaconLog::new(cfg.gn),
             barrier: (SimTime::ZERO, 0),
             ahead: None,
             start_ahead: true,
